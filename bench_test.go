@@ -170,7 +170,7 @@ func BenchmarkEngineNilProbe(b *testing.B) {
 }
 
 // BenchmarkEngineRecorderProbe measures the instrumented path: a ring-buffer
-// event recorder plus interval sampler attached, quantifying the cost of
+// event recorder plus window series attached, quantifying the cost of
 // full event capture relative to the nil-probe baseline.
 func BenchmarkEngineRecorderProbe(b *testing.B) {
 	bench, err := specfetch.BuildBenchmark(specfetch.GCC())
@@ -183,8 +183,8 @@ func BenchmarkEngineRecorderProbe(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rec := specfetch.NewEventRecorder(1 << 16)
-		samp := specfetch.NewIntervalSampler()
-		cfg.Probe = specfetch.MultiProbe(rec, samp)
+		win := specfetch.NewWindowSeries()
+		cfg.Probe = specfetch.MultiProbe(rec, win)
 		cfg.SampleInterval = 10_000
 		res, err := specfetch.RunBenchmark(bench, cfg, insts, 1)
 		if err != nil {

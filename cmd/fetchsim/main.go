@@ -3,8 +3,10 @@
 // flags it additionally records the run: -events dumps the probe event
 // stream as JSONL, -timeline renders a Chrome trace-event (Perfetto)
 // timeline with interval counter tracks (ISPI, miss rate, bus occupancy,
-// per-component stalls) merged in, and -series samples an interval
-// time-series of ISPI, miss rate, and bus occupancy.
+// per-component stalls) merged in, and -series writes the interval
+// time-series of ISPI, miss rate, and bus occupancy. The counter tracks and
+// the series are two views of one window store cut every -interval
+// instructions.
 //
 // Usage:
 //
@@ -139,24 +141,18 @@ func main() {
 		cfg.AdaptSeed = *adaptSeed
 	}
 
-	// Observability: attach a recorder and/or sampler only when asked for,
-	// so the default run keeps the nil-probe fast path.
+	// Observability: attach a recorder and/or window store only when asked
+	// for, so the default run keeps the nil-probe fast path.
 	var rec *specfetch.EventRecorder
-	var samp *specfetch.IntervalSampler
 	var win *specfetch.WindowSeries
 	var probes []specfetch.Probe
 	if *eventsPath != "" || *timelinePath != "" {
 		rec = specfetch.NewEventRecorder(*eventCap)
 		probes = append(probes, rec)
 	}
-	if *timelinePath != "" {
+	if *timelinePath != "" || *seriesPath != "" {
 		win = specfetch.NewWindowSeries()
 		probes = append(probes, win)
-		cfg.SampleInterval = *interval
-	}
-	if *seriesPath != "" {
-		samp = specfetch.NewIntervalSampler()
-		probes = append(probes, samp)
 		cfg.SampleInterval = *interval
 	}
 	var aud *specfetch.AuditProbe
@@ -244,7 +240,7 @@ func main() {
 		}
 	}
 
-	if err := writeArtifacts(rec, samp, win, *eventsPath, *timelinePath, *seriesPath); err != nil {
+	if err := writeArtifacts(rec, win, *eventsPath, *timelinePath, *seriesPath); err != nil {
 		fmt.Fprintf(os.Stderr, "fetchsim: %v\n", err)
 		os.Exit(1)
 	}
@@ -260,8 +256,8 @@ func pf(format string, args ...any) {
 }
 
 // writeArtifacts dumps the requested observability outputs.
-func writeArtifacts(rec *specfetch.EventRecorder, samp *specfetch.IntervalSampler,
-	win *specfetch.WindowSeries, eventsPath, timelinePath, seriesPath string) error {
+func writeArtifacts(rec *specfetch.EventRecorder, win *specfetch.WindowSeries,
+	eventsPath, timelinePath, seriesPath string) error {
 	writeTo := func(path string, fn func(f *os.File) error) error {
 		f, err := os.Create(path)
 		if err != nil {
@@ -296,13 +292,13 @@ func writeArtifacts(rec *specfetch.EventRecorder, samp *specfetch.IntervalSample
 		asJSON := len(seriesPath) > 5 && seriesPath[len(seriesPath)-5:] == ".json"
 		if err := writeTo(seriesPath, func(f *os.File) error {
 			if asJSON {
-				return samp.WriteJSON(f)
+				return specfetch.WriteSeriesJSON(f, win.Records())
 			}
-			return samp.WriteCSV(f)
+			return specfetch.WriteSeriesCSV(f, win.Records())
 		}); err != nil {
 			return err
 		}
-		pf("series                 %s (%d samples)\n", seriesPath, len(samp.Points()))
+		pf("series                 %s (%d samples)\n", seriesPath, win.Len())
 	}
 	return nil
 }

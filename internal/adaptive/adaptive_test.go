@@ -12,14 +12,10 @@ import (
 // win fabricates a window digest: 1000 instructions with the given
 // lost-per-inst cost, attributed to the given active policy.
 func win(active core.Policy, lpi float64) core.AdaptWindow {
-	var lost metrics.Breakdown
-	lost[metrics.RTICache] = metrics.Slots(lpi * 1000)
-	return core.AdaptWindow{
-		StartInsts: 0, EndInsts: 1000,
-		Cycles: 2000,
-		Lost:   lost,
-		Active: active,
-	}
+	w := core.AdaptWindow{Active: active}
+	w.EndInsts, w.EndCycle = 1000, 2000
+	w.Lost[metrics.RTICache] = int64(lpi * 1000)
+	return w
 }
 
 // drive feeds a chooser a fixed cost model — each policy has a constant

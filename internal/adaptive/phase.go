@@ -193,7 +193,7 @@ func (p *Phase) First() core.Policy { return p.arms[0] }
 // next one. Within a class block it always answers the block's arm; at a
 // block boundary it banks the block's score and schedules the next block.
 func (p *Phase) Decide(w core.AdaptWindow) core.Policy {
-	idx := w.Index
+	idx := int64(w.Index)
 	pos := idx % p.period
 	active := p.armIndex(w.Active)
 	c := w.LostPerInst()

@@ -12,15 +12,12 @@ import (
 // phaseWin fabricates an indexed window digest: windows of 1000
 // instructions, attributed to the given active policy at the given cost.
 func phaseWin(idx int64, active core.Policy, lpi float64) core.AdaptWindow {
-	var lost metrics.Breakdown
-	lost[metrics.RTICache] = metrics.Slots(lpi * 1000)
-	return core.AdaptWindow{
-		Index:      idx,
-		StartInsts: idx * 1000, EndInsts: (idx + 1) * 1000,
-		Cycles: 2000,
-		Lost:   lost,
-		Active: active,
-	}
+	w := core.AdaptWindow{Active: active}
+	w.Index = int(idx)
+	w.StartInsts, w.EndInsts = idx*1000, (idx+1)*1000
+	w.StartCycle, w.EndCycle = idx*2000, (idx+1)*2000
+	w.Lost[metrics.RTICache] = int64(lpi * 1000)
+	return w
 }
 
 // phasedCost is a synthetic flush-phase cost model over a period-6 phase

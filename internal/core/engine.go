@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/bits"
 
 	"specfetch/internal/bpred"
@@ -96,7 +97,7 @@ type Engine struct {
 	// callback, no prefetch engine consuming first-reference bits). A
 	// sample-only probe (obs.SampleOnly) does not disqualify it: sampling
 	// observes counters at instruction-count boundaries, and bulk deltas
-	// are segmented at those boundaries by emitBulkSamples. The event-jump
+	// are segmented at those boundaries by emitBulkBoundaries. The event-jump
 	// stall and window accounting do not need the gate — they emit
 	// byte-identical probe streams.
 	fastIssue bool
@@ -120,22 +121,24 @@ type Engine struct {
 	// chooser's First pick and is rewritten at every decision boundary.
 	// Policy consultations in the engine read active, never cfg.Policy.
 	active Policy
-	// chooser, when non-nil, is consulted every cfg.AdaptInterval
-	// correct-path instructions (Adaptive policy only).
-	chooser   Chooser
-	nextAdapt int64
-	adaptIdx  int64
-	// adaptPrev snapshots the counters at the last decision boundary, so
-	// each AdaptWindow is a pure delta.
-	adaptPrev adaptMark
+
+	// The boundary schedule. Two correct-path instruction-count grids cut
+	// the run into windows: every cfg.SampleInterval the sampler (when
+	// non-nil) receives a snapshot, and every cfg.AdaptInterval the
+	// chooser (when non-nil, Adaptive policy only) receives the window
+	// since its previous boundary. nextBoundary is the nearest point of
+	// either active grid (noBoundary when neither is), so the issue path
+	// makes one compare per instruction whatever is attached.
+	sampler      obs.Sampler
+	chooser      Chooser
+	nextBoundary int64
+	// adaptFrom is the snapshot at the last decision boundary (zero at run
+	// start): the opening edge of the chooser's next window.
+	adaptFrom obs.Snapshot
 
 	// probe receives instrumentation callbacks; nil disables them, and
 	// every call site is guarded so the nil path costs one branch.
 	probe obs.Probe
-	// sampler, when non-nil, receives a counters snapshot every
-	// nextSample instructions (and once at run end).
-	sampler    obs.Sampler
-	nextSample int64
 
 	res Result
 	err error
@@ -144,15 +147,8 @@ type Engine struct {
 // maxCycles is a sentinel beyond any reachable simulation time.
 const maxCycles = Cycles(1) << 62
 
-// adaptMark is the counter snapshot at an adaptive decision boundary.
-type adaptMark struct {
-	insts int64
-	cy    Cycles
-	lost  metrics.Breakdown
-	acc   int64
-	miss  int64
-	busCy Cycles
-}
+// noBoundary is the boundary schedule's sentinel when no grid is active.
+const noBoundary = int64(math.MaxInt64)
 
 // btbUpdate is a decode-time speculative BTB insertion.
 type btbUpdate struct {
@@ -205,7 +201,6 @@ func NewEngine(cfg Config, img *program.Image, rd trace.Reader, pred bpred.Predi
 			return nil, fmt.Errorf("core: chooser First() returned non-static policy %v", first)
 		}
 		e.active = first
-		e.nextAdapt = cfg.AdaptInterval
 	}
 	e.lastIssueCy = -Cycles(cfg.DecodeLatency) // nothing pending at t=0
 	e.nextUpdAt = maxCycles
@@ -239,7 +234,6 @@ func NewEngine(cfg Config, img *program.Image, rd trace.Reader, pred bpred.Predi
 	if cfg.Probe != nil {
 		if s, ok := cfg.Probe.(obs.Sampler); ok && cfg.SampleInterval > 0 {
 			e.sampler = s
-			e.nextSample = cfg.SampleInterval
 		}
 		// A sample-only probe promises to ignore every per-event callback,
 		// so the engine does not carry it as e.probe at all: event emission
@@ -249,6 +243,7 @@ func NewEngine(cfg Config, img *program.Image, rd trace.Reader, pred bpred.Predi
 			e.probe = cfg.Probe
 		}
 	}
+	e.scheduleAfter(0)
 	e.fastIssue = cfg.StepMode == StepSkipAhead && e.probe == nil &&
 		cfg.OnRightPathAccess == nil && !e.prefetchOn()
 	if pv, ok := rd.(trace.PreValidated); ok && pv.PreValidatedTrace() {
@@ -301,8 +296,9 @@ func (e *Engine) Run() (Result, error) {
 	e.res.Cycles = e.cy
 	if e.sampler != nil {
 		// Close the series on the exact final counters so cumulative
-		// values match the returned Result.
-		e.emitSample(e.res.Cycles)
+		// values match the returned Result. The chooser is not consulted:
+		// no policy runs after the last instruction.
+		e.sampler.Sample(e.snapshot(e.cy))
 	}
 	// A trace error on the very first (or a boundary) record ends the loop
 	// without passing through stepCycle's error check.
@@ -356,12 +352,10 @@ func (e *Engine) runFast() bool {
 	return true
 }
 
-// emitSample delivers a cumulative-counters snapshot to the sampler.
-func (e *Engine) emitSample(cy Cycles) {
-	if e.sampler == nil {
-		return
-	}
-	e.sampler.Sample(obs.Snapshot{
+// snapshot copies the cumulative counters as they stand, stamped at cycle
+// cy.
+func (e *Engine) snapshot(cy Cycles) obs.Snapshot {
+	return obs.Snapshot{
 		Cycle:             cy,
 		Insts:             e.res.Insts,
 		Lost:              e.res.Lost,
@@ -369,7 +363,46 @@ func (e *Engine) emitSample(cy Cycles) {
 		RightPathMisses:   e.res.RightPathMisses,
 		BusTransfers:      e.bus.Transfers,
 		BusBusy:           e.busAccCy,
-	})
+	}
+}
+
+// scheduleAfter sets nextBoundary to the first point after insts on the
+// active grids.
+func (e *Engine) scheduleAfter(insts int64) {
+	e.nextBoundary = noBoundary
+	if e.sampler != nil {
+		e.nextBoundary = min(e.nextBoundary, (insts/e.cfg.SampleInterval+1)*e.cfg.SampleInterval)
+	}
+	if e.chooser != nil {
+		e.nextBoundary = min(e.nextBoundary, (insts/e.cfg.AdaptInterval+1)*e.cfg.AdaptInterval)
+	}
+}
+
+// boundary fires the grid points at snap, which stands exactly on
+// nextBoundary: the sampler receives the snapshot, and the chooser the
+// window since its previous boundary, cut by the same obs.Snapshot.Since
+// the window store uses. The chooser's pick becomes the active policy at
+// once — the boundary instruction has issued, and every later miss is
+// handled under the new policy.
+func (e *Engine) boundary(snap obs.Snapshot) {
+	if e.sampler != nil && snap.Insts%e.cfg.SampleInterval == 0 {
+		e.sampler.Sample(snap)
+	}
+	if e.chooser != nil && snap.Insts%e.cfg.AdaptInterval == 0 {
+		next := e.chooser.Decide(AdaptWindow{
+			WindowRecord: snap.Since(e.adaptFrom, int(snap.Insts/e.cfg.AdaptInterval)-1),
+			Active:       e.active,
+		})
+		if !next.IsStatic() {
+			panic(fmt.Sprintf("core: chooser Decide() returned non-static policy %v", next))
+		}
+		if next != e.active {
+			e.active = next
+			e.res.PolicySwitches++
+		}
+		e.adaptFrom = snap
+	}
+	e.scheduleAfter(snap.Insts)
 }
 
 func (e *Engine) done() bool {
@@ -820,12 +853,8 @@ func (e *Engine) stepCycle() {
 		// Issue the instruction.
 		e.res.Insts++
 		e.lastIssueCy = e.cy
-		if e.sampler != nil && e.res.Insts >= e.nextSample {
-			e.emitSample(e.cy)
-			e.nextSample += e.cfg.SampleInterval
-		}
-		if e.chooser != nil && e.res.Insts >= e.nextAdapt {
-			e.adaptAt(e.cy, e.res.Insts, e.res.RightPathAccesses)
+		if e.res.Insts >= e.nextBoundary {
+			e.boundary(e.snapshot(e.cy))
 		}
 		e.consumeInst()
 
@@ -908,48 +937,6 @@ func (e *Engine) tryPrefetch(now Cycles) {
 		}
 		return
 	}
-}
-
-// adaptAt fires one Adaptive decision boundary: it digests the window that
-// just closed (ending at the boundary instruction's cycle/instruction/access
-// coordinates — interpolated by the caller when the boundary fell inside a
-// bulk-issued region) and installs the chooser's pick as the active policy.
-// Lost, miss, and bus counters come straight from e.res: inside a bulk
-// region they cannot have moved since the boundary, and outside one they are
-// exact.
-func (e *Engine) adaptAt(cy Cycles, insts, acc int64) {
-	var lost metrics.Breakdown
-	for i := range lost {
-		lost[i] = e.res.Lost[i] - e.adaptPrev.lost[i]
-	}
-	next := e.chooser.Decide(AdaptWindow{
-		Index:      e.adaptIdx,
-		StartInsts: e.adaptPrev.insts,
-		EndInsts:   insts,
-		Cycles:     cy - e.adaptPrev.cy,
-		Lost:       lost,
-		Accesses:   acc - e.adaptPrev.acc,
-		Misses:     e.res.RightPathMisses - e.adaptPrev.miss,
-		BusBusy:    e.busAccCy - e.adaptPrev.busCy,
-		Active:     e.active,
-	})
-	if !next.IsStatic() {
-		panic(fmt.Sprintf("core: chooser Decide() returned non-static policy %v", next))
-	}
-	if next != e.active {
-		e.active = next
-		e.res.PolicySwitches++
-	}
-	e.adaptIdx++
-	e.adaptPrev = adaptMark{
-		insts: insts,
-		cy:    cy,
-		lost:  e.res.Lost,
-		acc:   acc,
-		miss:  e.res.RightPathMisses,
-		busCy: e.busAccCy,
-	}
-	e.nextAdapt += e.cfg.AdaptInterval
 }
 
 // handleRightPathMiss models a demand miss on the correct path at the

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"encoding/json"
 	"reflect"
 	"testing"
 
@@ -16,9 +14,10 @@ import (
 // observable behaviour, so the skip-ahead core must emit the exact snapshot
 // sequence the reference stepper does — including snapshots interpolated at
 // sample boundaries that fall inside a bulk plain-issue delta. These tests
-// hold IntervalSampler points and WindowSeries records to element-wise
-// identity across both step modes, and prove a sample-only probe leaves the
-// run's Result untouched (the disabled-path neutrality the layer promises).
+// hold WindowSeries records (and so every series view derived from them) to
+// element-wise identity across both step modes, and prove a sample-only
+// probe leaves the run's Result untouched (the disabled-path neutrality the
+// layer promises).
 
 // runSampled executes one cell in the given mode with probe attached via
 // Config.Probe, returning the Result.
@@ -56,23 +55,13 @@ func TestSeriesIdentityAcrossStepModes(t *testing.T) {
 				cfg.MissPenalty = pen
 				cfg.SampleInterval = interval
 
-				sampRef := obs.NewIntervalSampler()
-				sampFast := obs.NewIntervalSampler()
-				resRef := runSampled(t, cfg, bench, 0x5eed, StepReference, sampRef, insts)
-				resFast := runSampled(t, cfg, bench, 0x5eed, StepSkipAhead, sampFast, insts)
+				winRef := obs.NewWindowSeries()
+				winFast := obs.NewWindowSeries()
+				resRef := runSampled(t, cfg, bench, 0x5eed, StepReference, winRef, insts)
+				resFast := runSampled(t, cfg, bench, 0x5eed, StepSkipAhead, winFast, insts)
 				if !reflect.DeepEqual(resRef, resFast) {
 					t.Fatalf("pen %d interval %d policy %v: Results differ between modes", pen, interval, pol)
 				}
-				refJSON, _ := json.Marshal(sampRef.Points())
-				fastJSON, _ := json.Marshal(sampFast.Points())
-				if !bytes.Equal(refJSON, fastJSON) {
-					diffSeries(t, sampRef.Points(), sampFast.Points(), pen, interval, pol)
-				}
-
-				winRef := obs.NewWindowSeries()
-				winFast := obs.NewWindowSeries()
-				runSampled(t, cfg, bench, 0x5eed, StepReference, winRef, insts)
-				runSampled(t, cfg, bench, 0x5eed, StepSkipAhead, winFast, insts)
 				rr, fr := winRef.Records(), winFast.Records()
 				if !reflect.DeepEqual(rr, fr) {
 					n := min(len(rr), len(fr))
@@ -92,30 +81,14 @@ func TestSeriesIdentityAcrossStepModes(t *testing.T) {
 				if !reflect.DeepEqual(bare, resFast) {
 					t.Fatalf("pen %d interval %d policy %v: sample-only probe changed the Result", pen, interval, pol)
 				}
-				_ = resRef
 			}
 		}
 	}
 }
 
-// diffSeries reports the first diverging point, or the length mismatch.
-func diffSeries(t *testing.T, ref, fast []obs.SeriesPoint, pen int, interval int64, pol Policy) {
-	t.Helper()
-	n := min(len(ref), len(fast))
-	for i := 0; i < n; i++ {
-		if ref[i] != fast[i] {
-			t.Fatalf("pen %d interval %d policy %v: point %d differs\nreference: %+v\nskipahead: %+v",
-				pen, interval, pol, i, ref[i], fast[i])
-		}
-	}
-	t.Fatalf("pen %d interval %d policy %v: point count differs: reference %d, skipahead %d",
-		pen, interval, pol, len(ref), len(fast))
-}
-
-// TestSampleOnlyProbeKeepsFastIssue pins the gate decision: an interval
-// sampler or window series attached alone keeps the bulk path enabled, while
-// an event-consuming probe (or a Multi composite, which might hide one)
-// disables it.
+// TestSampleOnlyProbeKeepsFastIssue pins the gate decision: a window series
+// attached alone keeps the bulk path enabled, while an event-consuming probe
+// (or a Multi composite, which might hide one) disables it.
 func TestSampleOnlyProbeKeepsFastIssue(t *testing.T) {
 	t.Parallel()
 	bench := synth.MustBuild(synth.GCC())
@@ -132,17 +105,14 @@ func TestSampleOnlyProbeKeepsFastIssue(t *testing.T) {
 		}
 		return e
 	}
-	if e := mk(obs.NewIntervalSampler()); !e.fastIssue || e.sampler == nil || e.probe != nil {
-		t.Errorf("IntervalSampler: fastIssue=%v sampler=%v probe=%v; want true/set/nil",
+	if e := mk(obs.NewWindowSeries()); !e.fastIssue || e.sampler == nil || e.probe != nil {
+		t.Errorf("WindowSeries: fastIssue=%v sampler=%v probe=%v; want true/set/nil",
 			e.fastIssue, e.sampler != nil, e.probe != nil)
-	}
-	if e := mk(obs.NewWindowSeries()); !e.fastIssue || e.sampler == nil {
-		t.Errorf("WindowSeries: fastIssue=%v sampler=%v; want true/set", e.fastIssue, e.sampler != nil)
 	}
 	if e := mk(obs.NewEventRecorder(16)); e.fastIssue {
 		t.Error("event recorder left fastIssue enabled")
 	}
-	if e := mk(obs.Multi(obs.NewIntervalSampler(), obs.NewWindowSeries())); e.fastIssue {
+	if e := mk(obs.Multi(obs.NewWindowSeries(), obs.NewWindowSeries())); e.fastIssue {
 		t.Error("Multi composite left fastIssue enabled (it cannot prove all parts sample-only)")
 	}
 }
@@ -153,7 +123,7 @@ func TestSampleOnlyProbeKeepsFastIssue(t *testing.T) {
 // last instruction is emitted from inside the bulk delta and the engine's
 // run-end sample then arrives with the same instruction count but a later
 // cycle (the trailing cycles the clock jumped over). That trailing sample
-// must merge into the last point — never drop, never append a duplicate —
+// must merge into the last window — never drop, never append a duplicate —
 // in both step modes, leaving cumulative values equal to the Result's.
 func TestMidSkipBudgetStopSeriesMerge(t *testing.T) {
 	t.Parallel()
@@ -171,16 +141,15 @@ func TestMidSkipBudgetStopSeriesMerge(t *testing.T) {
 			cfg.Policy = pol
 			cfg.SampleInterval = interval
 
-			samp := obs.NewIntervalSampler()
 			win := obs.NewWindowSeries()
-			res := runSampled(t, cfg, bench, 7, mode, samp, insts)
-			runSampled(t, cfg, bench, 7, mode, win, insts)
+			res := runSampled(t, cfg, bench, 7, mode, win, insts)
 
-			pts := samp.Points()
-			if want := insts / interval; len(pts) != int(want) {
-				t.Fatalf("%v/%v: %d points, want %d (trailing sample must merge, not append or drop)",
-					pol, mode, len(pts), want)
+			recs := win.Records()
+			if want := insts / interval; len(recs) != int(want) {
+				t.Fatalf("%v/%v: %d windows, want %d (trailing sample must merge, not append or drop)",
+					pol, mode, len(recs), want)
 			}
+			pts := obs.SeriesPoints(recs)
 			last := pts[len(pts)-1]
 			if last.Insts != insts || last.Cycle != res.Cycles.Int64() {
 				t.Errorf("%v/%v: last point at %d insts / cycle %d, want %d / %d",
@@ -188,11 +157,6 @@ func TestMidSkipBudgetStopSeriesMerge(t *testing.T) {
 			}
 			if got, want := last.CumISPI, res.TotalISPI(); got != want {
 				t.Errorf("%v/%v: merged CumISPI %v, want run total %v", pol, mode, got, want)
-			}
-
-			recs := win.Records()
-			if want := insts / interval; len(recs) != int(want) {
-				t.Fatalf("%v/%v: %d windows, want %d", pol, mode, len(recs), want)
 			}
 			wlast := recs[len(recs)-1]
 			if wlast.EndInsts != insts || wlast.EndCycle != res.Cycles.Int64() {

@@ -524,11 +524,11 @@ func (c *Coordinator) tryBatch(slot int, w *workerState, b *batchWork, out []Job
 			fmt.Errorf("result has %d entries for %d jobs", len(br.Results), len(b.jobs)))
 	}
 	for i, r := range br.Results {
-		if !r.SelfConsistent() {
+		if !r.SelfConsistent(b.jobs[i]) {
 			c.count("specfetch_dispatch_audit_rejects_total",
-				"Batch results rejected because a result's counters do not rebuild its claimed audit identity.")
+				"Batch results rejected because a result does not rebuild its claimed audit identity or window series.")
 			return classified(sweeplog.CauseTamper,
-				fmt.Errorf("job %d result fails its audit self-check (tampered or corrupt)", b.offset+i))
+				fmt.Errorf("job %d result fails its self-check (tampered or corrupt)", b.offset+i))
 		}
 	}
 	copy(out[b.offset:], br.Results)

@@ -21,23 +21,34 @@ import (
 )
 
 // fakeResult derives a deterministic JobResult from a spec, standing in
-// for a real simulation in protocol tests.
+// for a real simulation in protocol tests. A capturing spec gets a
+// two-window series that tiles the run.
 func fakeResult(spec JobSpec) JobResult {
 	res := fixtureBatchResult().Results[0].Result
 	res.Insts = spec.Insts
 	res.Cycles = core.Cycles(int64(spec.Seed) + spec.Insts)
 	res.Lost[0] = core.Slots(spec.Seed)
-	return JobResult{Result: res, Audit: res.AuditFinal()}
+	jr := JobResult{Result: res, Audit: res.AuditFinal()}
+	if spec.CaptureWindows {
+		ws := obs.NewWindowSeries()
+		ws.Sample(obs.Snapshot{Insts: res.Insts / 2, Cycle: res.Cycles / 2})
+		ws.Sample(obs.Snapshot{Insts: res.Insts, Cycle: res.Cycles, Lost: res.Lost,
+			RightPathAccesses: res.RightPathAccesses, RightPathMisses: res.RightPathMisses})
+		jr.WindowSeries = ws.Records()
+	}
+	return jr
 }
 
 func fakeRunner(spec JobSpec) (JobResult, error) { return fakeResult(spec), nil }
 
-// testJobs builds n valid specs distinguished by seed.
+// testJobs builds n valid window-capturing specs distinguished by seed.
 func testJobs(n int) []JobSpec {
 	jobs := make([]JobSpec, n)
 	for i := range jobs {
 		jobs[i] = fixtureBatch().Jobs[1]
 		jobs[i].Seed = uint64(1000 + i)
+		jobs[i].CaptureWindows = true
+		jobs[i].Config.SampleInterval = 50_000
 	}
 	return jobs
 }
@@ -130,7 +141,7 @@ func TestCoordinatorHappyPath(t *testing.T) {
 type flakyHandler struct {
 	inner http.Handler
 	bad   atomic.Int64
-	mode  string // "drop", "corrupt", "delay", "tamper"
+	mode  string // "drop", "corrupt", "delay", "tamper", "windows"
 }
 
 func (f *flakyHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -158,16 +169,29 @@ func (f *flakyHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		// no longer holds.
 		br.Results[0].Result.Cycles -= 17
 		_ = json.NewEncoder(w).Encode(br)
+	case "windows":
+		rec := httptest.NewRecorder()
+		f.inner.ServeHTTP(rec, r)
+		var br BatchResult
+		if err := json.Unmarshal(rec.Body.Bytes(), &br); err != nil || len(br.Results) == 0 {
+			w.WriteHeader(http.StatusInternalServerError)
+			return
+		}
+		// Add lost slots to the first window: the audit identity still
+		// holds, but the series no longer sums to the run.
+		br.Results[0].WindowSeries[0].Lost[0] += 9
+		_ = json.NewEncoder(w).Encode(br)
 	default:
 		panic("unknown mode " + f.mode)
 	}
 }
 
 // TestCoordinatorFaultInjection: a worker that drops, corrupts, delays, or
-// tampers with batches mid-sweep never changes the reduced results — the
-// batches are retried on the healthy worker without any local fallback.
+// tampers with batches (their results or their window series) mid-sweep
+// never changes the reduced results — the batches are retried on the
+// healthy worker without any local fallback.
 func TestCoordinatorFaultInjection(t *testing.T) {
-	for _, mode := range []string{"drop", "corrupt", "delay", "tamper"} {
+	for _, mode := range []string{"drop", "corrupt", "delay", "tamper", "windows"} {
 		t.Run(mode, func(t *testing.T) {
 			// The healthy worker is slowed so the flaky one keeps pulling
 			// batches instead of watching the queue drain.
@@ -200,7 +224,7 @@ func TestCoordinatorFaultInjection(t *testing.T) {
 			if v := reg.Counter("specfetch_dispatch_retries_total", "").Value(); v < 1 {
 				t.Errorf("retries = %d, want >= 1", v)
 			}
-			if mode == "tamper" {
+			if mode == "tamper" || mode == "windows" {
 				if v := reg.Counter("specfetch_dispatch_audit_rejects_total", "").Value(); v < 1 {
 					t.Errorf("audit rejects = %d, want >= 1", v)
 				}
@@ -399,8 +423,9 @@ func TestCoordinatorLogCauses(t *testing.T) {
 		"corrupt": sweeplog.CauseCorrupt,
 		"delay":   sweeplog.CauseNetwork,
 		"tamper":  sweeplog.CauseTamper,
+		"windows": sweeplog.CauseTamper,
 	}
-	for _, mode := range []string{"drop", "corrupt", "delay", "tamper"} {
+	for _, mode := range []string{"drop", "corrupt", "delay", "tamper", "windows"} {
 		t.Run(mode, func(t *testing.T) {
 			healthy := newWorker(t, 5*time.Millisecond)
 			flaky := &flakyHandler{inner: NewServer(ServerOptions{Runner: fakeRunner}).Handler(), mode: mode}

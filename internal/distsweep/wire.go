@@ -217,8 +217,9 @@ type Batch struct {
 //
 // WindowSeries carries the job's interval window records when the spec set
 // CaptureWindows, added to wire v1 additively (omitempty; absent decodes to
-// nil): the reducer hands it to the caller untouched, and specs that do not
-// capture windows encode exactly as before.
+// nil): the coordinator checks it against the Result (SelfConsistent), the
+// reducer hands it to the caller untouched, and specs that do not capture
+// windows encode exactly as before.
 type JobResult struct {
 	Result       core.Result        `json:"result"`
 	Audit        obs.AuditFinal     `json:"audit"`
@@ -226,9 +227,43 @@ type JobResult struct {
 }
 
 // SelfConsistent reports whether the result's own counters rebuild the
-// audit identity the worker claims to have verified.
-func (r JobResult) SelfConsistent() bool {
-	return r.Result.AuditFinal() == r.Audit
+// audit identity the worker claims to have verified and whether its window
+// series is the one a run of spec could have cut: absent unless the spec
+// captures windows, and otherwise a series that passes obs.CheckSeries,
+// tiles the run from instruction 0 to Result.Insts and Result.Cycles, and
+// sums to the run's lost slots and right-path accesses and misses.
+func (r JobResult) SelfConsistent(spec JobSpec) bool {
+	if r.Result.AuditFinal() != r.Audit {
+		return false
+	}
+	ws := r.WindowSeries
+	if !spec.CaptureWindows {
+		return len(ws) == 0
+	}
+	if len(ws) == 0 {
+		return r.Result.Insts == 0
+	}
+	if obs.CheckSeries(ws) != nil || ws[0].StartInsts != 0 || ws[0].StartCycle != 0 {
+		return false
+	}
+	last := ws[len(ws)-1]
+	if last.EndInsts != r.Result.Insts || last.EndCycle != r.Result.Cycles.Int64() {
+		return false
+	}
+	var sum obs.WindowRecord
+	for _, w := range ws {
+		for c, l := range w.Lost {
+			sum.Lost[c] += l
+		}
+		sum.Accesses += w.Accesses
+		sum.Misses += w.Misses
+	}
+	for c, l := range r.Result.Lost {
+		if sum.Lost[c] != l.Int64() {
+			return false
+		}
+	}
+	return sum.Accesses == r.Result.RightPathAccesses && sum.Misses == r.Result.RightPathMisses
 }
 
 // WireSpan is one job's execution timing on the worker's own monotonic

@@ -163,8 +163,8 @@ func TestWireAdditive(t *testing.T) {
 	// pre-windows peer's JobSpec/JobResult still decodes with the new fields
 	// zero, and specs/results that do not capture windows encode without the
 	// new keys — so a mixed fleet only breaks if a new coordinator asks an
-	// old worker to capture, which the coordinator surfaces as missing
-	// window data, not silent corruption.
+	// old worker to capture, which the coordinator rejects as a failed
+	// self-check, not silent corruption.
 	oldSpec := []byte(`{"profile":{},"config":{},"seed":1,"insts":100}`)
 	var spec JobSpec
 	if err := json.Unmarshal(oldSpec, &spec); err != nil {
@@ -400,15 +400,49 @@ func TestJobSpecValidate(t *testing.T) {
 	}
 }
 
-// TestSelfConsistent: tampering with any audited counter must break the
-// identity the coordinator checks.
+// TestSelfConsistent: tampering with any audited counter, or with the window
+// series of a capturing job, must break the identity the coordinator checks.
 func TestSelfConsistent(t *testing.T) {
+	spec := fixtureBatch().Jobs[0]
 	jr := fixtureBatchResult().Results[0]
-	if !jr.SelfConsistent() {
+	if !jr.SelfConsistent(spec) {
 		t.Fatal("fixture result not self-consistent")
 	}
-	jr.Result.Cycles++
-	if jr.SelfConsistent() {
+	bad := jr
+	bad.Result.Cycles++
+	if bad.SelfConsistent(spec) {
 		t.Error("tampered Cycles not detected")
+	}
+
+	// A capturing job: the series must tile the run and sum to it.
+	res := jr.Result
+	ws := obs.NewWindowSeries()
+	ws.Sample(obs.Snapshot{Insts: 100_000, Cycle: 40_000, RightPathAccesses: 30_000, RightPathMisses: 50})
+	ws.Sample(obs.Snapshot{Insts: res.Insts, Cycle: res.Cycles, Lost: res.Lost,
+		RightPathAccesses: res.RightPathAccesses, RightPathMisses: res.RightPathMisses})
+	capture := spec
+	capture.CaptureWindows = true
+	jr.WindowSeries = ws.Records()
+	if !jr.SelfConsistent(capture) {
+		t.Fatal("tiling window series rejected")
+	}
+	if jr.SelfConsistent(spec) {
+		t.Error("window series on a non-capturing job accepted")
+	}
+	for name, tamper := range map[string]func(ws []obs.WindowRecord) []obs.WindowRecord{
+		"missing":     func([]obs.WindowRecord) []obs.WindowRecord { return nil },
+		"truncated":   func(ws []obs.WindowRecord) []obs.WindowRecord { return ws[:1] },
+		"late start":  func(ws []obs.WindowRecord) []obs.WindowRecord { ws[0].StartInsts = 1; return ws },
+		"misnumbered": func(ws []obs.WindowRecord) []obs.WindowRecord { ws[1].Index = 5; return ws },
+		"lost sum":    func(ws []obs.WindowRecord) []obs.WindowRecord { ws[1].Lost[2]--; return ws },
+		"access sum":  func(ws []obs.WindowRecord) []obs.WindowRecord { ws[0].Accesses++; return ws },
+		"miss sum":    func(ws []obs.WindowRecord) []obs.WindowRecord { ws[1].Misses++; return ws },
+		"end cycle":   func(ws []obs.WindowRecord) []obs.WindowRecord { ws[1].EndCycle++; return ws },
+	} {
+		bad := jr
+		bad.WindowSeries = tamper(append([]obs.WindowRecord(nil), jr.WindowSeries...))
+		if bad.SelfConsistent(capture) {
+			t.Errorf("%s window series accepted", name)
+		}
 	}
 }

@@ -338,6 +338,9 @@ func ReadOracleJSONL(r io.Reader) (*OracleData, error) {
 		} else if l.Interval != d.Interval {
 			return nil, fmt.Errorf("intervals jsonl line %d: mixed intervals %d and %d", line, l.Interval, d.Interval)
 		}
+		if err := obs.CheckSeries(l.Windows); err != nil {
+			return nil, fmt.Errorf("intervals jsonl line %d: %w", line, err)
+		}
 		k := key{l.Bench, l.Penalty}
 		row, ok := rows[k]
 		if !ok {

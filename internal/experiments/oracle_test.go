@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -221,4 +222,71 @@ func TestOracleStepModeIdentity(t *testing.T) {
 	if renderOracle(t, fast) != renderOracle(t, ref) {
 		t.Error("oracle study renders differently across step modes")
 	}
+}
+
+// malformedOracleJSONL is five lines (one per policy) whose second window
+// is out of order, does not start where the first ended, runs backwards in
+// time, loses negative slots, and misses more lines than it references.
+func malformedOracleJSONL() string {
+	var b strings.Builder
+	for pol := 0; pol < 5; pol++ {
+		fmt.Fprintf(&b, `{"v":1,"bench":"gcc","penalty":5,"policy":%d,"interval":100,"windows":[`+
+			`{"index":0,"start_insts":0,"end_insts":100,"start_cycle":0,"end_cycle":9,"lost":[10,0,0,0,0,0],"accesses":1,"misses":0,"bus_transfers":0,"bus_busy":0},`+
+			`{"index":7,"start_insts":5000,"end_insts":5100,"start_cycle":9,"end_cycle":3,"lost":[-400,0,0,0,0,0],"accesses":1,"misses":5,"bus_transfers":0,"bus_busy":0}]}`+"\n", pol)
+	}
+	return b.String()
+}
+
+// TestReadOracleJSONLRejectsMalformedWindows is the regression for series
+// that no simulation can produce: the reader used to accept them and print
+// a negative static ISPI.
+func TestReadOracleJSONLRejectsMalformedWindows(t *testing.T) {
+	if d, err := ReadOracleJSONL(strings.NewReader(malformedOracleJSONL())); err == nil {
+		t.Fatalf("malformed windows accepted:\n%s", d.CrossoverTable().String())
+	}
+}
+
+// FuzzReadOracleJSONL: the reader never panics, and any input it accepts
+// re-renders — report and JSONL — identically after a JSONL round trip.
+func FuzzReadOracleJSONL(f *testing.F) {
+	opt := Options{Insts: 12_000, Benchmarks: []string{"gcc"}, Workers: 1}
+	d, err := OracleSelectorData(opt, 2_500, []int{5})
+	if err != nil {
+		f.Fatal(err)
+	}
+	var seed bytes.Buffer
+	if err := d.WriteJSONL(&seed); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed.Bytes())
+	f.Add([]byte(malformedOracleJSONL()))
+	render := func(d *OracleData) string {
+		var b bytes.Buffer
+		if err := d.CrossoverTable().Render(&b); err != nil {
+			f.Fatal(err)
+		}
+		b.WriteString(d.WinnerMap())
+		if err := d.WriteJSONL(&b); err != nil {
+			f.Fatal(err)
+		}
+		return b.String()
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		d, err := ReadOracleJSONL(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		want := render(d)
+		var b bytes.Buffer
+		if err := d.WriteJSONL(&b); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadOracleJSONL(&b)
+		if err != nil {
+			t.Fatalf("re-reading an accepted input failed: %v", err)
+		}
+		if got := render(back); got != want {
+			t.Fatalf("accepted input re-renders differently:\n got: %s\nwant: %s", got, want)
+		}
+	})
 }

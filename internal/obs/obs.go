@@ -1,14 +1,14 @@
 // Package obs is the simulation observability layer: a typed Probe
 // interface the fetch engine invokes at interesting points of a run, plus
 // standard collectors — a bounded ring-buffer event recorder with JSONL
-// export, an interval time-series sampler (CSV/JSON), a Prometheus-style
-// counters registry with text exposition, and a Chrome trace-event
-// (Perfetto / about:tracing) timeline exporter.
+// export, a fixed-instruction window store with its time-series views
+// (CSV/JSON), a Prometheus-style counters registry with text exposition,
+// and a Chrome trace-event (Perfetto / about:tracing) timeline exporter.
 //
 // The engine holds a nil Probe by default and guards every call site with a
 // single nil check, so the disabled path costs one predictable branch per
 // hook and no allocation. Collectors compose with Multi, so an event
-// recorder and an interval sampler can observe the same run.
+// recorder and a window store can observe the same run.
 package obs
 
 import (

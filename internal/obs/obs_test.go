@@ -163,7 +163,7 @@ func TestMultiFanOut(t *testing.T) {
 	}
 
 	r2 := NewEventRecorder(64)
-	s := NewIntervalSampler()
+	s := NewWindowSeries()
 	m := Multi(r, r2, s)
 	drive(m)
 	if got, got2 := len(r.Events()), len(r2.Events()); got != driveEvents || got2 != driveEvents {
@@ -171,8 +171,8 @@ func TestMultiFanOut(t *testing.T) {
 	}
 	// Sample must reach the sampler part through the composite.
 	m.(Sampler).Sample(Snapshot{Cycle: 10, Insts: 4})
-	if len(s.Points()) != 1 {
-		t.Errorf("sampler saw %d points through Multi, want 1", len(s.Points()))
+	if s.Len() != 1 {
+		t.Errorf("sampler saw %d windows through Multi, want 1", s.Len())
 	}
 }
 
@@ -229,22 +229,28 @@ func TestRegistryHandler(t *testing.T) {
 	}
 }
 
-func TestIntervalSamplerPoints(t *testing.T) {
-	s := NewIntervalSampler()
+// seriesOf closes one window per snapshot and returns the series view.
+func seriesOf(snaps ...Snapshot) []WindowRecord {
+	s := NewWindowSeries()
+	for _, snap := range snaps {
+		s.Sample(snap)
+	}
+	return s.Records()
+}
+
+func TestSeriesPointsView(t *testing.T) {
 	// One 10-cycle bus transfer inside the first interval, carried by the
 	// snapshot's cumulative BusBusy counter.
 	var lost1 metrics.Breakdown
 	lost1[metrics.RTICache] = 40
-	s.Sample(Snapshot{Cycle: 100, Insts: 200, Lost: lost1,
-		RightPathAccesses: 50, RightPathMisses: 5, BusTransfers: 1, BusBusy: 10})
-
 	var lost2 metrics.Breakdown
 	lost2[metrics.RTICache] = 40
 	lost2[metrics.Branch] = 60
-	s.Sample(Snapshot{Cycle: 150, Insts: 300, Lost: lost2,
-		RightPathAccesses: 70, RightPathMisses: 5, BusTransfers: 1, BusBusy: 10})
-
-	pts := s.Points()
+	pts := SeriesPoints(seriesOf(
+		Snapshot{Cycle: 100, Insts: 200, Lost: lost1,
+			RightPathAccesses: 50, RightPathMisses: 5, BusTransfers: 1, BusBusy: 10},
+		Snapshot{Cycle: 150, Insts: 300, Lost: lost2,
+			RightPathAccesses: 70, RightPathMisses: 5, BusTransfers: 1, BusBusy: 10}))
 	if len(pts) != 2 {
 		t.Fatalf("got %d points, want 2", len(pts))
 	}
@@ -277,20 +283,19 @@ func TestIntervalSamplerPoints(t *testing.T) {
 	}
 }
 
-// TestIntervalSamplerRunEndMerge covers the run ending exactly on a sample
+// TestSeriesPointsRunEndMerge covers the run ending exactly on a sample
 // boundary: the final engine sample adds stall slots but no instructions and
 // must fold into the last point so CumISPI matches the run's total.
-func TestIntervalSamplerRunEndMerge(t *testing.T) {
-	s := NewIntervalSampler()
+func TestSeriesPointsRunEndMerge(t *testing.T) {
 	var lost1 metrics.Breakdown
 	lost1[metrics.Branch] = 10
-	s.Sample(Snapshot{Cycle: 100, Insts: 100, Lost: lost1})
 	var lost2 metrics.Breakdown
 	lost2[metrics.Branch] = 10
 	lost2[metrics.WrongICache] = 20
-	s.Sample(Snapshot{Cycle: 110, Insts: 100, Lost: lost2}) // run-end, zero new insts
+	first := Snapshot{Cycle: 100, Insts: 100, Lost: lost1}
+	end := Snapshot{Cycle: 110, Insts: 100, Lost: lost2} // run-end, zero new insts
 
-	pts := s.Points()
+	pts := SeriesPoints(seriesOf(first, end))
 	if len(pts) != 1 {
 		t.Fatalf("got %d points, want 1 (merged)", len(pts))
 	}
@@ -306,20 +311,18 @@ func TestIntervalSamplerRunEndMerge(t *testing.T) {
 	}
 
 	// An identical snapshot (nothing advanced) must not change anything.
-	s.Sample(Snapshot{Cycle: 110, Insts: 100, Lost: lost2})
-	if got := s.Points(); len(got) != 1 || got[0] != p {
+	if got := SeriesPoints(seriesOf(first, end, end)); len(got) != 1 || got[0] != p {
 		t.Errorf("no-op sample changed the series: %+v", got)
 	}
 }
 
-func TestIntervalSamplerCSV(t *testing.T) {
-	s := NewIntervalSampler()
+func TestWriteSeriesCSV(t *testing.T) {
 	var lost metrics.Breakdown
 	lost[metrics.RTICache] = 50
-	s.Sample(Snapshot{Cycle: 75, Insts: 100, Lost: lost, RightPathAccesses: 25, RightPathMisses: 1})
+	rs := seriesOf(Snapshot{Cycle: 75, Insts: 100, Lost: lost, RightPathAccesses: 25, RightPathMisses: 1})
 
 	var buf bytes.Buffer
-	if err := s.WriteCSV(&buf); err != nil {
+	if err := WriteSeriesCSV(&buf, rs); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -339,12 +342,10 @@ func TestIntervalSamplerCSV(t *testing.T) {
 	}
 }
 
-func TestIntervalSamplerJSON(t *testing.T) {
-	s := NewIntervalSampler()
-
+func TestWriteSeriesJSON(t *testing.T) {
 	// Empty series must still be a JSON array.
 	var empty bytes.Buffer
-	if err := s.WriteJSON(&empty); err != nil {
+	if err := WriteSeriesJSON(&empty, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := strings.TrimSpace(empty.String()); got != "[]" {
@@ -353,17 +354,17 @@ func TestIntervalSamplerJSON(t *testing.T) {
 
 	var lost metrics.Breakdown
 	lost[metrics.Bus] = 8
-	s.Sample(Snapshot{Cycle: 50, Insts: 64, Lost: lost})
+	rs := seriesOf(Snapshot{Cycle: 50, Insts: 64, Lost: lost})
 	var buf bytes.Buffer
-	if err := s.WriteJSON(&buf); err != nil {
+	if err := WriteSeriesJSON(&buf, rs); err != nil {
 		t.Fatal(err)
 	}
 	var back []SeriesPoint
 	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatal(err)
 	}
-	if len(back) != 1 || !reflect.DeepEqual(back[0], s.Points()[0]) {
-		t.Errorf("JSON round trip diverged: %+v vs %+v", back, s.Points())
+	if want := SeriesPoints(rs); len(back) != 1 || !reflect.DeepEqual(back[0], want[0]) {
+		t.Errorf("JSON round trip diverged: %+v vs %+v", back, want)
 	}
 	if math.Abs(back[0].CumISPI-lost.TotalISPI(64)) > 1e-12 {
 		t.Errorf("CumISPI = %v", back[0].CumISPI)

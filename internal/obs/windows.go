@@ -1,12 +1,15 @@
 package obs
 
 import (
+	"fmt"
+	"slices"
+
 	"specfetch/internal/metrics"
 )
 
 // WindowRecord is one fixed-instruction-count window of a run, the unit the
 // interval-analytics layer aligns across policies. It is a wire/export type:
-// every quantity is a raw int64 (unit conversions happen once, at Records),
+// every quantity is a raw int64 (unit conversions happen once, in Since),
 // so the JSON encoding is stable and language-neutral. Start values are the
 // cumulative counters at the window's opening edge, so consecutive records
 // tile the run: record i+1's StartInsts equals record i's EndInsts.
@@ -83,17 +86,65 @@ func (r WindowRecord) BusOccupancyPct() float64 {
 	return 0
 }
 
-// WindowSeries captures one WindowRecord per engine sample interval. Like
-// IntervalSampler it is a sample-only probe: attach it via Config.Probe with
-// a positive Config.SampleInterval and the engine's skip-ahead bulk path
-// stays enabled, emitting interpolated snapshots at window boundaries that
-// fall inside a bulk delta. The accumulators stay in the typed Cycles/Slots
-// domain (Snapshot fields); the raw int64 crossing happens once, in
-// Records.
+// Since differences two cumulative snapshots into the window [from, to),
+// numbered index — the one place window quantities leave the typed
+// Cycles/Slots domain. Every windowed view (the stored series, its CSV/JSON
+// rows, the adaptive chooser's digest) is built from records cut here.
+func (to Snapshot) Since(from Snapshot, index int) WindowRecord {
+	r := WindowRecord{
+		Index:        index,
+		StartInsts:   from.Insts,
+		EndInsts:     to.Insts,
+		StartCycle:   from.Cycle.Int64(),
+		EndCycle:     to.Cycle.Int64(),
+		Accesses:     to.RightPathAccesses - from.RightPathAccesses,
+		Misses:       to.RightPathMisses - from.RightPathMisses,
+		BusTransfers: int64(to.BusTransfers - from.BusTransfers),
+		BusBusy:      (to.BusBusy - from.BusBusy).Int64(),
+	}
+	for i := range r.Lost {
+		r.Lost[i] = (to.Lost[i] - from.Lost[i]).Int64()
+	}
+	return r
+}
+
+// CheckSeries validates a window series received from outside the process:
+// records are numbered from 0 in order, each starts where the previous one
+// ended in both instructions and cycles, each spans at least one
+// instruction and does not run backwards in time, no count is negative, and
+// no window misses more often than it references a line. Series cut by
+// WindowSeries always pass.
+func CheckSeries(rs []WindowRecord) error {
+	for i, r := range rs {
+		var why string
+		switch {
+		case r.Index != i:
+			why = "is out of order"
+		case i > 0 && (r.StartInsts != rs[i-1].EndInsts || r.StartCycle != rs[i-1].EndCycle):
+			why = "does not start where the previous window ended"
+		case r.EndInsts <= r.StartInsts || r.EndCycle < r.StartCycle:
+			why = "spans no instructions or runs backwards in time"
+		case min(r.StartInsts, r.StartCycle, r.Accesses, r.Misses, r.BusTransfers, r.BusBusy, slices.Min(r.Lost[:])) < 0:
+			why = "has a negative count"
+		case r.Misses > r.Accesses:
+			why = "misses more lines than it references"
+		default:
+			continue
+		}
+		return fmt.Errorf("window %d %s: %+v", i, why, r)
+	}
+	return nil
+}
+
+// WindowSeries is the window store: one WindowRecord per engine sample
+// interval. It is a sample-only probe: attach it via Config.Probe with a
+// positive Config.SampleInterval and the engine's skip-ahead bulk path stays
+// enabled, emitting interpolated snapshots at window boundaries that fall
+// inside a bulk delta.
 type WindowSeries struct {
 	NopProbe
 
-	windows []windowAcc
+	recs []WindowRecord
 
 	// base holds the counters at the open edge of the window under
 	// construction; prevBase the open edge of the last closed window, so a
@@ -104,19 +155,6 @@ type WindowSeries struct {
 	prevBase Snapshot
 }
 
-// windowAcc is one closed window in the typed domain.
-type windowAcc struct {
-	startInsts int64
-	endInsts   int64
-	startCy    metrics.Cycles
-	endCy      metrics.Cycles
-	lost       metrics.Breakdown
-	accesses   int64
-	misses     int64
-	transfers  uint64
-	busBusy    metrics.Cycles
-}
-
 // NewWindowSeries builds an empty window store.
 func NewWindowSeries() *WindowSeries { return &WindowSeries{} }
 
@@ -125,64 +163,23 @@ func (s *WindowSeries) SampleOnlyProbe() {}
 
 // Sample closes one window at snap, or — for a snapshot that adds no
 // instructions but does advance other counters — re-closes the last window
-// on the new edge (see the base/prevBase comment).
+// on the new edge (see the base/prevBase comment), so the last window ends
+// on the run's final counters and nothing is dropped or double-counted.
 func (s *WindowSeries) Sample(snap Snapshot) {
 	if snap.Insts > s.base.Insts {
-		s.windows = append(s.windows, window(s.base, snap))
+		s.recs = append(s.recs, snap.Since(s.base, len(s.recs)))
 		s.prevBase = s.base
 		s.base = snap
 		return
 	}
-	if len(s.windows) > 0 && snap != s.base {
-		s.windows[len(s.windows)-1] = window(s.prevBase, snap)
+	if n := len(s.recs); n > 0 && snap != s.base {
+		s.recs[n-1] = snap.Since(s.prevBase, n-1)
 		s.base = snap
 	}
 }
 
-// window differences two cumulative snapshots into one closed window.
-func window(from, snap Snapshot) windowAcc {
-	w := windowAcc{
-		startInsts: from.Insts,
-		endInsts:   snap.Insts,
-		startCy:    from.Cycle,
-		endCy:      snap.Cycle,
-		accesses:   snap.RightPathAccesses - from.RightPathAccesses,
-		misses:     snap.RightPathMisses - from.RightPathMisses,
-		transfers:  snap.BusTransfers - from.BusTransfers,
-		busBusy:    snap.BusBusy - from.BusBusy,
-	}
-	for i := range w.lost {
-		w.lost[i] = snap.Lost[i] - from.Lost[i]
-	}
-	return w
-}
-
 // Len returns the number of closed windows.
-func (s *WindowSeries) Len() int { return len(s.windows) }
+func (s *WindowSeries) Len() int { return len(s.recs) }
 
-// Records converts the series to its wire form — the one place window
-// quantities leave the typed domain.
-func (s *WindowSeries) Records() []WindowRecord {
-	if len(s.windows) == 0 {
-		return nil
-	}
-	out := make([]WindowRecord, len(s.windows))
-	for i, w := range s.windows {
-		r := WindowRecord{
-			Index:        i,
-			StartInsts:   w.startInsts,
-			EndInsts:     w.endInsts,
-			StartCycle:   w.startCy.Int64(),
-			EndCycle:     w.endCy.Int64(),
-			Accesses:     w.accesses,
-			Misses:       w.misses,
-			BusTransfers: int64(w.transfers),
-			BusBusy:      w.busBusy.Int64(),
-		}
-		for c, l := range w.lost {
-			r.Lost[c] = l.Int64()
-		}
-		out[i] = r
-	}
-	return out
-}
+// Records returns the closed windows, oldest first (nil when none closed).
+func (s *WindowSeries) Records() []WindowRecord { return s.recs }

@@ -133,3 +133,38 @@ func TestWindowRecordJSON(t *testing.T) {
 		t.Errorf("round trip: %+v != %+v", back, r)
 	}
 }
+
+// TestCheckSeries: a series cut by WindowSeries passes, and each defect a
+// foreign series can carry is rejected on its own.
+func TestCheckSeries(t *testing.T) {
+	var l1, l2 metrics.Breakdown
+	l1[metrics.RTICache] = 40
+	l2[metrics.RTICache] = 90
+	s := NewWindowSeries()
+	s.Sample(snapAt(1000, 300, l1, 80, 4, 4, 30))
+	s.Sample(snapAt(2000, 700, l2, 170, 10, 10, 90))
+	good := s.Records()
+	if err := CheckSeries(good); err != nil {
+		t.Fatalf("cut series rejected: %v", err)
+	}
+	if err := CheckSeries(nil); err != nil {
+		t.Errorf("empty series rejected: %v", err)
+	}
+	for name, tamper := range map[string]func(rs []WindowRecord){
+		"index":           func(rs []WindowRecord) { rs[1].Index = 7 },
+		"gap in insts":    func(rs []WindowRecord) { rs[1].StartInsts++ },
+		"gap in cycles":   func(rs []WindowRecord) { rs[1].StartCycle-- },
+		"no instructions": func(rs []WindowRecord) { rs[1].EndInsts = rs[1].StartInsts },
+		"backwards":       func(rs []WindowRecord) { rs[1].EndCycle = rs[1].StartCycle - 1 },
+		"negative start":  func(rs []WindowRecord) { rs[0].StartInsts = -1 },
+		"negative lost":   func(rs []WindowRecord) { rs[0].Lost[metrics.Branch] = -400 },
+		"negative busy":   func(rs []WindowRecord) { rs[1].BusBusy = -1 },
+		"misses":          func(rs []WindowRecord) { rs[0].Misses = rs[0].Accesses + 1 },
+	} {
+		rs := append([]WindowRecord(nil), good...)
+		tamper(rs)
+		if err := CheckSeries(rs); err == nil {
+			t.Errorf("%s: defect accepted", name)
+		}
+	}
+}

@@ -29,8 +29,8 @@ func TestObservedRunMatchesResult(t *testing.T) {
 	}
 
 	rec := specfetch.NewEventRecorder(1 << 20)
-	samp := specfetch.NewIntervalSampler()
-	cfg.Probe = specfetch.MultiProbe(rec, samp)
+	win := specfetch.NewWindowSeries()
+	cfg.Probe = specfetch.MultiProbe(rec, win)
 	cfg.SampleInterval = 10_000
 	res, err := specfetch.RunBenchmark(bench, cfg, insts, 1)
 	if err != nil {
@@ -43,7 +43,7 @@ func TestObservedRunMatchesResult(t *testing.T) {
 
 	// The acceptance bar: the series' final cumulative ISPI equals the
 	// run's own TotalISPI.
-	pts := samp.Points()
+	pts := specfetch.SeriesPoints(win.Records())
 	if len(pts) == 0 {
 		t.Fatal("no series points")
 	}
@@ -86,13 +86,13 @@ func TestRunWithProbe(t *testing.T) {
 	cfg.Policy = specfetch.Optimistic
 	cfg.MaxInsts = insts
 
-	samp := specfetch.NewIntervalSampler()
+	win := specfetch.NewWindowSeries()
 	res, err := specfetch.RunWithProbe(cfg, bench.Image(), bench.NewReader(7, insts*2),
-		specfetch.NewPredictor(), samp, 5_000)
+		specfetch.NewPredictor(), win, 5_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts := samp.Points()
+	pts := specfetch.SeriesPoints(win.Records())
 	if len(pts) == 0 {
 		t.Fatal("no series points")
 	}

@@ -227,21 +227,23 @@ type EventRecorder = obs.EventRecorder
 // (obs.DefaultEventCapacity when capacity <= 0).
 func NewEventRecorder(capacity int) *EventRecorder { return obs.NewEventRecorder(capacity) }
 
-// IntervalSampler collects per-interval time series (ISPI breakdown, IPC,
-// miss rate, bus occupancy) with CSV/JSON export.
-type IntervalSampler = obs.IntervalSampler
-
-// NewIntervalSampler builds an empty interval sampler; set
-// Config.SampleInterval to choose the sampling period in instructions.
-func NewIntervalSampler() *IntervalSampler { return obs.NewIntervalSampler() }
-
-// SeriesPoint is one interval sample of a run's time series.
+// SeriesPoint is one row of a run's exported time series (ISPI breakdown,
+// IPC, miss rate, bus occupancy): a view over one WindowRecord.
 type SeriesPoint = obs.SeriesPoint
 
-// WindowSeries captures one WindowRecord per sample interval — the aligned
-// per-policy window store the interval-analytics layer is built on. Like
-// IntervalSampler it is sample-only: attached alone it keeps the skip-ahead
-// engine's bulk path enabled.
+// SeriesPoints derives the time-series rows from a window series.
+func SeriesPoints(rs []WindowRecord) []SeriesPoint { return obs.SeriesPoints(rs) }
+
+// WriteSeriesCSV writes a window series' time-series rows as CSV.
+func WriteSeriesCSV(w io.Writer, rs []WindowRecord) error { return obs.WriteSeriesCSV(w, rs) }
+
+// WriteSeriesJSON writes a window series' time-series rows as a JSON array.
+func WriteSeriesJSON(w io.Writer, rs []WindowRecord) error { return obs.WriteSeriesJSON(w, rs) }
+
+// WindowSeries captures one WindowRecord per sample interval — the one
+// window store, behind the aligned per-policy interval analytics and the
+// exported time series. It is sample-only: attached alone it keeps the
+// skip-ahead engine's bulk path enabled.
 type WindowSeries = obs.WindowSeries
 
 // NewWindowSeries builds an empty window store; set Config.SampleInterval
