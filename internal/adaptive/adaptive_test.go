@@ -189,3 +189,32 @@ func TestAllStrategiesReturnStatic(t *testing.T) {
 		}
 	}
 }
+
+// FuzzAdaptiveNew feeds arbitrary strategy names, which arrive from the wire
+// and the command line, to New: each must yield an error or a chooser that
+// starts on a static policy, and never a panic.
+func FuzzAdaptiveNew(f *testing.F) {
+	for _, name := range Names() {
+		f.Add(name, uint64(0))
+	}
+	for _, name := range []string{"phase", "phase:6", "phase:65536", "phase:65537",
+		"phase:4611686018427387904", "phase:-1", "phase:99999999999999999999",
+		"pinned:resume", "pinned:adaptive", "egreedy", ""} {
+		f.Add(name, uint64(7))
+	}
+	f.Fuzz(func(t *testing.T, name string, seed uint64) {
+		c, err := New(name, seed)
+		if err != nil {
+			if c != nil {
+				t.Fatalf("New(%q) returned both a chooser and %v", name, err)
+			}
+			return
+		}
+		if c == nil {
+			t.Fatalf("New(%q) returned neither a chooser nor an error", name)
+		}
+		if p := c.First(); !p.IsStatic() {
+			t.Fatalf("New(%q).First() = %v, not a static policy", name, p)
+		}
+	})
+}

@@ -49,8 +49,9 @@ import (
 //
 // Everything is a deterministic function of the window digests: no seed,
 // no clocks, no map iteration. The name syntax is "phase:<period>"
-// (windows per flush period, minimum 2); plain "phase" means phase:6, the
-// shipped study geometry (FlushInterval 15000 over AdaptInterval 2500).
+// (windows per flush period, from 2 to MaxPhasePeriod); plain "phase"
+// means phase:6, the shipped study geometry (FlushInterval 15000 over
+// AdaptInterval 2500).
 const (
 	phaseWarmup   = 48 // unscored lead-in windows (cold L2, empty BTB)
 	phasePerArm   = 10 // pooled opening block samples per surviving arm
@@ -60,6 +61,13 @@ const (
 	phaseRaceZ2   = 4  // z^2 that drops the trailing third arm in a class
 	phaseBootMin  = 2  // class samples below which a slate arm runs next
 )
+
+// MaxPhasePeriod bounds the windows per flush period a Phase chooser
+// accepts. Its per-position baselines take 16 bytes a window, so the bound
+// keeps a strategy name (which arrives from the wire and the command line)
+// from asking for more than 1 MiB; a real study has a handful of windows
+// per period.
+const MaxPhasePeriod = 1 << 16
 
 // relStat is a running mean/variance accumulator of position-relative
 // block scores.
@@ -120,10 +128,13 @@ type Phase struct {
 }
 
 // NewPhase builds the flush-phase chooser for a phase of period windows
-// (the flush interval divided by the adapt interval, at least 2).
+// (the flush interval divided by the adapt interval, 2 to MaxPhasePeriod).
 func NewPhase(period int64) (*Phase, error) {
 	if period < 2 {
 		return nil, fmt.Errorf("adaptive: phase period %d: need at least 2 windows per flush period", period)
+	}
+	if period > MaxPhasePeriod {
+		return nil, fmt.Errorf("adaptive: phase period %d: at most %d windows per flush period", period, MaxPhasePeriod)
 	}
 	a := arms()
 	cl := (period + 2) / 3
@@ -388,7 +399,8 @@ func (p *Phase) openingNext() (int, bool) {
 	return 0, false
 }
 
-// parsePhase recognizes "phase" and "phase:<period>" strategy names.
+// parsePhase recognizes "phase" and "phase:<period>" strategy names. On an
+// error the chooser is a nil interface, not a nil *Phase.
 func parsePhase(name string) (core.Chooser, bool, error) {
 	if name == "phase" {
 		ch, err := NewPhase(6)
@@ -403,5 +415,8 @@ func parsePhase(name string) (core.Chooser, bool, error) {
 		return nil, true, fmt.Errorf("adaptive: phase period %q: %v", rest, err)
 	}
 	ch, err := NewPhase(period)
-	return ch, true, err
+	if err != nil {
+		return nil, true, err
+	}
+	return ch, true, nil
 }

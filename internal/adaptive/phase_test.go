@@ -57,7 +57,7 @@ func drivePhase(c core.Chooser, n int64) []core.Policy {
 
 func TestPhaseParse(t *testing.T) {
 	t.Parallel()
-	for _, name := range []string{"phase", "phase:2", "phase:6", "phase:100"} {
+	for _, name := range []string{"phase", "phase:2", "phase:6", "phase:100", "phase:65536"} {
 		c, err := New(name, 0)
 		if err != nil || c == nil {
 			t.Errorf("New(%q): %v", name, err)
@@ -67,7 +67,15 @@ func TestPhaseParse(t *testing.T) {
 			t.Errorf("New(%q).First() = %v, want %v", name, got, core.Policies()[0])
 		}
 	}
-	for _, bad := range []string{"phase:", "phase:x", "phase:0", "phase:1", "phase:-3", "phase:6.5"} {
+	for _, bad := range []string{"phase:", "phase:x", "phase:0", "phase:1", "phase:-3", "phase:6.5",
+		// huge: each would ask NewPhase for gigabytes or more, or panic in make
+		"phase:65537", "phase:100000000000", "phase:1000000000000", "phase:4611686018427387904",
+		"phase:9223372036854775807",
+		// negative
+		"phase:-1", "phase:-9223372036854775808",
+		// overflowing int64
+		"phase:9223372036854775808", "phase:-9223372036854775809", "phase:99999999999999999999",
+	} {
 		if _, err := New(bad, 0); err == nil {
 			t.Errorf("New(%q) accepted", bad)
 		} else if !strings.Contains(err.Error(), "period") {

@@ -389,6 +389,11 @@ func TestJobSpecValidate(t *testing.T) {
 		t.Error("unknown adapt strategy accepted")
 	}
 	bad = adapt
+	bad.Config.AdaptStrategy = "phase:4611686018427387904" // once a makeslice panic
+	if err := bad.Validate(); err == nil {
+		t.Error("huge phase period accepted")
+	}
+	bad = adapt
 	bad.Config.AdaptInterval = 0
 	if err := bad.Validate(); err == nil {
 		t.Error("adaptive spec without an interval accepted")
