@@ -43,8 +43,9 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cache: line size %d not a positive power of two", c.LineBytes)
 	case c.Assoc <= 0:
 		return fmt.Errorf("cache: associativity %d not positive", c.Assoc)
-	case c.SizeBytes%(c.LineBytes*c.Assoc) != 0:
-		return fmt.Errorf("cache: size %d not divisible by line*assoc=%d", c.SizeBytes, c.LineBytes*c.Assoc)
+	case c.LineBytes > c.SizeBytes || (c.SizeBytes/c.LineBytes)%c.Assoc != 0:
+		// Checked by division: line*assoc overflows to 0 for huge values.
+		return fmt.Errorf("cache: size %d not divisible by line %d * assoc %d", c.SizeBytes, c.LineBytes, c.Assoc)
 	case c.VictimLines < 0:
 		return fmt.Errorf("cache: negative victim buffer size %d", c.VictimLines)
 	}

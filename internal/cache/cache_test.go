@@ -10,9 +10,12 @@ func TestConfigValidation(t *testing.T) {
 		{SizeBytes: 0, LineBytes: 32, Assoc: 1},
 		{SizeBytes: 8192, LineBytes: 0, Assoc: 1},
 		{SizeBytes: 8192, LineBytes: 32, Assoc: 0},
-		{SizeBytes: 8000, LineBytes: 32, Assoc: 1}, // not a power of two
-		{SizeBytes: 8192, LineBytes: 24, Assoc: 1}, // line not a power of two
-		{SizeBytes: 8192, LineBytes: 32, Assoc: 3}, // 85.33 sets
+		{SizeBytes: 8000, LineBytes: 32, Assoc: 1},            // not a power of two
+		{SizeBytes: 8192, LineBytes: 24, Assoc: 1},            // line not a power of two
+		{SizeBytes: 8192, LineBytes: 32, Assoc: 3},            // 85.33 sets
+		{SizeBytes: 8192, LineBytes: 16384, Assoc: 1},         // line larger than the cache
+		{SizeBytes: 8192, LineBytes: 1 << 32, Assoc: 1 << 32}, // line*assoc overflows to 0
+		{SizeBytes: 8192, LineBytes: 32, Assoc: 1 << 62},      // line*assoc overflows
 	}
 	for _, cfg := range bad {
 		if err := cfg.Validate(); err == nil {

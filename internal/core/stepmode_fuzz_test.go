@@ -87,7 +87,7 @@ func FuzzStepModeEquivalence(f *testing.F) {
 	// The seeded corpus covers each structural regime at least once: the
 	// paper baseline, minimal latencies, narrow and wide fetch, every
 	// extension knob, and a few dense words that set many at a time.
-	f.Add(uint64(0), uint64(1), uint8(0))                  // near-baseline, policy 0
+	f.Add(uint64(0), uint64(1), uint8(0)) // near-baseline, policy 0
 	f.Add(uint64(0x0000_0000_0000_0001), uint64(2), uint8(1))
 	f.Add(uint64(0x0000_0000_0000_ffff), uint64(3), uint8(2))  // min penalty regime
 	f.Add(uint64(0x0000_0000_ffff_0000), uint64(4), uint8(3))  // cache geometry bits

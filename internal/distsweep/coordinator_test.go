@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"specfetch/internal/cache"
 	"specfetch/internal/core"
 	"specfetch/internal/obs"
 	"specfetch/internal/sweeplog"
@@ -400,6 +401,26 @@ func TestServerRejects(t *testing.T) {
 	}
 	if eb.Job != 0 {
 		t.Errorf("invalid job index = %d, want 0", eb.Job)
+	}
+
+	// A cache geometry whose line*assoc overflows int must come back as a
+	// 422 for job 0: batch validation runs outside the per-job recover, so
+	// a panic there would drop the connection instead.
+	huge := cache.Config{SizeBytes: 8192, LineBytes: 1 << 32, Assoc: 1 << 32}
+	for name, set := range map[string]func(*WireConfig){
+		"icache": func(c *WireConfig) { c.ICache = huge },
+		"l2":     func(c *WireConfig) { c.L2, c.L2Latency = &huge, 2 },
+	} {
+		bad := fixtureBatch()
+		set(&bad.Jobs[0].Config)
+		raw, err := json.Marshal(bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, eb := post(string(raw))
+		if code != http.StatusUnprocessableEntity || eb.Job != 0 {
+			t.Errorf("overflowing %s geometry: status %d job %d, want 422 job 0", name, code, eb.Job)
+		}
 	}
 }
 

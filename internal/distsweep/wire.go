@@ -16,7 +16,6 @@ import (
 
 	"specfetch/internal/adaptive"
 	"specfetch/internal/bpred"
-	"specfetch/internal/cache"
 	"specfetch/internal/core"
 	"specfetch/internal/obs"
 	"specfetch/internal/synth"
@@ -28,47 +27,22 @@ import (
 // fleets fail loudly instead of computing subtly different sweeps.
 const WireVersion = 1
 
-// WireConfig mirrors core.Config minus the two function-typed fields
-// (Probe, OnRightPathAccess) that cannot cross a process boundary, and
-// minus MaxInsts, which travels as JobSpec.Insts — the same per-sweep
-// instruction budget the in-process executor stamps onto every cell.
-// Cells that carry a probe or an access callback are not serializable and
-// must run in-process; the coordinator-side conversion enforces that.
+// WireConfig is a core.Config on the wire: its json tags are the encoding,
+// and the fields tagged "-" never cross. Probe and OnRightPathAccess are
+// functions, Chooser and Arena are in-process state, and MaxInsts travels as
+// JobSpec.Insts, the same per-sweep instruction budget the in-process
+// executor stamps onto every cell. Cells that carry a probe, an access
+// callback or a constructed chooser are not serializable and must run
+// in-process; FromConfig enforces that.
 type WireConfig struct {
-	Policy           core.Policy   `json:"policy"`
-	FetchWidth       int           `json:"fetch_width"`
-	MaxUnresolved    int           `json:"max_unresolved"`
-	MissPenalty      int           `json:"miss_penalty"`
-	DecodeLatency    int           `json:"decode_latency"`
-	ResolveLatency   int           `json:"resolve_latency"`
-	ICache           cache.Config  `json:"icache"`
-	NextLinePrefetch bool          `json:"next_line_prefetch,omitempty"`
-	TargetPrefetch   bool          `json:"target_prefetch,omitempty"`
-	StreamDepth      int           `json:"stream_depth,omitempty"`
-	PipelinedMemory  bool          `json:"pipelined_memory,omitempty"`
-	L2               *cache.Config `json:"l2,omitempty"`
-	L2Latency        int           `json:"l2_latency,omitempty"`
-	MSHRs            int           `json:"mshrs,omitempty"`
-	RASDepth         int           `json:"ras_depth,omitempty"`
-	FlushInterval    int64         `json:"flush_interval,omitempty"`
-	SampleInterval   int64         `json:"sample_interval,omitempty"`
-	StepMode         core.StepMode `json:"step_mode,omitempty"`
-
-	// AdaptStrategy, AdaptInterval, and AdaptSeed carry the Adaptive
-	// meta-policy across the wire, added to wire v1 additively (omitempty;
-	// absent fields decode to zero values, so static-policy specs encode
-	// exactly as before). The chooser itself never crosses the wire: the
-	// worker rebuilds it from the strategy name and seed (internal/adaptive),
-	// which is what makes remote adaptive runs byte-identical to local ones.
-	AdaptStrategy string `json:"adapt_strategy,omitempty"`
-	AdaptInterval int64  `json:"adapt_interval,omitempty"`
-	AdaptSeed     uint64 `json:"adapt_seed,omitempty"`
+	core.Config
 }
 
-// FromConfig flattens a core.Config into its wire mirror. It fails when the
-// config carries in-process-only state (a probe or an access callback):
-// such cells must not be dispatched remotely, because the callbacks would
-// silently not fire on the worker.
+// FromConfig wraps a core.Config for the wire, with MaxInsts and Arena
+// cleared. It fails when the config carries in-process-only state (a probe,
+// an access callback or a constructed chooser): such cells must not be
+// dispatched remotely, because the callbacks would silently not fire on the
+// worker.
 func FromConfig(c core.Config) (WireConfig, error) {
 	if c.Probe != nil {
 		return WireConfig{}, fmt.Errorf("distsweep: config carries a Probe; not serializable")
@@ -80,59 +54,15 @@ func FromConfig(c core.Config) (WireConfig, error) {
 		return WireConfig{}, fmt.Errorf("distsweep: config carries a constructed Chooser; " +
 			"ship AdaptStrategy/AdaptSeed and let the worker rebuild it")
 	}
-	return WireConfig{
-		Policy:           c.Policy,
-		FetchWidth:       c.FetchWidth,
-		MaxUnresolved:    c.MaxUnresolved,
-		MissPenalty:      c.MissPenalty,
-		DecodeLatency:    c.DecodeLatency,
-		ResolveLatency:   c.ResolveLatency,
-		ICache:           c.ICache,
-		NextLinePrefetch: c.NextLinePrefetch,
-		TargetPrefetch:   c.TargetPrefetch,
-		StreamDepth:      c.StreamDepth,
-		PipelinedMemory:  c.PipelinedMemory,
-		L2:               c.L2,
-		L2Latency:        c.L2Latency,
-		MSHRs:            c.MSHRs,
-		RASDepth:         c.RASDepth,
-		FlushInterval:    c.FlushInterval,
-		SampleInterval:   c.SampleInterval,
-		StepMode:         c.StepMode,
-		AdaptStrategy:    c.AdaptStrategy,
-		AdaptInterval:    c.AdaptInterval,
-		AdaptSeed:        c.AdaptSeed,
-	}, nil
+	c.MaxInsts = 0
+	c.Arena = nil
+	return WireConfig{c}, nil
 }
 
-// ToConfig rebuilds the core.Config (probe-free, MaxInsts unset — the
+// ToConfig returns the wrapped core.Config (probe-free, MaxInsts unset — the
 // runner stamps the budget from JobSpec.Insts, mirroring the in-process
 // executor).
-func (w WireConfig) ToConfig() core.Config {
-	return core.Config{
-		Policy:           w.Policy,
-		FetchWidth:       w.FetchWidth,
-		MaxUnresolved:    w.MaxUnresolved,
-		MissPenalty:      w.MissPenalty,
-		DecodeLatency:    w.DecodeLatency,
-		ResolveLatency:   w.ResolveLatency,
-		ICache:           w.ICache,
-		NextLinePrefetch: w.NextLinePrefetch,
-		TargetPrefetch:   w.TargetPrefetch,
-		StreamDepth:      w.StreamDepth,
-		PipelinedMemory:  w.PipelinedMemory,
-		L2:               w.L2,
-		L2Latency:        w.L2Latency,
-		MSHRs:            w.MSHRs,
-		RASDepth:         w.RASDepth,
-		FlushInterval:    w.FlushInterval,
-		SampleInterval:   w.SampleInterval,
-		StepMode:         w.StepMode,
-		AdaptStrategy:    w.AdaptStrategy,
-		AdaptInterval:    w.AdaptInterval,
-		AdaptSeed:        w.AdaptSeed,
-	}
-}
+func (w WireConfig) ToConfig() core.Config { return w.Config }
 
 // JobSpec is one serializable sweep cell: the bench recipe (a synth.Profile
 // regenerates the identical program and image on any machine), the machine

@@ -26,12 +26,10 @@ import (
 	"specfetch/internal/cache"
 	"specfetch/internal/classify"
 	"specfetch/internal/core"
-	"specfetch/internal/distsweep"
 	"specfetch/internal/isa"
 	"specfetch/internal/metrics"
 	"specfetch/internal/obs"
 	"specfetch/internal/program"
-	"specfetch/internal/sweeplog"
 	"specfetch/internal/synth"
 	"specfetch/internal/trace"
 )
@@ -106,9 +104,6 @@ const (
 
 // ParseStepMode parses a step-mode name ("skipahead", "reference").
 func ParseStepMode(s string) (StepMode, error) { return core.ParseStepMode(s) }
-
-// StepModes lists both engine cores, skip-ahead first (the default).
-func StepModes() []StepMode { return core.StepModes() }
 
 // Arena is reusable per-run engine state: threading one arena through
 // back-to-back runs (Config.Arena) makes the steady-state simulation loop
@@ -190,9 +185,6 @@ type TraceReader = trace.Reader
 // TraceWriter persists trace records.
 type TraceWriter = trace.Writer
 
-// TraceStats summarizes a trace's dynamic behaviour.
-type TraceStats = trace.Stats
-
 // NewSliceTrace replays an in-memory record slice.
 func NewSliceTrace(recs []TraceRecord) *trace.SliceReader { return trace.NewSliceReader(recs) }
 
@@ -254,16 +246,6 @@ func NewWindowSeries() *WindowSeries { return obs.NewWindowSeries() }
 // wire form, with derived ISPI/miss/occupancy accessors.
 type WindowRecord = obs.WindowRecord
 
-// Snapshot is the cumulative-counters view delivered to samplers.
-type Snapshot = obs.Snapshot
-
-// MetricsRegistry is a Prometheus-style counters registry with text
-// exposition and an http.Handler for /metrics endpoints.
-type MetricsRegistry = obs.Registry
-
-// NewMetricsRegistry builds an empty metrics registry.
-func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
-
 // MultiProbe composes several probes into one; each callback fans out to
 // every part in order.
 func MultiProbe(ps ...Probe) Probe { return obs.Multi(ps...) }
@@ -281,49 +263,12 @@ type AuditError = obs.AuditError
 // overlap).
 type AuditOptions = obs.AuditOptions
 
-// AuditFinal carries the Result counters AuditProbe.Verify cross-checks.
-type AuditFinal = obs.AuditFinal
-
 // NewAuditProbe builds a runtime invariant auditor for one run.
 func NewAuditProbe(opt AuditOptions) *AuditProbe { return obs.NewAuditProbe(opt) }
 
 // WriteChromeTrace renders recorded events as Chrome trace-event JSON,
 // loadable in https://ui.perfetto.dev or chrome://tracing.
 func WriteChromeTrace(w io.Writer, events []Event) error { return obs.WriteChromeTrace(w, events) }
-
-// LatencyHistogram is a fixed-bucket log-spaced histogram metric (registered
-// via MetricsRegistry.Histogram) with Prometheus text exposition and a
-// bounded-error quantile estimator.
-type LatencyHistogram = obs.Histogram
-
-// HostSpan is one completed host-side span: a named unit of host work
-// (simulation cell, ablation row) with wall-clock timing and allocation
-// counts. Host spans measure the simulator, never the simulated machine.
-type HostSpan = obs.HostSpan
-
-// SpanTracer records HostSpans concurrently; a nil tracer is inert.
-type SpanTracer = obs.SpanTracer
-
-// NewSpanTracer builds an empty host-side span tracer.
-func NewSpanTracer() *SpanTracer { return obs.NewSpanTracer() }
-
-// WriteHostTrace renders host-side spans as Chrome trace-event JSON, one
-// track per worker.
-func WriteHostTrace(w io.Writer, spans []HostSpan) error { return obs.WriteHostTrace(w, spans) }
-
-// FleetProcessSpans is one remote process's named track of host spans, as
-// collected by a SweepCoordinator from its worker daemons (see
-// SweepCoordinator.FleetSpans).
-type FleetProcessSpans = obs.ProcessSpans
-
-// WriteCombinedTrace renders the machine timeline and host spans into one
-// Chrome trace: the simulated machine and the simulator that ran it,
-// side by side in https://ui.perfetto.dev. Optional fleet tracks (one per
-// remote worker process, re-anchored onto the coordinator's clock) extend
-// the same file to the whole distributed sweep.
-func WriteCombinedTrace(w io.Writer, events []Event, spans []HostSpan, fleet ...FleetProcessSpans) error {
-	return obs.WriteCombinedTrace(w, events, spans, fleet...)
-}
 
 // CombinedTrace is the full Perfetto trace bundle: machine events, interval
 // counter tracks (per-window ISPI, miss rate, bus occupancy, stall
@@ -427,96 +372,4 @@ func CallKernel(depth, bodyInsts int) (*Bench, error) { return synth.CallKernel(
 // dispatch loop over fanout handlers, isolating BTB target misprediction.
 func DispatchKernel(fanout, handlerInsts int) (*Bench, error) {
 	return synth.DispatchKernel(fanout, handlerInsts)
-}
-
-// SweepWireVersion is the distributed-sweep wire protocol version; a
-// coordinator and its workers must agree on it.
-const SweepWireVersion = distsweep.WireVersion
-
-// SweepJobSpec is one serialized simulation cell of the distributed sweep
-// executor: benchmark recipe, machine configuration, stream seed,
-// predictor kind, instruction budget, and audit sampling — everything a
-// worker process needs to reproduce the cell bit-for-bit.
-type SweepJobSpec = distsweep.JobSpec
-
-// SweepJobResult pairs a cell's Result with the audit identity the worker
-// re-derived from it, the self-check coordinators verify before accepting
-// remote work.
-type SweepJobResult = distsweep.JobResult
-
-// SweepBatch is the versioned request unit of the distributed sweep wire
-// protocol (POST /v1/run).
-type SweepBatch = distsweep.Batch
-
-// SweepBatchResult is the response unit of the distributed sweep wire
-// protocol.
-type SweepBatchResult = distsweep.BatchResult
-
-// SweepCoordinator fans a sweep work-list out across worker daemon
-// processes with per-batch timeouts, capped retries with exponential
-// backoff, failed-worker eviction, and in-process fallback; its reduction
-// is serial and order-keyed, so rendered sweep bytes are identical to a
-// local run. Safe for concurrent use.
-type SweepCoordinator = distsweep.Coordinator
-
-// SweepCoordinatorOptions configures a SweepCoordinator (worker URLs,
-// batch size, timeout, retry/backoff/eviction policy).
-type SweepCoordinatorOptions = distsweep.CoordinatorOptions
-
-// NewSweepCoordinator builds a coordinator over the given worker base
-// URLs. Plug it into the experiments via its Options.Dispatch field, or
-// run batches directly with Run.
-func NewSweepCoordinator(opt SweepCoordinatorOptions) *SweepCoordinator {
-	return distsweep.New(opt)
-}
-
-// SweepServerOptions configures a worker-side sweep protocol server.
-type SweepServerOptions = distsweep.ServerOptions
-
-// SweepServer is the worker-side HTTP server of the distributed sweep
-// protocol (/healthz, /v1/run, /metrics); cmd/sweepworker is the stock
-// daemon wrapping one.
-type SweepServer = distsweep.Server
-
-// NewSweepServer builds a worker-side sweep protocol server around a
-// job-running callback.
-func NewSweepServer(opt SweepServerOptions) *SweepServer {
-	return distsweep.NewServer(opt)
-}
-
-// SweepLogger is the structured decision log of the distributed sweep
-// layer: a JSONL stream of dispatch/retry/backoff/requeue/evict/fallback
-// records with a pinned schema, plus an in-memory flight-recorder ring
-// (Recent) that /sweepz renders. A nil *SweepLogger is inert, like a nil
-// Probe, so logging never perturbs a sweep's rendered bytes.
-type SweepLogger = sweeplog.Logger
-
-// SweepLogOptions configures a SweepLogger (sink writer, ring size,
-// injectable clock).
-type SweepLogOptions = sweeplog.Options
-
-// SweepLogCause labels why a dispatch decision was taken (retry causes:
-// network, 5xx, corrupt, version, tamper; local-fallback causes:
-// permanent, retries-exhausted, no-workers).
-type SweepLogCause = sweeplog.Cause
-
-// The sweep log's decision-cause taxonomy.
-const (
-	SweepCauseNetwork          = sweeplog.CauseNetwork
-	SweepCause5xx              = sweeplog.Cause5xx
-	SweepCauseCorrupt          = sweeplog.CauseCorrupt
-	SweepCauseVersion          = sweeplog.CauseVersion
-	SweepCauseTamper           = sweeplog.CauseTamper
-	SweepCausePermanent        = sweeplog.CausePermanent
-	SweepCauseRetriesExhausted = sweeplog.CauseRetriesExhausted
-	SweepCauseNoWorkers        = sweeplog.CauseNoWorkers
-)
-
-// SweepLogSchemaVersion is the pinned "v" field of every sweep log record.
-const SweepLogSchemaVersion = sweeplog.SchemaVersion
-
-// NewSweepLogger builds a structured sweep logger. A zero Options logs to
-// the in-memory ring only (flight-recorder mode).
-func NewSweepLogger(opt SweepLogOptions) *SweepLogger {
-	return sweeplog.New(opt)
 }
