@@ -17,12 +17,14 @@
 // completed have been printed.
 //
 // Every run also traces host-side spans (one per simulation cell or
-// ablation row) and prints a per-builder summary — wall time, cells/sec,
-// p50/p95/p99 cell latency, allocations — to stderr. -bench-out writes the
-// same aggregates as machine-readable BENCH JSON for cmd/perfdiff;
-// -host-trace dumps the raw spans as a Chrome trace (workers x cells).
+// ablation row) and prints a per-builder summary — cells, wall time,
+// cells/sec — to stderr; -host-trace dumps the raw spans, with their
+// per-span allocation counts, as a Chrome trace (workers x cells).
 // Instrumentation never touches stdout: rendered sweep bytes are identical
-// with it on or off.
+// with it on or off. Host-side performance is measured by perfbench/.
+//
+// A flag that the selected run would never read (say -intervals-out
+// without -oracle) is a usage error, not silently ignored.
 //
 // Usage:
 //
@@ -35,7 +37,6 @@
 //	paperbench -all -remote-workers http://host1:8477,http://host2:8477
 //	paperbench -oracle -interval 10000 -intervals-out intervals.jsonl
 //	paperbench -adaptive -strategy phase:6 -interval 2500 -flush-interval 15000 -insts 20000000
-//	paperbench -table 6 -bench-out BENCH_head.json -bench-label head
 //	paperbench -all -host-trace host.trace.json -cpuprofile cpu.pprof
 package main
 
@@ -54,7 +55,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"specfetch/internal/benchfmt"
 	"specfetch/internal/distsweep"
 	"specfetch/internal/experiments"
 	"specfetch/internal/hosttime"
@@ -87,16 +87,20 @@ func main() {
 		workers  = flag.Int("workers", 0, "simulation cells to run concurrently (0 = GOMAXPROCS, 1 = serial); output is byte-identical at every setting")
 		remoteWk = flag.String("remote-workers", "", "comma-separated sweepworker base URLs (e.g. http://host:8477,http://host:8478); serializable sweeps fan out across these processes, output stays byte-identical")
 		auditSmp = flag.Int("audit-sample", 0, "attach the accounting auditor to every simulation, checking every Nth pipeline window (1 = every window)")
-		sampleIv = flag.Int64("sample-interval", 0, "attach the interval window sampler to every simulation cell, one window per N instructions (observe-only: rendered output is byte-identical with it on or off)")
 		stepMode = flag.String("stepmode", "", "engine core for every cell: skipahead (next-event) or reference (cycle-by-cycle); empty defers to SPECFETCH_STEPMODE, then skipahead. Output bytes are identical either way")
-		benchOut = flag.String("bench-out", "", "write per-builder host-side performance aggregates as BENCH JSON to this file (input for perfdiff)")
-		benchLbl = flag.String("bench-label", "paperbench", "label recorded in the -bench-out report")
 		hostTr   = flag.String("host-trace", "", "write host-side spans (workers x cells, plus remote fleet tracks with -remote-workers) as a Chrome trace JSON to this file")
-		sweepLog = flag.String("sweep-log", "", "persist the structured sweep decision log (dispatch/retry/backoff/eviction/fallback JSONL) to this file")
+		sweepLog = flag.String("sweep-log", "", "with -remote-workers, persist the structured sweep decision log (dispatch/retry/backoff/eviction/fallback JSONL) to this file")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	)
 	flag.Parse()
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	set["oracle"], set["adaptive"], set["remote-workers"] = *oracle, *adaptive, *remoteWk != ""
+	if err := checkFlags(set); err != nil {
+		fmt.Fprintf(os.Stderr, "paperbench: %v\n", err)
+		os.Exit(2)
+	}
 
 	// Profiles and the sweep decision log must land even on the os.Exit
 	// paths (errors, SIGINT, audit failures), so every exit funnels through
@@ -178,12 +182,6 @@ func main() {
 		Insts: *insts, Metrics: reg, Spans: spans,
 		Workers: *workers, AuditSample: *auditSmp,
 	}
-	if *sampleIv > 0 {
-		// Sampler-enabled perf runs: every cell carries a window series
-		// probe so the BENCH report prices the interval layer's overhead.
-		opt.SampleInterval = *sampleIv
-		opt.CaptureWindows = true
-	}
 	if *stepMode != "" {
 		mode, err := experiments.ParseStepMode(*stepMode)
 		if err != nil {
@@ -203,7 +201,7 @@ func main() {
 	// Decisions go to the log and stderr only — never stdout, so rendered
 	// sweep bytes stay invariant.
 	var coord *distsweep.Coordinator
-	if *remoteWk != "" || *sweepLog != "" {
+	if *remoteWk != "" {
 		var logW io.Writer
 		if *sweepLog != "" {
 			f, err := os.Create(*sweepLog)
@@ -216,8 +214,6 @@ func main() {
 			logW = os.Stderr
 		}
 		sweepLogger = sweeplog.New(sweeplog.Options{W: logW})
-	}
-	if *remoteWk != "" {
 		opt.Remote = strings.Split(*remoteWk, ",")
 		// One coordinator for the whole campaign, so retry/eviction state
 		// spans builders: a worker evicted during table 2 stays evicted for
@@ -282,9 +278,14 @@ func main() {
 	}
 
 	// collect runs one builder under a host-side span section, times it, and
-	// aggregates the spans it produced into a benchfmt.Builder. Aggregation
-	// only writes to stderr and the BENCH report — never stdout.
-	var builders []benchfmt.Builder
+	// counts the spans (cells) it produced, for the stderr summary only —
+	// never stdout.
+	type builderTime struct {
+		name  string
+		cells int
+		wall  float64
+	}
+	var builders []builderTime
 	collect := func(name string, build func() error) {
 		stage.Store(name)
 		spans.SetSection(name)
@@ -293,14 +294,7 @@ func main() {
 		err := build()
 		wall := hosttime.Since(start).Seconds()
 		run(err)
-		cellSpans := spans.Spans()[lo:]
-		cellSecs := make([]float64, len(cellSpans))
-		var allocs uint64
-		for i, sp := range cellSpans {
-			cellSecs[i] = sp.Dur.Seconds()
-			allocs += sp.Allocs
-		}
-		builders = append(builders, benchfmt.NewBuilder(name, wall, cellSecs, allocs))
+		builders = append(builders, builderTime{name, spans.Len() - lo, wall})
 	}
 
 	newline := func() {
@@ -423,29 +417,17 @@ func main() {
 		emitFigure(fmt.Sprintf("figure %d", *figure), fn)
 	}
 
-	report := benchfmt.Report{
-		Label:        *benchLbl,
-		GoVersion:    runtime.Version(),
-		GOMAXPROCS:   runtime.GOMAXPROCS(0),
-		Workers:      *workers,
-		InstsPerCell: *insts,
-		Builders:     builders,
-	}
 	if !*quiet {
 		fmt.Fprintf(os.Stderr, "paperbench: host-side summary (%s, GOMAXPROCS %d, workers %d):\n",
-			report.GoVersion, report.GOMAXPROCS, report.Workers)
-		for _, b := range report.Builders {
-			fmt.Fprintf(os.Stderr,
-				"paperbench:   %-24s %4d cells in %8.3fs (%7.1f cells/sec)  p50 %.4fs p95 %.4fs p99 %.4fs  %d allocs\n",
-				b.Name, b.Cells, b.WallSeconds, b.CellsPerSec,
-				b.P50Seconds, b.P95Seconds, b.P99Seconds, b.Allocs)
+			runtime.Version(), runtime.GOMAXPROCS(0), *workers)
+		for _, b := range builders {
+			var rate float64
+			if b.wall > 0 {
+				rate = float64(b.cells) / b.wall
+			}
+			fmt.Fprintf(os.Stderr, "paperbench:   %-24s %4d cells in %8.3fs (%7.1f cells/sec)\n",
+				b.name, b.cells, b.wall, rate)
 		}
-	}
-	if *benchOut != "" {
-		if err := benchfmt.WriteFile(*benchOut, report); err != nil {
-			run(fmt.Errorf("bench-out: %v", err))
-		}
-		fmt.Fprintf(os.Stderr, "paperbench: wrote BENCH report to %s\n", *benchOut)
 	}
 	if *hostTr != "" {
 		f, err := os.Create(*hostTr)
@@ -461,4 +443,29 @@ func main() {
 		fmt.Fprintf(os.Stderr, "paperbench: wrote host trace to %s\n", *hostTr)
 	}
 	stopProfiles()
+}
+
+// checkFlags rejects a command line that sets a flag the selected run
+// never reads. set names the flags in effect: those flag.Visit reports,
+// with -oracle, -adaptive and -remote-workers present only when on.
+// -adaptive runs ahead of -oracle, as main's dispatch orders them.
+func checkFlags(set map[string]bool) error {
+	adaptive := set["adaptive"]
+	oracle := set["oracle"] && !adaptive
+	for _, f := range []struct {
+		name, needs string
+		read        bool
+	}{
+		{"strategy", "-adaptive", adaptive},
+		{"adapt-seed", "-adaptive", adaptive},
+		{"flush-interval", "-oracle or -adaptive", oracle || adaptive},
+		{"interval", "-oracle or -adaptive", oracle || adaptive},
+		{"intervals-out", "-oracle", oracle},
+		{"sweep-log", "-remote-workers", set["remote-workers"]},
+	} {
+		if set[f.name] && !f.read {
+			return fmt.Errorf("-%s is only read with %s", f.name, f.needs)
+		}
+	}
+	return nil
 }

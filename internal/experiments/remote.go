@@ -12,7 +12,7 @@ import (
 // The coordinator half of distributed sweeps. Cells convert to wire
 // JobSpecs, runCells dispatches whole work-lists in batches, and the
 // worker side (JobRunner, used by cmd/sweepworker) runs specs through the
-// identical simulateLocal path, so a remote sweep computes cell-for-cell
+// identical simulateCell path, so a remote sweep computes cell-for-cell
 // the same results — and therefore renders the same bytes — as an
 // in-process one.
 
@@ -110,7 +110,7 @@ func runCellsRemote(opt Options, coord *distsweep.Coordinator, cells []runCell) 
 		return out, nil
 	}
 	// Remotely-completed cells stream progress as their batches verify;
-	// locally-run cells already report inside simulateLocal.
+	// locally-run cells already report inside simulateCell.
 	onRemote := func(offset int, res []distsweep.JobResult) {
 		for i, r := range res {
 			c := cells[offset+i]
@@ -130,7 +130,7 @@ func runCellsRemote(opt Options, coord *distsweep.Coordinator, cells []runCell) 
 
 // JobRunner is the worker-side distsweep.Runner: it rebuilds the bench
 // from the spec's profile (memoized — a sweep sends the same profile once
-// per cell) and runs the cell through simulateLocal, the same code path
+// per cell) and runs the cell through simulateCell, the same code path
 // the in-process executor uses, with the spec's sampled audit attached.
 type JobRunner struct {
 	// Metrics, when non-nil, accumulates the worker's campaign counters
@@ -188,7 +188,7 @@ func (r *JobRunner) Run(spec distsweep.JobSpec) (distsweep.JobResult, error) {
 		// interval is already inside the wire config).
 		CaptureWindows: spec.CaptureWindows,
 	}
-	res, wins, err := simulateLocalFull(cell, opt)
+	res, wins, err := simulateCell(cell, opt, nil, nil)
 	if err != nil {
 		return distsweep.JobResult{}, err
 	}

@@ -264,15 +264,17 @@ func spanEnd(opt Options, sp obs.SpanHandle) {
 func simulate(c runCell, opt Options) (core.Result, error) {
 	coord := opt.coordinator()
 	if coord == nil {
-		return simulateLocal(c, opt)
+		res, _, err := simulateCell(c, opt, nil, nil)
+		return res, err
 	}
 	spec, ok := specForCell(opt, c)
 	if !ok {
-		return simulateLocal(c, opt)
+		res, _, err := simulateCell(c, opt, nil, nil)
+		return res, err
 	}
 	jrs, err := coord.Run([]distsweep.JobSpec{spec},
 		func(int, []distsweep.JobSpec) ([]distsweep.JobResult, error) {
-			res, wins, rerr := simulateLocalFull(c, opt)
+			res, wins, rerr := simulateCell(c, opt, nil, nil)
 			if rerr != nil {
 				return nil, rerr
 			}
@@ -287,25 +289,17 @@ func simulate(c runCell, opt Options) (core.Result, error) {
 	return jrs[0].Result, nil
 }
 
-// simulateLocal runs one cell in-process with a fresh engine, cache, and
+// simulateCell runs one cell in-process with a fresh engine, cache, and
 // predictor. With Options.AuditSample > 0 it attaches a sampled
 // obs.AuditProbe to the run: stream violations panic (the pool
 // re-surfaces them), and the final accounting identities are verified
 // before the result is accepted.
-func simulateLocal(c runCell, opt Options) (core.Result, error) {
-	res, _, err := simulateCell(c, opt, nil, nil)
-	return res, err
-}
-
-// simulateLocalFull is simulateLocal keeping the captured window series.
-func simulateLocalFull(c runCell, opt Options) (core.Result, []obs.WindowRecord, error) {
-	return simulateCell(c, opt, nil, nil)
-}
-
-// simulateCell is simulateLocal with the pool executor's reuses threaded in:
-// rd, when non-nil, is a replay cursor over the cell's (pre-generated)
-// stream; arena, when non-nil, donates storage from earlier cells on the
-// same worker. Both are behaviour-neutral. With Options.CaptureWindows set
+//
+// The pool executor threads its reuses in: rd, when non-nil, is a replay
+// cursor over the cell's (pre-generated) stream; arena, when non-nil,
+// donates storage from earlier cells on the same worker. Both are
+// behaviour-neutral; nil for either generates the stream or allocates
+// fresh storage. With Options.CaptureWindows set
 // (which requires a positive sample interval) the run carries an
 // obs.WindowSeries and the records come back as the second return; a
 // sample-only series attached alone keeps the engine's bulk path enabled,

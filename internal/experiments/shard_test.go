@@ -6,7 +6,9 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"specfetch/internal/hosttime"
 	"specfetch/internal/obs"
 )
 
@@ -273,5 +275,59 @@ func TestWorkersResolution(t *testing.T) {
 	}
 	if got := (Options{Workers: 7}).workers(); got != 7 {
 		t.Errorf("Workers=7 resolved to %d, want 7", got)
+	}
+}
+
+// TestWindowCaptureOverhead gates the interval layer's host cost: the
+// Table 6 work-list (gcc, groff at 200k, serial) with a 10000-instruction
+// window series captured on every cell must run within 1.5x of the same
+// work-list without one. Five pairs alternate which side runs first, and
+// the fastest run of each side is compared, so one descheduled run cannot
+// fail the gate.
+func TestWindowCaptureOverhead(t *testing.T) {
+	if raceEnabled {
+		t.Skip("timing gate; the race detector distorts host time")
+	}
+	if testing.Short() {
+		t.Skip("timing gate")
+	}
+	plain := Options{Insts: 200_000, Benchmarks: []string{"gcc", "groff"}, Workers: 1}
+	benches, err := buildAll(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := table6Cells(benches)
+	capture := plain
+	capture.SampleInterval = 10_000
+	capture.CaptureWindows = true
+	sides := [2]Options{plain, capture}
+
+	var best [2]time.Duration
+	for pair := 0; pair < 5; pair++ {
+		for k := 0; k < 2; k++ {
+			side := (pair + k) % 2
+			start := hosttime.Now()
+			out, err := runCellsFull(sides[side], cells)
+			d := hosttime.Since(start)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if side == 1 {
+				for i, c := range out {
+					if len(c.windows) == 0 {
+						t.Fatalf("capture run: cell %d returned no window series", i)
+					}
+				}
+			}
+			if best[side] == 0 || d < best[side] {
+				best[side] = d
+			}
+		}
+	}
+	ratio := float64(best[1]) / float64(best[0])
+	t.Logf("fastest of 5: plain %v, capture %v (%.2fx)", best[0], best[1], ratio)
+	if ratio > 1.5 {
+		t.Errorf("window capture costs %.2fx the plain run (plain %v, capture %v); bound 1.5x",
+			ratio, best[0], best[1])
 	}
 }

@@ -232,15 +232,7 @@ func Table6Data(opt Options) ([]Table6Row, error) {
 		return nil, err
 	}
 	pols := core.Policies()
-	var cells []runCell
-	for _, b := range benches {
-		for _, pol := range pols {
-			cfg := baseConfig(pol)
-			cfg.ICache = cacheConfig(32 * 1024)
-			cells = append(cells, newCell(b, cfg))
-		}
-	}
-	results, err := runCells(opt, cells)
+	results, err := runCells(opt, table6Cells(benches))
 	if err != nil {
 		return nil, err
 	}
@@ -253,6 +245,20 @@ func Table6Data(opt Options) ([]Table6Row, error) {
 		rows[bi] = row
 	}
 	return rows, nil
+}
+
+// table6Cells is Table 6's work-list: every policy over each bench on the
+// 32K cache, bench-major.
+func table6Cells(benches []*synth.Bench) []runCell {
+	var cells []runCell
+	for _, b := range benches {
+		for _, pol := range core.Policies() {
+			cfg := baseConfig(pol)
+			cfg.ICache = cacheConfig(32 * 1024)
+			cells = append(cells, newCell(b, cfg))
+		}
+	}
+	return cells
 }
 
 // Table6 reproduces the cache-size table (32K direct mapped, 5-cycle miss

@@ -176,7 +176,7 @@ func (r *replayReader) Next() (trace.Record, error) {
 // record passed Validate at generation time.
 func (r *replayReader) PreValidatedTrace() bool { return r.s.valid }
 
-// traceLimit is the stream length simulateLocal feeds an engine with an
+// traceLimit is the stream length simulateCell feeds an engine with an
 // instruction budget of insts: headroom for the wrong-path consistency
 // checks at the final records, same as a direct walker run.
 func traceLimit(insts int64) int64 { return insts + insts/4 }
