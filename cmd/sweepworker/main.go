@@ -12,10 +12,11 @@
 //	POST /v1/run   run one batch (distsweep wire format, versioned)
 //	GET  /metrics  Prometheus text: worker + campaign counters
 //
-// The daemon is stateless across batches apart from a memoized bench cache
-// (profiles are deterministic recipes, so rebuilding is pure); killing a
-// worker mid-sweep never changes sweep output — the coordinator re-runs
-// its batches elsewhere.
+// Between batches the daemon keeps a memoized bench per profile, the most
+// recently read dynamic stream (packed, 8 bytes per record) and one engine
+// arena per batch that ran concurrently. All of it is a pure cache of
+// deterministic recipes; killing a worker mid-sweep never changes sweep
+// output — the coordinator re-runs its batches elsewhere.
 //
 // Usage:
 //
@@ -53,13 +54,13 @@ func run(args []string, stderr io.Writer) int {
 	fs := flag.NewFlagSet("sweepworker", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", ":8477", "listen address (host:port; port 0 picks a free port)")
-	maxBatch := fs.Int("max-batch", 4096, "largest accepted batch, in jobs")
+	maxBatch := fs.Int("max-batch", 4096, "largest accepted batch, in jobs (positive)")
 	quiet := fs.Bool("quiet", false, "suppress per-simulation progress on stderr")
 	sweepLog := fs.String("sweep-log", "", "persist this worker's structured batch-execution log (JSONL, keyed by the coordinator's campaign) to this file")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if fs.NArg() != 0 {
+	if fs.NArg() != 0 || *maxBatch <= 0 {
 		_, _ = fmt.Fprintln(stderr, "usage: sweepworker [-addr host:port] [-max-batch N] [-quiet] [-sweep-log file]")
 		return 2
 	}

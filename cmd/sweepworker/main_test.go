@@ -306,6 +306,17 @@ func TestRunUsage(t *testing.T) {
 	if code := run([]string{"positional"}, &sb); code != 2 {
 		t.Errorf("positional arg: exit %d, want 2", code)
 	}
+	// An unbindable address, so a daemon that accepted the flag would exit
+	// 1 instead of serving.
+	for _, n := range []string{"0", "-1"} {
+		var out strings.Builder
+		if code := run([]string{"-max-batch", n, "-addr", "256.256.256.256:99999"}, &out); code != 2 {
+			t.Errorf("-max-batch %s: exit %d, want 2", n, code)
+		}
+		if !strings.Contains(out.String(), "usage: sweepworker") {
+			t.Errorf("-max-batch %s printed %q, want the usage line", n, out.String())
+		}
+	}
 	if code := run([]string{"-addr", "256.256.256.256:99999"}, &sb); code != 1 {
 		t.Errorf("unbindable address: exit %d, want 1", code)
 	}

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"sync"
 
+	"specfetch/internal/core"
 	"specfetch/internal/distsweep"
 	"specfetch/internal/obs"
 	"specfetch/internal/synth"
@@ -132,6 +133,13 @@ func runCellsRemote(opt Options, coord *distsweep.Coordinator, cells []runCell) 
 // from the spec's profile (memoized — a sweep sends the same profile once
 // per cell) and runs the cell through simulateCell, the same code path
 // the in-process executor uses, with the spec's sampled audit attached.
+//
+// It gives worker cells the pool's two reuses. A sweep sends every cell
+// of one stream (policies × penalties × cache sizes) in a row, so the
+// runner memoizes the stream each Run reads and replays it to the next
+// cell on that stream; and each concurrent Run borrows an engine arena
+// from a free list. Between batches it retains one packed stream and one
+// arena per batch that ran concurrently.
 type JobRunner struct {
 	// Metrics, when non-nil, accumulates the worker's campaign counters
 	// (specfetch_simulations_total etc.).
@@ -141,11 +149,29 @@ type JobRunner struct {
 
 	mu      sync.Mutex
 	benches map[synth.Profile]*synth.Bench
+	// streams holds the stream of every in-flight Run plus last, the most
+	// recently released one; any other is dropped when its last reader
+	// finishes.
+	streams map[traceKey]*workerStream
+	last    *workerStream
+	// arenas is the free list of engine arenas. It is not a sync.Pool,
+	// which would drop them at every GC.
+	arenas []*core.Arena
+}
+
+// workerStream is a memoized stream and the number of Runs reading it.
+type workerStream struct {
+	sharedTrace
+	readers int
 }
 
 // NewJobRunner builds a worker-side runner.
 func NewJobRunner(reg *obs.Registry) *JobRunner {
-	return &JobRunner{Metrics: reg, benches: map[synth.Profile]*synth.Bench{}}
+	return &JobRunner{
+		Metrics: reg,
+		benches: map[synth.Profile]*synth.Bench{},
+		streams: map[traceKey]*workerStream{},
+	}
 }
 
 // bench returns the (memoized) built benchmark for a profile.
@@ -163,23 +189,47 @@ func (r *JobRunner) bench(p synth.Profile) (*synth.Bench, error) {
 	return b, nil
 }
 
-// Run implements distsweep.Runner. Safe for concurrent batches: benches
-// are built under a lock and read-only afterwards, exactly as the
-// in-process pool shares them across workers.
-func (r *JobRunner) Run(spec distsweep.JobSpec) (distsweep.JobResult, error) {
-	if err := spec.Validate(); err != nil {
-		return distsweep.JobResult{}, err
+// acquire registers a reader of stream k and borrows an arena. The stream
+// is generated later, under its own sync.Once, so a walk never holds mu.
+func (r *JobRunner) acquire(k traceKey) (*workerStream, *core.Arena) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	s := r.streams[k]
+	if s == nil {
+		s = &workerStream{sharedTrace: sharedTrace{key: k}}
+		r.streams[k] = s
 	}
-	b, err := r.bench(spec.Profile)
-	if err != nil {
-		return distsweep.JobResult{}, err
+	s.readers++
+	if n := len(r.arenas); n > 0 {
+		a := r.arenas[n-1]
+		r.arenas = r.arenas[:n-1]
+		return s, a
 	}
+	return s, core.NewArena()
+}
+
+// release returns what acquire handed out. A stream whose last reader
+// finishes becomes the retained one, dropping the one retained before it
+// unless a Run is reading that again.
+func (r *JobRunner) release(s *workerStream, a *core.Arena) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.arenas = append(r.arenas, a)
+	if s.readers--; s.readers > 0 {
+		return
+	}
+	if old := r.last; old != nil && old != s && old.readers == 0 {
+		delete(r.streams, old.key)
+	}
+	r.last = s
+}
+
+// specCell is the cell and options a spec runs as on bench b.
+func specCell(spec distsweep.JobSpec, b *synth.Bench) (runCell, Options) {
 	cell := runCell{bench: b, cfg: spec.Config.ToConfig(), seed: spec.Seed, pred: spec.Pred}
-	opt := Options{
+	return cell, Options{
 		Insts:       spec.Insts,
 		AuditSample: spec.AuditSample,
-		Metrics:     r.Metrics,
-		Progress:    r.Progress,
 		// The wire config carries the coordinator-resolved step mode;
 		// threading it through Options keeps simulateCell's stamp from
 		// replacing it with this worker's environment default.
@@ -188,7 +238,25 @@ func (r *JobRunner) Run(spec distsweep.JobSpec) (distsweep.JobResult, error) {
 		// interval is already inside the wire config).
 		CaptureWindows: spec.CaptureWindows,
 	}
-	res, wins, err := simulateCell(cell, opt, nil, nil)
+}
+
+// Run implements distsweep.Runner. Safe for concurrent batches: benches
+// are built under a lock and read-only afterwards, exactly as the
+// in-process pool shares them across workers, and concurrent Runs never
+// share an arena.
+func (r *JobRunner) Run(spec distsweep.JobSpec) (distsweep.JobResult, error) {
+	if err := spec.Validate(); err != nil {
+		return distsweep.JobResult{}, err
+	}
+	b, err := r.bench(spec.Profile)
+	if err != nil {
+		return distsweep.JobResult{}, err
+	}
+	cell, opt := specCell(spec, b)
+	opt.Metrics, opt.Progress = r.Metrics, r.Progress
+	s, arena := r.acquire(cellTraceKey(cell, opt))
+	defer r.release(s, arena)
+	res, wins, err := simulateCell(cell, opt, s.reader(), arena)
 	if err != nil {
 		return distsweep.JobResult{}, err
 	}

@@ -295,9 +295,10 @@ func simulate(c runCell, opt Options) (core.Result, error) {
 // re-surfaces them), and the final accounting identities are verified
 // before the result is accepted.
 //
-// The pool executor threads its reuses in: rd, when non-nil, is a replay
-// cursor over the cell's (pre-generated) stream; arena, when non-nil,
-// donates storage from earlier cells on the same worker. Both are
+// The pool executor and the worker's JobRunner thread their reuses in: rd,
+// when non-nil, is a replay cursor over the cell's (pre-generated) stream;
+// arena, when non-nil, donates storage from earlier cells on the same
+// worker. Both are
 // behaviour-neutral; nil for either generates the stream or allocates
 // fresh storage. With Options.CaptureWindows set
 // (which requires a positive sample interval) the run carries an

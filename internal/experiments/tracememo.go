@@ -27,9 +27,12 @@ import (
 // walker's; a stream with one that does not is not memoized at all, and its
 // cells walk it lazily like an unshared stream.
 
-// traceKey identifies one dynamic stream at one instruction budget.
+// traceKey identifies one dynamic stream at one instruction budget. It
+// names the stream by its built bench, not by the profile name: two
+// profiles that share a name but differ in a generator parameter walk
+// different streams.
 type traceKey struct {
-	bench string
+	b     *synth.Bench
 	seed  uint64
 	insts int64
 }
@@ -133,7 +136,6 @@ func packStream(rd trace.Reader, base isa.Addr) *packedStream {
 // exactly once). A nil stream after generation means it did not pack.
 type sharedTrace struct {
 	once   sync.Once
-	b      *synth.Bench
 	key    traceKey
 	stream *packedStream
 }
@@ -142,8 +144,9 @@ type sharedTrace struct {
 // stream is not memoized and the cell must walk it itself.
 func (s *sharedTrace) reader() trace.Reader {
 	s.once.Do(func() {
-		rd := trace.NewLimitReader(s.b.NewWalker(s.key.seed), traceLimit(s.key.insts))
-		s.stream = packStream(rd, s.b.Image().Base())
+		b := s.key.b
+		rd := trace.NewLimitReader(b.NewWalker(s.key.seed), traceLimit(s.key.insts))
+		s.stream = packStream(rd, b.Image().Base())
 	})
 	if s.stream == nil {
 		return nil
@@ -200,7 +203,7 @@ func sharedTraces(opt Options, cells []runCell) map[traceKey]*sharedTrace {
 			shared = make(map[traceKey]*sharedTrace)
 		}
 		if _, ok := shared[k]; !ok {
-			shared[k] = &sharedTrace{b: c.bench, key: k}
+			shared[k] = &sharedTrace{key: k}
 		}
 	}
 	return shared
@@ -208,5 +211,5 @@ func sharedTraces(opt Options, cells []runCell) map[traceKey]*sharedTrace {
 
 // cellTraceKey names the stream a cell reads.
 func cellTraceKey(c runCell, opt Options) traceKey {
-	return traceKey{bench: c.bench.Profile().Name, seed: c.seed, insts: opt.Insts}
+	return traceKey{b: c.bench, seed: c.seed, insts: opt.Insts}
 }

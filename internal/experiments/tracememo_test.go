@@ -26,7 +26,7 @@ func TestTraceMemoReplayIdentity(t *testing.T) {
 		}
 		for _, insts := range []int64{20_000, 600_000} {
 			for _, seed := range []uint64{defaultStreamSeed, 1001} {
-				s := &sharedTrace{b: b, key: traceKey{bench: p.Name, seed: seed, insts: insts}}
+				s := &sharedTrace{key: traceKey{b: b, seed: seed, insts: insts}}
 				got := s.reader()
 				if got == nil {
 					t.Fatalf("%s/%d/%d: synthetic stream was not memoized", p.Name, insts, seed)
@@ -50,7 +50,7 @@ func TestTraceMemoConcurrentReaders(t *testing.T) {
 	t.Parallel()
 	b := synth.MustBuild(synth.Groff())
 	const insts = 50_000
-	s := &sharedTrace{b: b, key: traceKey{bench: "groff", seed: defaultStreamSeed, insts: insts}}
+	s := &sharedTrace{key: traceKey{b: b, seed: defaultStreamSeed, insts: insts}}
 	var wg sync.WaitGroup
 	counts := make([]int, 4)
 	for g := range counts {
@@ -189,7 +189,7 @@ func TestTraceMemoPacking(t *testing.T) {
 // slice cost about 64 bytes per record.
 func TestTraceMemoAllocs(t *testing.T) {
 	b := synth.MustBuild(synth.GCC())
-	s := &sharedTrace{b: b, key: traceKey{bench: "gcc", seed: defaultStreamSeed, insts: 400_000}}
+	s := &sharedTrace{key: traceKey{b: b, seed: defaultStreamSeed, insts: 400_000}}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	rd := s.reader()
@@ -212,7 +212,7 @@ func TestTraceMemoAllocs(t *testing.T) {
 func BenchmarkTraceMemoReplay(b *testing.B) {
 	bench := synth.MustBuild(synth.Porky())
 	const insts = 2_000_000
-	s := &sharedTrace{b: bench, key: traceKey{bench: "porky", seed: defaultStreamSeed, insts: insts}}
+	s := &sharedTrace{key: traceKey{b: bench, seed: defaultStreamSeed, insts: insts}}
 	recs, err := trace.Collect(trace.NewLimitReader(bench.NewWalker(defaultStreamSeed), traceLimit(insts)))
 	if err != nil {
 		b.Fatal(err)
