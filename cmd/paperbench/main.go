@@ -16,10 +16,12 @@
 // and SIGINT reports how far the run got before exiting — tables already
 // completed have been printed.
 //
-// Every run also traces host-side spans (one per simulation cell or
-// ablation row) and prints a per-builder summary — cells, wall time,
-// cells/sec — to stderr; -host-trace dumps the raw spans, with their
-// per-span allocation counts, as a Chrome trace (workers x cells).
+// Every run also traces host-side spans (one per simulation cell, plus one
+// per bench for the work that is not a simulation: the Table 2/3 trace
+// scans and the layout ablation's profiling walks) and prints a
+// per-builder summary — cells, wall time, cells/sec — to stderr;
+// -host-trace dumps the raw spans, with their per-span allocation counts,
+// as a Chrome trace (workers x cells).
 // Instrumentation never touches stdout: rendered sweep bytes are identical
 // with it on or off. Host-side performance is measured by perfbench/.
 //
@@ -67,7 +69,7 @@ func main() {
 	var (
 		table    = flag.Int("table", 0, "regenerate table N (2-7)")
 		figure   = flag.Int("figure", 0, "regenerate figure N (1-4)")
-		ablation = flag.String("ablation", "", "run an ablation: prefetch|btb|assoc|width|pipelined-mem|ras|victim|mshr|layout")
+		ablation = flag.String("ablation", "", ablationUsage())
 		seeds    = flag.Int("sensitivity", 0, "run the seed-sensitivity analysis over N dynamic streams")
 		sweep    = flag.Bool("sweep", false, "run the miss-latency sweep with crossover detection")
 		modern   = flag.Bool("modern", false, "run the datacenter-footprint study (web/db/search)")
@@ -214,15 +216,13 @@ func main() {
 			logW = os.Stderr
 		}
 		sweepLogger = sweeplog.New(sweeplog.Options{W: logW})
-		opt.Remote = strings.Split(*remoteWk, ",")
 		// One coordinator for the whole campaign, so retry/eviction state
 		// spans builders: a worker evicted during table 2 stays evicted for
 		// figure 4.
 		coord = distsweep.New(distsweep.CoordinatorOptions{
-			Workers: opt.Remote, Metrics: reg, Spans: spans, Log: sweepLogger,
+			Workers: strings.Split(*remoteWk, ","), Metrics: reg, Spans: spans, Log: sweepLogger,
 		})
 		opt.Dispatch = coord
-		opt.SweepLog = sweepLogger
 	}
 
 	if !*all && *table == 0 && *figure == 0 && *ablation == "" && *seeds == 0 && !*sweep && !*modern && !*oracle && !*adaptive {
@@ -443,6 +443,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "paperbench: wrote host trace to %s\n", *hostTr)
 	}
 	stopProfiles()
+}
+
+// ablationUsage is the -ablation help, naming every ablation there is.
+func ablationUsage() string {
+	return "run an ablation: " + strings.Join(experiments.AblationNames(), "|")
 }
 
 // checkFlags rejects a command line that sets a flag the selected run

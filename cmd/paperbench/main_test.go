@@ -1,9 +1,24 @@
 package main
 
 import (
+	"sort"
 	"strings"
 	"testing"
+
+	"specfetch/internal/experiments"
 )
+
+func TestAblationUsageNamesEveryAblation(t *testing.T) {
+	got := strings.Split(strings.TrimPrefix(ablationUsage(), "run an ablation: "), "|")
+	var want []string
+	for name := range experiments.Ablations() {
+		want = append(want, name)
+	}
+	sort.Strings(want)
+	if strings.Join(got, "|") != strings.Join(want, "|") {
+		t.Errorf("-ablation help lists %v, want %v", got, want)
+	}
+}
 
 func TestCheckFlags(t *testing.T) {
 	for _, tc := range []struct {

@@ -121,9 +121,8 @@ func TestCrossProcessBytesIdentical(t *testing.T) {
 	u1, _ := spawnWorker(t)
 	u2, _ := spawnWorker(t)
 	remote := diffBase
-	remote.Remote = []string{u1, u2}
 	remote.Dispatch = distsweep.New(distsweep.CoordinatorOptions{
-		Workers:   remote.Remote,
+		Workers:   []string{u1, u2},
 		BatchSize: 3,
 	})
 	if got := renderSweep(t, remote); got != want {
@@ -163,9 +162,8 @@ func TestCrossProcessKillWorkerMidSweep(t *testing.T) {
 	}()
 
 	remote := diffBase
-	remote.Remote = []string{u1, u2}
 	remote.Dispatch = distsweep.New(distsweep.CoordinatorOptions{
-		Workers:     remote.Remote,
+		Workers:     []string{u1, u2},
 		BatchSize:   2,
 		Retries:     4,
 		BackoffBase: 5 * time.Millisecond,
@@ -182,9 +180,10 @@ func TestCrossProcessKillWorkerMidSweep(t *testing.T) {
 }
 
 // TestTelemetryNeutralDifferential is the fleet-telemetry headline proof:
-// Table 6 + Figure 1 render byte-identically with the full telemetry stack
-// (metrics registry, span tracer, sweep decision log) enabled vs. disabled,
-// at Workers 1 and 4 in-process and against a real spawned worker process.
+// Table 6 + Figure 1 render byte-identically with telemetry enabled vs.
+// disabled: the metrics registry and span tracer at Workers 1 and 4
+// in-process, and those plus the sweep decision log against a real spawned
+// worker process.
 // Run under -race in CI.
 func TestTelemetryNeutralDifferential(t *testing.T) {
 	plain := diffBase
@@ -196,7 +195,6 @@ func TestTelemetryNeutralDifferential(t *testing.T) {
 		loud.Workers = workers
 		loud.Metrics = obs.NewRegistry()
 		loud.Spans = obs.NewSpanTracer()
-		loud.SweepLog = sweeplog.New(sweeplog.Options{})
 		if got := renderSweep(t, loud); got != want {
 			t.Errorf("Workers=%d sweep bytes change with telemetry enabled", workers)
 		}
@@ -207,11 +205,10 @@ func TestTelemetryNeutralDifferential(t *testing.T) {
 
 	u1, _ := spawnWorker(t)
 	remote := diffBase
-	remote.Remote = []string{u1}
 	log := sweeplog.New(sweeplog.Options{})
 	spans := obs.NewSpanTracer()
 	remote.Dispatch = distsweep.New(distsweep.CoordinatorOptions{
-		Workers:   remote.Remote,
+		Workers:   []string{u1},
 		BatchSize: 3,
 		Metrics:   obs.NewRegistry(),
 		Spans:     spans,
@@ -249,9 +246,8 @@ func TestFleetTracePerProcessTracks(t *testing.T) {
 
 	spans := obs.NewSpanTracer()
 	remote := diffBase
-	remote.Remote = []string{u1, u2}
 	remote.Dispatch = distsweep.New(distsweep.CoordinatorOptions{
-		Workers:   remote.Remote,
+		Workers:   []string{u1, u2},
 		BatchSize: 2,
 		Spans:     spans,
 	})

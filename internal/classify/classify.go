@@ -3,6 +3,10 @@
 // I-cache misses into the four categories the paper defines, by matching up
 // the two runs' structural reference streams (which are policy independent
 // for a given trace).
+//
+// NewArm sets up one run's config and records its miss stream, and
+// Categorize matches two finished arms, so a sweep can run the arms as
+// ordinary cells; Run does both for one image.
 package classify
 
 import (
@@ -52,31 +56,62 @@ type NewReader func() trace.Reader
 // Run classifies misses for the given machine configuration (whose Policy
 // field is ignored; Oracle and Optimistic are used).
 func Run(cfg core.Config, img *program.Image, newReader NewReader, newPred NewPredictor) (Categories, error) {
-	oracleMiss, oracleRes, err := missStream(cfg, core.Oracle, img, newReader(), newPred())
+	oracleCfg, oracle := NewArm(cfg, core.Oracle)
+	oracleRes, err := core.Run(oracleCfg, img, newReader(), newPred())
 	if err != nil {
 		return Categories{}, fmt.Errorf("classify: oracle run: %w", err)
 	}
-	optMiss, optRes, err := missStream(cfg, core.Optimistic, img, newReader(), newPred())
+	optCfg, opt := NewArm(cfg, core.Optimistic)
+	optRes, err := core.Run(optCfg, img, newReader(), newPred())
 	if err != nil {
 		return Categories{}, fmt.Errorf("classify: optimistic run: %w", err)
 	}
+	return Categorize(oracle, oracleRes, opt, optRes)
+}
+
+// Arm is one of a classification's two runs: the per-reference miss
+// outcomes its access callback recorded.
+type Arm struct {
+	misses []bool
+}
+
+// NewArm returns cfg set up as the classification run under pol, without
+// prefetching (Table 4 is measured without it), and the Arm its
+// OnRightPathAccess callback records into. Each returned config must run
+// at most once.
+func NewArm(cfg core.Config, pol core.Policy) (core.Config, *Arm) {
+	a := &Arm{}
+	cfg.Policy = pol
+	cfg.NextLinePrefetch = false
+	cfg.OnRightPathAccess = func(seq int64, line uint64, miss bool) {
+		if seq != int64(len(a.misses)) {
+			panic(fmt.Sprintf("classify: non-monotone reference sequence %d (have %d)", seq, len(a.misses)))
+		}
+		a.misses = append(a.misses, miss)
+	}
+	return cfg, a
+}
+
+// Categorize partitions the correct-path misses of a finished Oracle arm
+// and Optimistic arm, given each run's result.
+func Categorize(oracle *Arm, oracleRes core.Result, opt *Arm, optRes core.Result) (Categories, error) {
 	if oracleRes.Insts != optRes.Insts {
 		return Categories{}, fmt.Errorf("classify: instruction counts diverge: oracle %d, optimistic %d",
 			oracleRes.Insts, optRes.Insts)
 	}
-	if len(oracleMiss) != len(optMiss) {
+	if len(oracle.misses) != len(opt.misses) {
 		return Categories{}, fmt.Errorf("classify: reference streams diverge: oracle %d refs, optimistic %d",
-			len(oracleMiss), len(optMiss))
+			len(oracle.misses), len(opt.misses))
 	}
 
 	var both, pollute, prefetch int64
-	for i := range oracleMiss {
-		switch {
-		case oracleMiss[i] && optMiss[i]:
+	for i, om := range oracle.misses {
+		switch pm := opt.misses[i]; {
+		case om && pm:
 			both++
-		case oracleMiss[i] && !optMiss[i]:
+		case om && !pm:
 			prefetch++
-		case !oracleMiss[i] && optMiss[i]:
+		case !om && pm:
 			pollute++
 		}
 	}
@@ -99,19 +134,4 @@ func Run(cfg core.Config, img *program.Image, newReader NewReader, newPred NewPr
 		cat.TrafficRatio = float64(optRes.Traffic.Total()) / float64(oracleRes.Traffic.Total())
 	}
 	return cat, nil
-}
-
-// missStream runs one policy and records the per-reference miss outcomes.
-func missStream(cfg core.Config, pol core.Policy, img *program.Image, rd trace.Reader, pred bpred.Predictor) ([]bool, core.Result, error) {
-	var misses []bool
-	cfg.Policy = pol
-	cfg.NextLinePrefetch = false // Table 4 is measured without prefetching
-	cfg.OnRightPathAccess = func(seq int64, line uint64, miss bool) {
-		if seq != int64(len(misses)) {
-			panic(fmt.Sprintf("classify: non-monotone reference sequence %d (have %d)", seq, len(misses)))
-		}
-		misses = append(misses, miss)
-	}
-	res, err := core.Run(cfg, img, rd, pred)
-	return misses, res, err
 }

@@ -89,15 +89,3 @@ func Policies() []Policy {
 func (p Policy) IsStatic() bool {
 	return p >= 0 && p < Adaptive
 }
-
-// servicesWrongPathMisses reports whether the policy ever initiates a memory
-// fill for a wrong-path miss. For Decode this depends on the window phase
-// (mispredict yes, misfetch no), handled at the call site.
-func (p Policy) servicesWrongPathMisses() bool {
-	switch p {
-	case Optimistic, Resume, Decode:
-		return true
-	default:
-		return false
-	}
-}

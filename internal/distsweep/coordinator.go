@@ -91,8 +91,7 @@ var campaignSeq atomic.Int64
 
 // Coordinator fans batches out to workers and reassembles results in
 // work-list order. It is safe for concurrent use: every Run carries its
-// own queue state, so overlapping sweeps (the ablation rows dispatch
-// their dependent cells concurrently) just interleave batches on the
+// own queue state, so overlapping sweeps just interleave batches on the
 // fleet. Eviction state persists across sweeps, so a dead worker is not
 // re-probed by every table builder.
 type Coordinator struct {

@@ -64,10 +64,12 @@ func FromConfig(c core.Config) (WireConfig, error) {
 // executor).
 func (w WireConfig) ToConfig() core.Config { return w.Config }
 
-// JobSpec is one serializable sweep cell: the bench recipe (a synth.Profile
-// regenerates the identical program and image on any machine), the machine
-// configuration, the dynamic-stream seed, the predictor kind, the
-// instruction budget, and the audit sampling rate the worker must attach.
+// JobSpec is one serializable sweep cell: the bench recipe (synth.Build of
+// the profile regenerates the identical program and image on any machine,
+// so only a bench Build made ships this way; see synth.Bench.FromProfile),
+// the machine configuration, the dynamic-stream seed, the predictor kind,
+// the instruction budget, and the audit sampling rate the worker must
+// attach.
 //
 // CaptureWindows is the interval-analytics opt-in, added to wire v1
 // additively (omitempty; absent decodes to false, so old and new peers

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"sort"
 
 	"specfetch/internal/bpred"
 	"specfetch/internal/cache"
@@ -14,10 +15,10 @@ import (
 // paper's §2/§6 alternatives: prefetch scheme, BTB coupling, cache
 // associativity, fetch width, and a pipelined memory interface.
 //
-// Each ablation shards its sweep at row granularity: benchRows evaluates one
-// benchmark's cells per pool worker (the cells within a row stay serial —
-// some depend on a shared baseline), and the rows are rendered afterwards in
-// bench order, so the table bytes never depend on scheduling.
+// Each ablation is one bench-major work-list of bench x variant cells, run
+// through runCells like every other sweep; a row's derived values (a
+// traffic ratio against the row's first variant, an L2 hit rate) are
+// reductions over finished results, so no cell depends on another.
 
 // PrefetchScheme names one prefetch configuration for the ablation.
 type PrefetchScheme struct {
@@ -39,18 +40,57 @@ func PrefetchSchemes() []PrefetchScheme {
 	}
 }
 
-// renderRows runs rowFn per benchmark on the pool and adds the returned
-// cells to t in bench order.
+// renderRows simulates cellsOf(i, benches[i]) for every bench as one
+// bench-major work-list and adds one row per bench to t: the bench name,
+// then row applied to that bench's results in cellsOf order.
 func renderRows(t *texttable.Table, opt Options, benches []*synth.Bench,
-	rowFn func(b *synth.Bench) ([]any, error)) (*texttable.Table, error) {
-	rows, err := benchRows(opt, benches, rowFn)
+	cellsOf func(i int, b *synth.Bench) []runCell, row func(res []core.Result) []any) (*texttable.Table, error) {
+	var cells []runCell
+	ends := make([]int, len(benches))
+	for i, b := range benches {
+		cells = append(cells, cellsOf(i, b)...)
+		ends[i] = len(cells)
+	}
+	results, err := runCells(opt, cells)
 	if err != nil {
 		return nil, err
 	}
-	for _, cells := range rows {
-		t.AddRowF(2, cells...)
+	start := 0
+	for i, b := range benches {
+		t.AddRowF(2, append([]any{b.Profile().Name}, row(results[start:ends[i]])...)...)
+		start = ends[i]
 	}
 	return t, nil
+}
+
+// configCells is the cellsOf of an ablation whose variants are machine
+// configurations: one cell per config on the bench's shared stream.
+func configCells(cfgs []core.Config) func(int, *synth.Bench) []runCell {
+	return func(_ int, b *synth.Bench) []runCell {
+		cells := make([]runCell, len(cfgs))
+		for i, cfg := range cfgs {
+			cells[i] = newCell(b, cfg)
+		}
+		return cells
+	}
+}
+
+// ispis lists each result's total ISPI.
+func ispis(res []core.Result) []any {
+	out := make([]any, len(res))
+	for i, r := range res {
+		out[i] = r.TotalISPI()
+	}
+	return out
+}
+
+// ispiAndMiss lists each result's total ISPI and right-path miss %.
+func ispiAndMiss(res []core.Result) []any {
+	var out []any
+	for _, r := range res {
+		out = append(out, r.TotalISPI(), r.MissRatioPct())
+	}
+	return out
 }
 
 // AblationPrefetch compares prefetch schemes under the Resume policy.
@@ -59,32 +99,27 @@ func AblationPrefetch(opt Options) (*texttable.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	schemes := PrefetchSchemes()
 	headers := []string{"Program"}
-	for _, s := range schemes {
+	var cfgs []core.Config
+	for _, s := range PrefetchSchemes() {
 		headers = append(headers, s.Name+" ISPI", s.Name+" traffic")
+		cfg := baseConfig(core.Resume)
+		s.Apply(&cfg)
+		cfgs = append(cfgs, cfg)
 	}
 	t := texttable.New("Ablation: prefetch scheme (Resume policy, 8K, 5-cycle penalty)", headers...)
-	return renderRows(t, opt, benches, func(b *synth.Bench) ([]any, error) {
-		cells := []any{b.Profile().Name}
-		var baseTraffic float64
-		for i, s := range schemes {
-			cfg := baseConfig(core.Resume)
-			s.Apply(&cfg)
-			res, err := runBench(b, cfg, opt)
-			if err != nil {
-				return nil, err
-			}
-			if i == 0 {
-				baseTraffic = float64(res.Traffic.Total())
-			}
+	return renderRows(t, opt, benches, configCells(cfgs), func(res []core.Result) []any {
+		// Traffic is relative to the first scheme (no prefetching).
+		baseTraffic := float64(res[0].Traffic.Total())
+		var cells []any
+		for _, r := range res {
 			ratio := 0.0
 			if baseTraffic > 0 {
-				ratio = float64(res.Traffic.Total()) / baseTraffic
+				ratio = float64(r.Traffic.Total()) / baseTraffic
 			}
-			cells = append(cells, res.TotalISPI(), ratio)
+			cells = append(cells, r.TotalISPI(), ratio)
 		}
-		return cells, nil
+		return cells
 	})
 }
 
@@ -97,19 +132,15 @@ func AblationBTBCoupling(opt Options) (*texttable.Table, error) {
 	}
 	t := texttable.New("Ablation: branch architecture (Oracle policy ISPI; decoupled gshare is the paper's baseline)",
 		"Program", "Decoupled", "Local PAg", "Coupled", "Static")
-	return renderRows(t, opt, benches, func(b *synth.Bench) ([]any, error) {
-		row := []any{b.Profile().Name}
+	return renderRows(t, opt, benches, func(_ int, b *synth.Bench) []runCell {
+		var cells []runCell
 		for _, kind := range bpred.Kinds() {
 			cell := newCell(b, baseConfig(core.Oracle))
 			cell.pred = kind
-			res, err := simulate(cell, opt)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", b.Profile().Name, err)
-			}
-			row = append(row, res.TotalISPI())
+			cells = append(cells, cell)
 		}
-		return row, nil
-	})
+		return cells
+	}, ispis)
 }
 
 // AblationAssociativity compares direct-mapped (the paper) against 2- and
@@ -119,21 +150,15 @@ func AblationAssociativity(opt Options) (*texttable.Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	var cfgs []core.Config
+	for _, assoc := range []int{1, 2, 4} {
+		cfg := baseConfig(core.Resume)
+		cfg.ICache.Assoc = assoc
+		cfgs = append(cfgs, cfg)
+	}
 	t := texttable.New("Ablation: 8K cache associativity (Resume policy ISPI / right-path miss %)",
 		"Program", "DM", "DM miss%", "2-way", "2w miss%", "4-way", "4w miss%")
-	return renderRows(t, opt, benches, func(b *synth.Bench) ([]any, error) {
-		cells := []any{b.Profile().Name}
-		for _, assoc := range []int{1, 2, 4} {
-			cfg := baseConfig(core.Resume)
-			cfg.ICache.Assoc = assoc
-			res, err := runBench(b, cfg, opt)
-			if err != nil {
-				return nil, err
-			}
-			cells = append(cells, res.TotalISPI(), res.MissRatioPct())
-		}
-		return cells, nil
-	})
+	return renderRows(t, opt, benches, configCells(cfgs), ispiAndMiss)
 }
 
 // AblationFetchWidth sweeps the superscalar width (the paper fixes 4).
@@ -142,20 +167,20 @@ func AblationFetchWidth(opt Options) (*texttable.Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	var cfgs []core.Config
+	for _, w := range []int{2, 4, 8} {
+		cfg := baseConfig(core.Resume)
+		cfg.FetchWidth = w
+		cfgs = append(cfgs, cfg)
+	}
 	t := texttable.New("Ablation: fetch width (Resume policy, IPC)",
 		"Program", "2-wide", "4-wide", "8-wide")
-	return renderRows(t, opt, benches, func(b *synth.Bench) ([]any, error) {
-		cells := []any{b.Profile().Name}
-		for _, w := range []int{2, 4, 8} {
-			cfg := baseConfig(core.Resume)
-			cfg.FetchWidth = w
-			res, err := runBench(b, cfg, opt)
-			if err != nil {
-				return nil, err
-			}
-			cells = append(cells, res.IPC())
+	return renderRows(t, opt, benches, configCells(cfgs), func(res []core.Result) []any {
+		var cells []any
+		for _, r := range res {
+			cells = append(cells, r.IPC())
 		}
-		return cells, nil
+		return cells
 	})
 }
 
@@ -167,25 +192,19 @@ func AblationPipelinedMemory(opt Options) (*texttable.Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	var cfgs []core.Config
+	for _, pol := range []core.Policy{core.Resume, core.Pessimistic} {
+		for _, pipe := range []bool{false, true} {
+			cfg := baseConfig(pol)
+			cfg.MissPenalty = 20
+			cfg.NextLinePrefetch = true
+			cfg.PipelinedMemory = pipe
+			cfgs = append(cfgs, cfg)
+		}
+	}
 	t := texttable.New("Ablation: pipelined memory interface (20-cycle penalty, prefetch on; ISPI)",
 		"Program", "Resume", "Resume+pipe", "Pess", "Pess+pipe")
-	return renderRows(t, opt, benches, func(b *synth.Bench) ([]any, error) {
-		cells := []any{b.Profile().Name}
-		for _, pol := range []core.Policy{core.Resume, core.Pessimistic} {
-			for _, pipe := range []bool{false, true} {
-				cfg := baseConfig(pol)
-				cfg.MissPenalty = 20
-				cfg.NextLinePrefetch = true
-				cfg.PipelinedMemory = pipe
-				res, err := runBench(b, cfg, opt)
-				if err != nil {
-					return nil, err
-				}
-				cells = append(cells, res.TotalISPI())
-			}
-		}
-		return cells, nil
-	})
+	return renderRows(t, opt, benches, configCells(cfgs), ispis)
 }
 
 // AblationRAS compares the paper's BTB-only return prediction against
@@ -195,24 +214,24 @@ func AblationRAS(opt Options) (*texttable.Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	var cfgs []core.Config
+	for _, depth := range []int{0, 8, 32} {
+		cfg := baseConfig(core.Oracle)
+		cfg.RASDepth = depth
+		cfgs = append(cfgs, cfg)
+	}
 	t := texttable.New("Ablation: return-address stack (Oracle policy; ISPI / BTB target mispredicts per 100k insts)",
 		"Program", "no RAS", "mispred", "RAS-8", "mispred", "RAS-32", "mispred")
-	return renderRows(t, opt, benches, func(b *synth.Bench) ([]any, error) {
-		cells := []any{b.Profile().Name}
-		for _, depth := range []int{0, 8, 32} {
-			cfg := baseConfig(core.Oracle)
-			cfg.RASDepth = depth
-			res, err := runBench(b, cfg, opt)
-			if err != nil {
-				return nil, err
-			}
+	return renderRows(t, opt, benches, configCells(cfgs), func(res []core.Result) []any {
+		var cells []any
+		for _, r := range res {
 			per100k := 0.0
-			if res.Insts > 0 {
-				per100k = 100_000 * float64(res.Events.BTBMispredicts) / float64(res.Insts)
+			if r.Insts > 0 {
+				per100k = 100_000 * float64(r.Events.BTBMispredicts) / float64(r.Insts)
 			}
-			cells = append(cells, res.TotalISPI(), per100k)
+			cells = append(cells, r.TotalISPI(), per100k)
 		}
-		return cells, nil
+		return cells
 	})
 }
 
@@ -223,21 +242,15 @@ func AblationVictimCache(opt Options) (*texttable.Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	var cfgs []core.Config
+	for _, lines := range []int{0, 4, 16} {
+		cfg := baseConfig(core.Resume)
+		cfg.ICache.VictimLines = lines
+		cfgs = append(cfgs, cfg)
+	}
 	t := texttable.New("Ablation: victim buffer on the 8K direct-mapped cache (Resume policy; ISPI / right-path miss %)",
 		"Program", "none", "miss%", "4 lines", "miss%", "16 lines", "miss%")
-	return renderRows(t, opt, benches, func(b *synth.Bench) ([]any, error) {
-		cells := []any{b.Profile().Name}
-		for _, lines := range []int{0, 4, 16} {
-			cfg := baseConfig(core.Resume)
-			cfg.ICache.VictimLines = lines
-			res, err := runBench(b, cfg, opt)
-			if err != nil {
-				return nil, err
-			}
-			cells = append(cells, res.TotalISPI(), res.MissRatioPct())
-		}
-		return cells, nil
-	})
+	return renderRows(t, opt, benches, configCells(cfgs), ispiAndMiss)
 }
 
 // AblationMSHR compares the paper's single resume/prefetch buffers against
@@ -247,56 +260,50 @@ func AblationMSHR(opt Options) (*texttable.Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	var cfgs []core.Config
+	for _, v := range []struct {
+		mshrs int
+		pipe  bool
+	}{{0, false}, {4, false}, {4, true}} {
+		cfg := baseConfig(core.Resume)
+		cfg.MissPenalty = 20
+		cfg.NextLinePrefetch = true
+		cfg.MSHRs = v.mshrs
+		cfg.PipelinedMemory = v.pipe
+		cfgs = append(cfgs, cfg)
+	}
 	t := texttable.New("Ablation: non-blocking fill tracking (Resume, 20-cycle penalty, prefetch on; ISPI)",
 		"Program", "1 buf", "4 MSHR", "4 MSHR+pipe")
-	return renderRows(t, opt, benches, func(b *synth.Bench) ([]any, error) {
-		cells := []any{b.Profile().Name}
-		for _, v := range []struct {
-			mshrs int
-			pipe  bool
-		}{{0, false}, {4, false}, {4, true}} {
-			cfg := baseConfig(core.Resume)
-			cfg.MissPenalty = 20
-			cfg.NextLinePrefetch = true
-			cfg.MSHRs = v.mshrs
-			cfg.PipelinedMemory = v.pipe
-			res, err := runBench(b, cfg, opt)
-			if err != nil {
-				return nil, err
-			}
-			cells = append(cells, res.TotalISPI())
-		}
-		return cells, nil
-	})
+	return renderRows(t, opt, benches, configCells(cfgs), ispis)
 }
 
 // AblationCodeLayout evaluates profile-guided function reordering — the
 // paper's "profile driven basic-block reordering" future-work item. Each
 // benchmark is profiled on one stream and evaluated (original vs reordered
 // layout) on a different stream, so the gain is not an artifact of training
-// on the test trace.
+// on the test trace. The profiling walks run per bench on the pool first;
+// a reordered bench cannot be rebuilt from its profile, so this work-list
+// always runs in process.
 func AblationCodeLayout(opt Options) (*texttable.Table, error) {
 	benches, err := buildAll(opt)
 	if err != nil {
 		return nil, err
 	}
-	t := texttable.New("Ablation: profile-guided code layout (Resume policy, 8K; ISPI / right-path miss %)",
-		"Program", "original", "miss%", "reordered", "miss%")
-	return renderRows(t, opt, benches, func(b *synth.Bench) ([]any, error) {
+	reordered, err := benchRows(opt, benches, func(b *synth.Bench) (*synth.Bench, error) {
 		rb, err := synth.ReorderByProfile(b, opt.Insts, defaultStreamSeed+1)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", b.Profile().Name, err)
 		}
-		cells := []any{b.Profile().Name}
-		for _, bench := range []*synth.Bench{b, rb} {
-			res, err := simulate(newCell(bench, baseConfig(core.Resume)), opt)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", b.Profile().Name, err)
-			}
-			cells = append(cells, res.TotalISPI(), res.MissRatioPct())
-		}
-		return cells, nil
+		return rb, nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	t := texttable.New("Ablation: profile-guided code layout (Resume policy, 8K; ISPI / right-path miss %)",
+		"Program", "original", "miss%", "reordered", "miss%")
+	return renderRows(t, opt, benches, func(i int, b *synth.Bench) []runCell {
+		return []runCell{newCell(b, baseConfig(core.Resume)), newCell(reordered[i], baseConfig(core.Resume))}
+	}, ispiAndMiss)
 }
 
 // AblationL2 inserts a unified 64K L2 behind the paper's 8K L1 and varies
@@ -310,33 +317,30 @@ func AblationL2(opt Options) (*texttable.Table, error) {
 		return nil, err
 	}
 	l2 := cache.Config{SizeBytes: 64 * 1024, LineBytes: 32, Assoc: 4}
+	var cfgs []core.Config
+	for _, withL2 := range []bool{false, true} {
+		for _, pol := range []core.Policy{core.Optimistic, core.Pessimistic} {
+			cfg := baseConfig(pol)
+			cfg.MissPenalty = 20
+			if withL2 {
+				l2c := l2
+				cfg.L2 = &l2c
+				cfg.L2Latency = 5
+			}
+			cfgs = append(cfgs, cfg)
+		}
+	}
 	t := texttable.New("Ablation: on-chip L2 (20-cycle memory, 5-cycle L2 hits; ISPI and L2 hit rate)",
 		"Program", "Opt noL2", "Pess noL2", "Opt +L2", "Pess +L2", "L2 hit%")
-	return renderRows(t, opt, benches, func(b *synth.Bench) ([]any, error) {
-		cells := []any{b.Profile().Name}
+	return renderRows(t, opt, benches, configCells(cfgs), func(res []core.Result) []any {
+		// The hit rate is the last L2 run's that reached the L2 at all.
 		var hitPct float64
-		for _, withL2 := range []bool{false, true} {
-			for _, pol := range []core.Policy{core.Optimistic, core.Pessimistic} {
-				cfg := baseConfig(pol)
-				cfg.MissPenalty = 20
-				if withL2 {
-					l2c := l2
-					cfg.L2 = &l2c
-					cfg.L2Latency = 5
-				}
-				res, err := runBench(b, cfg, opt)
-				if err != nil {
-					return nil, err
-				}
-				cells = append(cells, res.TotalISPI())
-				if withL2 && res.Traffic.L2Hits+res.Traffic.L2Misses > 0 {
-					hitPct = 100 * float64(res.Traffic.L2Hits) /
-						float64(res.Traffic.L2Hits+res.Traffic.L2Misses)
-				}
+		for _, r := range res[2:] {
+			if n := r.Traffic.L2Hits + r.Traffic.L2Misses; n > 0 {
+				hitPct = 100 * float64(r.Traffic.L2Hits) / float64(n)
 			}
 		}
-		cells = append(cells, hitPct)
-		return cells, nil
+		return append(ispis(res), hitPct)
 	})
 }
 
@@ -349,24 +353,17 @@ func AblationContextSwitch(opt Options) (*texttable.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	intervals := []int64{0, 100_000, 20_000}
+	var cfgs []core.Config
+	for _, iv := range []int64{0, 100_000, 20_000} {
+		for _, pol := range []core.Policy{core.Resume, core.Pessimistic} {
+			cfg := baseConfig(pol)
+			cfg.FlushInterval = iv
+			cfgs = append(cfgs, cfg)
+		}
+	}
 	t := texttable.New("Ablation: context-switch flushing (Resume vs Pessimistic ISPI at flush intervals)",
 		"Program", "Res inf", "Pess inf", "Res 100k", "Pess 100k", "Res 20k", "Pess 20k")
-	return renderRows(t, opt, benches, func(b *synth.Bench) ([]any, error) {
-		cells := []any{b.Profile().Name}
-		for _, iv := range intervals {
-			for _, pol := range []core.Policy{core.Resume, core.Pessimistic} {
-				cfg := baseConfig(pol)
-				cfg.FlushInterval = iv
-				res, err := runBench(b, cfg, opt)
-				if err != nil {
-					return nil, err
-				}
-				cells = append(cells, res.TotalISPI())
-			}
-		}
-		return cells, nil
-	})
+	return renderRows(t, opt, benches, configCells(cfgs), ispis)
 }
 
 // Ablations maps names to runners (used by cmd/paperbench -ablation).
@@ -384,4 +381,14 @@ func Ablations() map[string]func(Options) (*texttable.Table, error) {
 		"ctxswitch":     AblationContextSwitch,
 		"l2":            AblationL2,
 	}
+}
+
+// AblationNames returns the names Ablations maps, sorted.
+func AblationNames() []string {
+	var names []string
+	for name := range Ablations() {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }

@@ -48,9 +48,8 @@ func TestAdaptiveBytesIdenticalAcrossWorkers(t *testing.T) {
 		}
 
 		remote := adaptiveOpt()
-		remote.Remote = startWorkers(t, 2)
 		remote.Dispatch = distsweep.New(distsweep.CoordinatorOptions{
-			Workers:   remote.Remote,
+			Workers:   startWorkers(t, 2),
 			BatchSize: 4,
 		})
 		if got := renderAdaptive(t, remote, strategy); got != want {

@@ -25,14 +25,6 @@ func baseConfig(pol core.Policy) core.Config {
 	return cfg
 }
 
-// runBench runs one simulation over a synthetic benchmark with a fresh
-// predictor and the options' instruction budget, reporting the finished run
-// to the options' progress/metrics sinks (and auditing it when
-// Options.AuditSample asks for that).
-func runBench(b *synth.Bench, cfg core.Config, opt Options) (core.Result, error) {
-	return simulate(newCell(b, cfg), opt)
-}
-
 // defaultStreamSeed keeps all experiments on the same dynamic stream per
 // benchmark, as the paper replays one trace per program.
 const defaultStreamSeed = 0x5eed

@@ -9,7 +9,6 @@ import (
 	"specfetch/internal/core"
 	"specfetch/internal/distsweep"
 	"specfetch/internal/obs"
-	"specfetch/internal/sweeplog"
 	"specfetch/internal/synth"
 )
 
@@ -37,30 +36,21 @@ type Options struct {
 	// when Spans is also set, the specfetch_cell_seconds latency histogram.
 	Metrics *obs.Registry
 	// Spans, if non-nil, records one host-side span per sweep work unit
-	// (simulation cell or ablation row): wall time, pool worker, and heap
+	// (simulation cell or bench row): wall time, pool worker, and heap
 	// allocations. Tracing is observe-only — rendered sweep bytes are
 	// byte-identical with it on or off (asserted by the differential
 	// harness in shard_test.go).
 	Spans *obs.SpanTracer
-	// SweepLog, if non-nil, receives the structured scheduling decisions of
-	// Remote dispatch (retries, backoffs, evictions, local fallbacks). Like
-	// Spans, it is observe-only and never touches rendered bytes. It only
-	// takes effect when this Options builds the coordinator (Dispatch nil);
-	// an explicit Dispatch carries its own logger.
-	SweepLog *sweeplog.Logger
-	// Remote lists sweepworker base URLs ("http://host:8477"). When
-	// non-empty, every serializable sweep cell is dispatched to these
-	// workers in batches over the distsweep protocol instead of running on
-	// the in-process pool; cells that carry in-process-only state (probes,
-	// access callbacks), and any batch the fleet cannot complete, fall
-	// back to the local executor. Reduction order is unchanged, so
-	// rendered bytes are invariant in process count exactly as they are in
-	// worker count.
-	Remote []string
-	// Dispatch, when non-nil, is the coordinator used for Remote dispatch,
-	// letting one coordinator's retry/backoff/eviction state span many
-	// builders. Nil with Remote set uses a process-wide coordinator shared
-	// by every Options naming the same worker list.
+	// Dispatch, when non-nil, is the coordinator of a sweepworker fleet:
+	// every work-list whose cells are all serializable is dispatched to it
+	// in batches over the distsweep protocol instead of running on the
+	// in-process pool. Work-lists with in-process-only state (probes,
+	// access callbacks, benches not rebuilt from their profile), and any
+	// batch the fleet cannot complete, run on the local executor.
+	// Reduction order is unchanged, so rendered bytes are invariant in
+	// process count exactly as they are in worker count. One coordinator
+	// may serve many builders, so its retry/backoff/eviction state spans
+	// a campaign.
 	Dispatch *distsweep.Coordinator
 	// SampleInterval, when positive, stamps Config.SampleInterval onto every
 	// cell so attached samplers (and CaptureWindows) see fixed
@@ -181,26 +171,6 @@ func buildAll(opt Options) ([]*synth.Bench, error) {
 	})
 }
 
-// runPolicies simulates every listed policy over the benchmark under cfg
-// (fresh cache and predictor per run, same trace stream).
-func runPolicies(b *synth.Bench, cfg core.Config, opt Options, policies []core.Policy) (map[core.Policy]core.Result, error) {
-	cells := make([]runCell, len(policies))
-	for i, pol := range policies {
-		c := cfg
-		c.Policy = pol
-		cells[i] = newCell(b, c)
-	}
-	results, err := runCells(opt, cells)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[core.Policy]core.Result, len(policies))
-	for i, pol := range policies {
-		out[pol] = results[i]
-	}
-	return out, nil
-}
-
 // mean computes the arithmetic mean the paper's "Average" rows use.
 func mean(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -212,6 +182,3 @@ func mean(xs []float64) float64 {
 	}
 	return s / float64(len(xs))
 }
-
-// buildAllFromProfile generates one benchmark (test helper).
-func buildAllFromProfile(p synth.Profile) (*synth.Bench, error) { return synth.Build(p) }

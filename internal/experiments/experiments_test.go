@@ -2,10 +2,13 @@ package experiments
 
 import (
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"specfetch/internal/core"
 	"specfetch/internal/metrics"
+	"specfetch/internal/obs"
+	"specfetch/internal/synth"
 )
 
 // quick gives every experiment a fast test configuration.
@@ -86,6 +89,25 @@ func TestTable4Shapes(t *testing.T) {
 	}
 	if tab, err := Table4(quick()); err != nil || !strings.Contains(tab.String(), "TR") {
 		t.Errorf("Table4 render: %v", err)
+	}
+}
+
+// TestTable4CountsSimulations: Table 4's Oracle and Optimistic runs are
+// sweep cells like any other, so they reach the campaign counters and the
+// progress sink, two per bench.
+func TestTable4CountsSimulations(t *testing.T) {
+	opt := Options{Insts: 20_000, Benchmarks: []string{"gcc", "groff"}, Metrics: obs.NewRegistry()}
+	var lines atomic.Int64
+	opt.Progress = func(string) { lines.Add(1) }
+	if _, err := Table4Data(opt); err != nil {
+		t.Fatal(err)
+	}
+	const want = 2 * 2
+	if got := opt.Metrics.Counter("specfetch_simulations_total", "").Value(); got != want {
+		t.Errorf("specfetch_simulations_total = %d, want %d", got, want)
+	}
+	if got := lines.Load(); got != want {
+		t.Errorf("progress lines = %d, want %d", got, want)
 	}
 }
 
@@ -233,7 +255,7 @@ func TestLongLatencyShape(t *testing.T) {
 
 func TestCharacterize(t *testing.T) {
 	profs, _ := selected(Options{Benchmarks: []string{"li"}})
-	b, err := buildAllFromProfile(profs[0])
+	b, err := synth.Build(profs[0])
 	if err != nil {
 		t.Fatal(err)
 	}

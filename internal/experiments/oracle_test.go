@@ -104,9 +104,8 @@ func TestOracleBytesIdenticalAcrossWorkers(t *testing.T) {
 	}
 
 	remote := oracleOpt()
-	remote.Remote = startWorkers(t, 2)
 	remote.Dispatch = distsweep.New(distsweep.CoordinatorOptions{
-		Workers:   remote.Remote,
+		Workers:   startWorkers(t, 2),
 		BatchSize: 4,
 	})
 	if got := renderOracle(t, remote); got != want {

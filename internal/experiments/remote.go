@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"strings"
 	"sync"
 
 	"specfetch/internal/core"
@@ -17,44 +16,13 @@ import (
 // the same results — and therefore renders the same bytes — as an
 // in-process one.
 
-// Process-wide coordinators, keyed by the worker list, so that every
-// builder in a campaign shares one fleet's retry/backoff/eviction state
-// instead of re-probing dead workers per table.
-var (
-	coordMu sync.Mutex
-	coords  = map[string]*distsweep.Coordinator{}
-)
-
-// coordinator resolves the dispatch side for these options: the explicit
-// Dispatch if set, the shared per-fleet coordinator when Remote is set,
-// nil for plain in-process runs.
-func (opt Options) coordinator() *distsweep.Coordinator {
-	if opt.Dispatch != nil {
-		return opt.Dispatch
-	}
-	if len(opt.Remote) == 0 {
-		return nil
-	}
-	key := strings.Join(opt.Remote, "\x00")
-	coordMu.Lock()
-	defer coordMu.Unlock()
-	if c, ok := coords[key]; ok {
-		return c
-	}
-	c := distsweep.New(distsweep.CoordinatorOptions{
-		Workers: opt.Remote,
-		Metrics: opt.Metrics,
-		Spans:   opt.Spans,
-		Log:     opt.SweepLog,
-	})
-	coords[key] = c
-	return c
-}
-
 // specForCell converts one cell to its wire form. ok is false when the
-// cell carries in-process-only state (a probe or access callback) and
-// must run locally.
+// cell carries in-process-only state (a probe or access callback) or its
+// bench is not the one its profile rebuilds, and must run locally.
 func specForCell(opt Options, c runCell) (distsweep.JobSpec, bool) {
+	if !c.bench.FromProfile() {
+		return distsweep.JobSpec{}, false
+	}
 	cfg := c.cfg
 	// Resolve the engine mode here so a pinned sweep stays pinned across
 	// the wire: the worker runs whatever mode the coordinator resolved, not
@@ -84,10 +52,11 @@ func specForCell(opt Options, c runCell) (distsweep.JobSpec, bool) {
 // runCellsRemote dispatches a work-list through the coordinator. ok is
 // false (and the caller runs everything in-process) when any cell is not
 // serializable — mixed dispatch would complicate reasoning for no gain,
-// since only probe-carrying sweeps are affected. Results come back keyed
+// since only probe-carrying sweeps, Table 4 and the layout ablation are
+// affected. Results come back keyed
 // by cell index, so the caller's serial canonical-order reduction is
 // untouched: remote bytes are in-process bytes.
-func runCellsRemote(opt Options, coord *distsweep.Coordinator, cells []runCell) ([]cellOut, bool, error) {
+func runCellsRemote(opt Options, cells []runCell) ([]cellOut, bool, error) {
 	specs := make([]distsweep.JobSpec, len(cells))
 	for i, c := range cells {
 		s, ok := specForCell(opt, c)
@@ -118,7 +87,7 @@ func runCellsRemote(opt Options, coord *distsweep.Coordinator, cells []runCell) 
 			opt.observe(c.bench.Profile().Name, c.cfg.Policy, r.Result)
 		}
 	}
-	jrs, err := coord.Run(specs, local, onRemote)
+	jrs, err := opt.Dispatch.Run(specs, local, onRemote)
 	if err != nil {
 		return nil, true, err
 	}

@@ -8,6 +8,8 @@ import (
 	"specfetch/internal/core"
 	"specfetch/internal/distsweep"
 	"specfetch/internal/obs"
+	"specfetch/internal/synth"
+	"specfetch/internal/texttable"
 )
 
 // startWorkers stands up n in-process protocol servers, each with its own
@@ -34,10 +36,10 @@ func TestRemoteSweepBytesIdentical(t *testing.T) {
 	serial.Workers = 1
 	want := renderAll(t, serial)
 
+	fleet := startWorkers(t, 2)
 	remote := base
-	remote.Remote = startWorkers(t, 2)
 	remote.Dispatch = distsweep.New(distsweep.CoordinatorOptions{
-		Workers:   remote.Remote,
+		Workers:   fleet,
 		BatchSize: 4,
 	})
 	if got := renderAll(t, remote); got != want {
@@ -47,7 +49,7 @@ func TestRemoteSweepBytesIdentical(t *testing.T) {
 	audited := remote
 	audited.AuditSample = 4
 	audited.Dispatch = distsweep.New(distsweep.CoordinatorOptions{
-		Workers:   remote.Remote,
+		Workers:   fleet,
 		BatchSize: 4,
 	})
 	if got := renderAll(t, audited); got != want {
@@ -55,43 +57,42 @@ func TestRemoteSweepBytesIdentical(t *testing.T) {
 	}
 }
 
-// TestRemoteAblationAndCharacterize: the row-granularity builders (which
-// call simulate per dependent cell) fan out through the coordinator too
-// and keep their bytes.
+// TestRemoteAblationAndCharacterize: the ablations and the
+// characterization table keep their bytes through a fleet. The code-layout
+// ablation's reordered benches are not rebuilt from their profiles, so its
+// work-list must run in process rather than let the fleet simulate the
+// original layout in their place.
 func TestRemoteAblationAndCharacterize(t *testing.T) {
 	base := Options{Insts: 30_000, Benchmarks: []string{"gcc"}}
 	local := base
 	local.Workers = 1
-	tabL, err := AblationBTBCoupling(local)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab2L, err := Table2(local)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	remote := base
-	remote.Remote = startWorkers(t, 2)
-	tabR, err := AblationBTBCoupling(remote)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab2R, err := Table2(remote)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tabR.String() != tabL.String() {
-		t.Error("remote ablation renders differently from the local one")
-	}
-	if tab2R.String() != tab2L.String() {
-		t.Error("remote characterization table renders differently from the local one")
+	remote.Dispatch = distsweep.New(distsweep.CoordinatorOptions{Workers: startWorkers(t, 2)})
+	for _, b := range []struct {
+		name  string
+		build func(Options) (*texttable.Table, error)
+	}{
+		{"btb ablation", AblationBTBCoupling},
+		{"layout ablation", AblationCodeLayout},
+		{"table 2", Table2},
+	} {
+		want, err := b.build(local)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := b.build(remote)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != want.String() {
+			t.Errorf("remote %s renders differently from the local one\ngot:\n%s\nwant:\n%s", b.name, got, want)
+		}
 	}
 }
 
 // TestRemoteFallsBackForInProcessState: a sweep whose cells carry a probe
 // cannot be serialized and must silently run in-process even with a fleet
-// configured — asserted by pointing Remote at a dead server and checking
+// configured — asserted by pointing Dispatch at a dead server and checking
 // the sweep still succeeds without dispatch attempts.
 func TestRemoteFallsBackForInProcessState(t *testing.T) {
 	dead := httptest.NewServer(nil)
@@ -101,7 +102,7 @@ func TestRemoteFallsBackForInProcessState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := buildAllFromProfile(profs[0])
+	b, err := synth.Build(profs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,12 +132,11 @@ func TestRemoteFallsBackForInProcessState(t *testing.T) {
 // totals through Options.Metrics/Progress as local ones.
 func TestRemoteProgressAndMetrics(t *testing.T) {
 	opt := Options{Insts: 20_000, Benchmarks: []string{"gcc"}}
-	opt.Remote = startWorkers(t, 1)
 	reg := obs.NewRegistry()
 	opt.Metrics = reg
 	var lines atomic.Int64
 	opt.Progress = func(string) { lines.Add(1) }
-	opt.Dispatch = distsweep.New(distsweep.CoordinatorOptions{Workers: opt.Remote, Metrics: reg})
+	opt.Dispatch = distsweep.New(distsweep.CoordinatorOptions{Workers: startWorkers(t, 1), Metrics: reg})
 
 	if _, err := Table6(opt); err != nil {
 		t.Fatal(err)

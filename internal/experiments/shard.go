@@ -9,7 +9,6 @@ import (
 	"specfetch/internal/adaptive"
 	"specfetch/internal/bpred"
 	"specfetch/internal/core"
-	"specfetch/internal/distsweep"
 	"specfetch/internal/obs"
 	"specfetch/internal/synth"
 	"specfetch/internal/trace"
@@ -136,10 +135,10 @@ func mapCells[T any](opt Options, n int, fn func(worker, i int) (T, error)) ([]T
 }
 
 // benchRows evaluates fn once per benchmark on the pool, preserving bench
-// order. Builders whose row needs several dependent simulations (the
-// ablations) shard at this granularity; fn runs its own cells serially.
-// Each row is wrapped in one host span ("<bench>/row") — the pool's unit of
-// work at this granularity.
+// order: the per-bench work that is not a simulation (trace scans, the
+// layout ablation's profiling walks). Simulations go through runCells,
+// never from inside fn. Each row is wrapped in one host span
+// ("<bench>/row").
 func benchRows[T any](opt Options, benches []*synth.Bench, fn func(b *synth.Bench) (T, error)) ([]T, error) {
 	return mapCells(opt, len(benches), func(w, i int) (T, error) {
 		sp := spanStart(opt, benches[i].Profile().Name+"/row", w)
@@ -175,7 +174,7 @@ type cellOut struct {
 }
 
 // runCells executes a work-list and returns results keyed by cell index.
-// With a remote fleet configured (Options.Remote/Dispatch) and every cell
+// With a remote fleet configured (Options.Dispatch) and every cell
 // serializable, the list is dispatched across processes; otherwise — and
 // for any batch the fleet cannot complete — it runs on the in-process
 // pool. Either way results land at their cell's index, so the caller's
@@ -195,8 +194,8 @@ func runCells(opt Options, cells []runCell) ([]core.Result, error) {
 // runCellsFull is runCells keeping each cell's window series alongside its
 // Result — the executor entry point for the interval-analytics builders.
 func runCellsFull(opt Options, cells []runCell) ([]cellOut, error) {
-	if coord := opt.coordinator(); coord != nil {
-		if res, ok, err := runCellsRemote(opt, coord, cells); ok {
+	if opt.Dispatch != nil {
+		if res, ok, err := runCellsRemote(opt, cells); ok {
 			return res, err
 		}
 	}
@@ -252,41 +251,9 @@ func spanEnd(opt Options, sp obs.SpanHandle) {
 	}
 	if opt.Metrics != nil {
 		opt.Metrics.Histogram("specfetch_cell_seconds",
-			"Host wall time per sweep work unit (simulation cell or ablation row).").
+			"Host wall time per sweep work unit (simulation cell or bench row).").
 			Observe(span.Dur.Seconds())
 	}
-}
-
-// simulate runs one cell — remotely when a fleet is configured and the
-// cell is serializable, in-process otherwise. The ablation rows shard at
-// row granularity and call this per dependent cell, so they fan out to
-// the fleet too.
-func simulate(c runCell, opt Options) (core.Result, error) {
-	coord := opt.coordinator()
-	if coord == nil {
-		res, _, err := simulateCell(c, opt, nil, nil)
-		return res, err
-	}
-	spec, ok := specForCell(opt, c)
-	if !ok {
-		res, _, err := simulateCell(c, opt, nil, nil)
-		return res, err
-	}
-	jrs, err := coord.Run([]distsweep.JobSpec{spec},
-		func(int, []distsweep.JobSpec) ([]distsweep.JobResult, error) {
-			res, wins, rerr := simulateCell(c, opt, nil, nil)
-			if rerr != nil {
-				return nil, rerr
-			}
-			return []distsweep.JobResult{{Result: res, Audit: res.AuditFinal(), WindowSeries: wins}}, nil
-		},
-		func(_ int, res []distsweep.JobResult) {
-			opt.observe(c.bench.Profile().Name, c.cfg.Policy, res[0].Result)
-		})
-	if err != nil {
-		return core.Result{}, err
-	}
-	return jrs[0].Result, nil
 }
 
 // simulateCell runs one cell in-process with a fresh engine, cache, and

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"specfetch/internal/bpred"
 	"specfetch/internal/classify"
 	"specfetch/internal/core"
 	"specfetch/internal/synth"
@@ -93,23 +92,35 @@ type Table4Row struct {
 }
 
 // Table4Data classifies misses for every selected benchmark on the baseline
-// machine (8K, 5-cycle penalty, depth 4, no prefetch).
+// machine (8K, 5-cycle penalty, depth 4, no prefetch): one flat work-list of
+// each bench's Oracle and Optimistic arms, cells 2i and 2i+1 for benches[i].
 func Table4Data(opt Options) ([]Table4Row, error) {
 	benches, err := buildAll(opt)
 	if err != nil {
 		return nil, err
 	}
-	return benchRows(opt, benches, func(b *synth.Bench) (Table4Row, error) {
-		cfg := baseConfig(core.Oracle)
-		cfg.MaxInsts = opt.Insts
-		cat, err := classify.Run(cfg, b.Image(),
-			func() trace.Reader { return b.NewReader(defaultStreamSeed, opt.Insts+opt.Insts/4) },
-			func() bpred.Predictor { return bpred.NewDefaultDecoupled() })
-		if err != nil {
-			return Table4Row{}, fmt.Errorf("%s: %w", b.Profile().Name, err)
+	arms := make([]*classify.Arm, 0, 2*len(benches))
+	cells := make([]runCell, 0, 2*len(benches))
+	for _, b := range benches {
+		for _, pol := range []core.Policy{core.Oracle, core.Optimistic} {
+			cfg, arm := classify.NewArm(baseConfig(core.Oracle), pol)
+			arms = append(arms, arm)
+			cells = append(cells, newCell(b, cfg))
 		}
-		return Table4Row{Bench: b.Profile().Name, Categories: cat}, nil
-	})
+	}
+	results, err := runCells(opt, cells)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]Table4Row, len(benches))
+	for i, b := range benches {
+		cat, err := classify.Categorize(arms[2*i], results[2*i], arms[2*i+1], results[2*i+1])
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", b.Profile().Name, err)
+		}
+		rows[i] = Table4Row{Bench: b.Profile().Name, Categories: cat}
+	}
+	return rows, nil
 }
 
 // Table4 reproduces the miss-ratio categorization table.

@@ -11,10 +11,10 @@ import (
 // Host-side span tracing: where the rest of this package observes the
 // *simulated machine* in cycles, SpanTracer observes the *simulator* in
 // host time. The shard executor wraps each unit of sweep work (one
-// simulation cell, or one ablation row) in a span recording its wall time,
-// the worker that ran it, and the heap allocations it performed; paperbench
-// aggregates the spans into per-builder latency histograms and a BENCH
-// report, and WriteHostTrace renders them as a workers-×-cells Perfetto
+// simulation cell, or one bench's non-simulation work) in a span recording
+// its wall time, the worker that ran it, and the heap allocations it
+// performed; paperbench counts the spans per builder for its stderr
+// summary, and WriteHostTrace renders them as a workers-×-cells Perfetto
 // timeline.
 //
 // All clock reads go through internal/hosttime (the determinism analyzer's
@@ -25,7 +25,8 @@ import (
 // HostSpan is one completed host-side measurement.
 type HostSpan struct {
 	// Name identifies the work unit, e.g. "gcc/resume" for a simulation
-	// cell or "gcc/row" for an ablation row.
+	// cell or "gcc/row" for one bench's non-simulation work (a trace scan,
+	// a profiling walk).
 	Name string
 	// Section is the label set by SetSection when the span ended, typically
 	// the builder being run ("table 6").

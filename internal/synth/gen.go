@@ -41,10 +41,18 @@ type Bench struct {
 	// guardIdx maps each driver guard branch to its site index, for phased
 	// execution.
 	guardIdx map[isa.Addr]int
+	// fromProfile is true only for a bench Build made, the one kind that
+	// Build(profile) reproduces.
+	fromProfile bool
 }
 
 // Profile returns the profile the benchmark was generated from.
 func (b *Bench) Profile() Profile { return b.profile }
+
+// FromProfile reports whether Build(b.Profile()) reproduces b: true for a
+// bench Build made, false for a reordered layout or a kernel, whose
+// profile does not describe its image.
+func (b *Bench) FromProfile() bool { return b.fromProfile }
 
 // Image returns the static code image.
 func (b *Bench) Image() *program.Image { return b.img }
@@ -102,6 +110,7 @@ func Build(p Profile) (*Bench, error) {
 		profile: p, img: img, entry: entry,
 		conds: g.conds, indirs: g.indirs,
 		loopStart: g.loopStart, guardIdx: g.guardIdx,
+		fromProfile: true,
 	}, nil
 }
 

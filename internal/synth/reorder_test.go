@@ -105,3 +105,27 @@ func TestReorderImproves8KLocality(t *testing.T) {
 		t.Errorf("reordering increased touched lines: %d -> %d", before, after)
 	}
 }
+
+// TestFromProfile: only a bench Build made claims that its profile
+// rebuilds it; a reordered layout and a kernel keep a profile that does
+// not describe their image.
+func TestFromProfile(t *testing.T) {
+	b := MustBuild(Li())
+	if !b.FromProfile() {
+		t.Error("built bench does not report FromProfile")
+	}
+	rb, err := ReorderByProfile(b, 50_000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rb.FromProfile() {
+		t.Error("reordered bench reports FromProfile")
+	}
+	k, err := LoopKernel(16, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k.FromProfile() {
+		t.Error("kernel bench reports FromProfile")
+	}
+}
