@@ -46,10 +46,9 @@ func main() {
 		stepMode  = flag.String("stepmode", "skipahead", "engine core: skipahead (next-event, default) or reference (cycle-by-cycle); results are bit-identical")
 		list      = flag.Bool("list", false, "list benchmark profiles and exit")
 
-		strategy  = flag.String("strategy", "tournament", "chooser strategy for -policy adaptive: tournament|ucb|egreedy|phase:<period>|pinned:<policy>")
-		adaptIv   = flag.Int64("adapt-interval", 10_000, "decision-window width in instructions for -policy adaptive")
-		adaptSeed = flag.Uint64("adapt-seed", 0, "seed for randomized adaptive strategies (egreedy)")
-		flushIv   = flag.Int64("flush", 0, "invalidate the I-cache every N correct-path instructions, modeling periodic context switches (0 = never)")
+		strategy = flag.String("strategy", "phase:6", "chooser strategy for -policy adaptive: phase:<period>|pinned:<policy>")
+		adaptIv  = flag.Int64("adapt-interval", 10_000, "decision-window width in instructions for -policy adaptive")
+		flushIv  = flag.Int64("flush", 0, "invalidate the I-cache every N correct-path instructions, modeling periodic context switches (0 = never)")
 
 		eventsPath   = flag.String("events", "", "write the probe event stream as JSONL to this file")
 		timelinePath = flag.String("timeline", "", "write a Chrome trace-event (Perfetto) timeline to this file")
@@ -130,7 +129,7 @@ func main() {
 	cfg.StepMode = mode
 	cfg.FlushInterval = *flushIv
 	if pol == specfetch.Adaptive {
-		ch, err := specfetch.NewChooser(*strategy, *adaptSeed)
+		ch, err := specfetch.NewChooser(*strategy)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "fetchsim: %v\n", err)
 			os.Exit(1)
@@ -138,7 +137,6 @@ func main() {
 		cfg.Chooser = ch
 		cfg.AdaptStrategy = *strategy
 		cfg.AdaptInterval = *adaptIv
-		cfg.AdaptSeed = *adaptSeed
 	}
 
 	// Observability: attach a recorder and/or window store only when asked

@@ -75,8 +75,7 @@ func main() {
 		modern   = flag.Bool("modern", false, "run the datacenter-footprint study (web/db/search)")
 		oracle   = flag.Bool("oracle", false, "run the oracle-selector interval study (crossover table + per-window winner map)")
 		adaptive = flag.Bool("adaptive", false, "run the adaptive meta-policy study: online chooser vs best static vs oracle selector (crossover table + winner map)")
-		strategy = flag.String("strategy", "phase:6", "chooser strategy for -adaptive: tournament|ucb|egreedy|phase:<period>|pinned:<policy>")
-		adaptSd  = flag.Uint64("adapt-seed", 0, "seed for randomized -adaptive strategies (egreedy)")
+		strategy = flag.String("strategy", "phase:6", "chooser strategy for -adaptive: phase:<period>|pinned:<policy>")
 		flushIv  = flag.Int64("flush-interval", 0, "invalidate each cell's I-cache every N correct-path instructions in the -oracle and -adaptive studies, modeling periodic context switches (0 = never)")
 		interval = flag.Int64("interval", 0, "window width in instructions for -oracle and -adaptive (0 = the default 10000)")
 		intsOut  = flag.String("intervals-out", "", "with -oracle, write the per-policy window series as JSONL to this file (input for cmd/intervals)")
@@ -338,7 +337,7 @@ func main() {
 		opt.FlushInterval = *flushIv
 		var d *experiments.AdaptiveData
 		collect("adaptive study", func() (err error) {
-			d, err = experiments.AdaptiveStudyData(opt, *strategy, *adaptSd, *interval, nil)
+			d, err = experiments.AdaptiveStudyData(opt, *strategy, 0, *interval, nil)
 			return err
 		})
 		tbl := d.CrossoverTable()
@@ -462,7 +461,6 @@ func checkFlags(set map[string]bool) error {
 		read        bool
 	}{
 		{"strategy", "-adaptive", adaptive},
-		{"adapt-seed", "-adaptive", adaptive},
 		{"flush-interval", "-oracle or -adaptive", oracle || adaptive},
 		{"interval", "-oracle or -adaptive", oracle || adaptive},
 		{"intervals-out", "-oracle", oracle},

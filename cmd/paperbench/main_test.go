@@ -34,8 +34,7 @@ func TestCheckFlags(t *testing.T) {
 		{[]string{"oracle", "adaptive", "intervals-out"}, "intervals-out"},
 		{[]string{"table", "strategy"}, "strategy"},
 		{[]string{"oracle", "strategy"}, "strategy"},
-		{[]string{"all", "adapt-seed"}, "adapt-seed"},
-		{[]string{"adaptive", "strategy", "adapt-seed", "interval", "flush-interval"}, ""},
+		{[]string{"adaptive", "strategy", "interval", "flush-interval"}, ""},
 		{[]string{"table", "flush-interval"}, "flush-interval"},
 		{[]string{"figure", "interval"}, "interval"},
 		{[]string{"table", "host-trace", "stepmode", "workers", "quiet"}, ""},

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"time"
 
 	"specfetch/internal/experiments"
@@ -103,15 +102,11 @@ func main() {
 		return experiments.ModernStudy(opt)
 	})
 
-	names := make([]string, 0)
-	for name := range experiments.Ablations() {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	ablations := experiments.Ablations()
+	for _, name := range experiments.AblationNames() {
 		name := name
 		section("Ablation — "+name, func() (fmt.Stringer, error) {
-			return experiments.Ablations()[name](opt)
+			return ablations[name](opt)
 		})
 	}
 

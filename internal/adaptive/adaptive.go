@@ -5,25 +5,21 @@
 // oracle-selector bound (internal/experiments, DESIGN.md §15) with runtime
 // information only.
 //
-// Every strategy is a deterministic state machine. The only randomness
-// allowed is internal/xrand seeded from Config.AdaptSeed, so a strategy's
-// switch sequence — and therefore the whole run — is bit-identical across
-// step modes, pool worker counts, and remote worker processes. Strategies
-// hold no clocks and iterate no maps.
+// Two strategies ship: the flush-phase chooser (phase.go), the only one
+// that has ever beaten the best static policy on the chooser scoreboard
+// (EXPERIMENTS.md), and the constant pinned chooser, the differential
+// anchor. Both are deterministic state machines with no randomness, no
+// clocks and no map iteration, so a strategy's switch sequence — and
+// therefore the whole run — is bit-identical across step modes, pool
+// worker counts, and remote worker processes.
 package adaptive
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"specfetch/internal/core"
-	"specfetch/internal/xrand"
 )
-
-// arms returns the policy set every strategy selects over: the paper's five
-// static policies, in presentation order (the order also breaks ties).
-func arms() []core.Policy { return core.Policies() }
 
 // PinnedPrefix introduces the degenerate constant-choice strategy:
 // "pinned:<policy>" always answers that policy. It exists for the
@@ -34,12 +30,12 @@ const PinnedPrefix = "pinned:"
 // Names lists the recognized strategy names, in the order New's error
 // message reports them.
 func Names() []string {
-	return []string{"tournament", "ucb", "egreedy", "phase:<period>", PinnedPrefix + "<policy>"}
+	return []string{"phase:<period>", PinnedPrefix + "<policy>"}
 }
 
-// New constructs a chooser by name. The seed feeds randomized strategies
-// (egreedy); deterministic ones accept and ignore it, so a strategy can be
-// swapped without re-plumbing.
+// New constructs a chooser by name. No strategy reads the seed; the
+// parameter stays only because perfbench compiles against this signature,
+// and goes with the next benchmark change.
 func New(name string, seed uint64) (core.Chooser, error) {
 	if pol, ok := strings.CutPrefix(name, PinnedPrefix); ok {
 		p, err := core.ParsePolicy(pol)
@@ -54,14 +50,6 @@ func New(name string, seed uint64) (core.Chooser, error) {
 	if ch, ok, err := parsePhase(name); ok {
 		return ch, err
 	}
-	switch name {
-	case "tournament":
-		return NewTournament(), nil
-	case "ucb":
-		return NewUCB(), nil
-	case "egreedy":
-		return NewEpsilonGreedy(seed), nil
-	}
 	return nil, fmt.Errorf("adaptive: unknown strategy %q (valid: %s)",
 		name, strings.Join(Names(), ", "))
 }
@@ -75,184 +63,3 @@ func (p Pinned) First() core.Policy { return core.Policy(p) }
 
 // Decide returns the pinned policy, ignoring the window.
 func (p Pinned) Decide(core.AdaptWindow) core.Policy { return core.Policy(p) }
-
-// Tournament trial constants. The drift rule re-opens the tournament when a
-// committed window's lost-per-inst exceeds driftMul times the tracked
-// committed baseline plus driftSlack slots/inst — the multiplicative term
-// scales with the program's penalty level, the additive term keeps
-// near-zero baselines from flapping on noise.
-const (
-	tournamentDriftMul   = 1.5
-	tournamentDriftSlack = 0.25
-	// tournamentEMAAlpha is the weight of the newest committed window in the
-	// baseline's exponential moving average.
-	tournamentEMAAlpha = 0.5
-)
-
-// Tournament is the trial-and-commit sampler: it runs each candidate policy
-// for one window (in arms order), commits to the one that lost the fewest
-// slots per instruction, and stays committed until the committed policy's
-// window cost drifts far enough above its baseline to suggest a phase
-// change — then it re-opens the tournament. Fully deterministic.
-type Tournament struct {
-	arms []core.Policy
-	// trialIdx indexes the arm currently on trial; len(arms) means
-	// committed.
-	trialIdx int
-	trial    []float64
-	// committed is the winner while trialIdx == len(arms).
-	committed core.Policy
-	// baseline is the EMA of the committed policy's per-window
-	// lost-per-inst, seeded from its winning trial window.
-	baseline float64
-}
-
-// NewTournament builds the tournament sampler.
-func NewTournament() *Tournament {
-	a := arms()
-	return &Tournament{arms: a, trial: make([]float64, len(a))}
-}
-
-// First starts the opening tournament round on the first arm.
-func (t *Tournament) First() core.Policy { return t.arms[0] }
-
-// Decide records the finished window against the arm that ran it, then
-// either advances the trial round, commits to the round's winner, or —
-// when committed — watches for drift.
-func (t *Tournament) Decide(w core.AdaptWindow) core.Policy {
-	lpi := w.LostPerInst()
-	if t.trialIdx < len(t.arms) {
-		t.trial[t.trialIdx] = lpi
-		t.trialIdx++
-		if t.trialIdx < len(t.arms) {
-			return t.arms[t.trialIdx]
-		}
-		// Round complete: commit to the argmin (ties to the earlier arm).
-		best := 0
-		for i := 1; i < len(t.trial); i++ {
-			if t.trial[i] < t.trial[best] {
-				best = i
-			}
-		}
-		t.committed = t.arms[best]
-		t.baseline = t.trial[best]
-		return t.committed
-	}
-	if lpi > tournamentDriftMul*t.baseline+tournamentDriftSlack {
-		// Phase change: re-open the tournament starting from arm 0.
-		t.trialIdx = 0
-		return t.arms[0]
-	}
-	t.baseline = (1-tournamentEMAAlpha)*t.baseline + tournamentEMAAlpha*lpi
-	return t.committed
-}
-
-// ucbExplore scales the UCB confidence radius, in slots-per-instruction.
-// Window ISPIs live in roughly [0, 4] on the paper's machines, so a radius
-// near 1 after a single pull explores meaningfully without drowning real
-// cost differences.
-const ucbExplore = 0.8
-
-// UCB is a UCB1-style bandit over the five arms, minimizing per-window
-// lost-per-inst: each window's cost updates the arm that ran it, and the
-// next arm is the one with the lowest cost lower-confidence bound
-// (mean − c·sqrt(ln T / n)), unplayed arms first. Deterministic: optimism
-// replaces randomness.
-type UCB struct {
-	arms  []core.Policy
-	count []int64
-	mean  []float64
-	total int64
-}
-
-// NewUCB builds the bandit.
-func NewUCB() *UCB {
-	a := arms()
-	return &UCB{arms: a, count: make([]int64, len(a)), mean: make([]float64, len(a))}
-}
-
-// First plays the first arm.
-func (u *UCB) First() core.Policy { return u.arms[0] }
-
-// update credits a finished window to the arm that ran it.
-func (u *UCB) update(w core.AdaptWindow) {
-	for i, a := range u.arms {
-		if a == w.Active {
-			u.count[i]++
-			u.mean[i] += (w.LostPerInst() - u.mean[i]) / float64(u.count[i])
-			u.total++
-			return
-		}
-	}
-}
-
-// Decide updates the played arm and picks the lowest lower-confidence-bound
-// arm (ties to the earlier arm).
-func (u *UCB) Decide(w core.AdaptWindow) core.Policy {
-	u.update(w)
-	best, bestLCB := -1, math.Inf(1)
-	for i := range u.arms {
-		if u.count[i] == 0 {
-			return u.arms[i] // play every arm once, in order
-		}
-		lcb := u.mean[i] - ucbExplore*math.Sqrt(math.Log(float64(u.total))/float64(u.count[i]))
-		if lcb < bestLCB {
-			best, bestLCB = i, lcb
-		}
-	}
-	return u.arms[best]
-}
-
-// egreedyEpsilon is the exploration probability per window.
-const egreedyEpsilon = 0.1
-
-// EpsilonGreedy is the seeded-random bandit: after one opening pull per arm
-// it exploits the lowest-mean arm, except that with probability ε it
-// explores a uniformly random arm. The xrand stream is the strategy's only
-// randomness, so a seed pins the whole switch sequence.
-type EpsilonGreedy struct {
-	arms  []core.Policy
-	count []int64
-	mean  []float64
-	rng   *xrand.Rand
-}
-
-// NewEpsilonGreedy builds the bandit over the given deterministic seed.
-func NewEpsilonGreedy(seed uint64) *EpsilonGreedy {
-	a := arms()
-	return &EpsilonGreedy{
-		arms:  a,
-		count: make([]int64, len(a)),
-		mean:  make([]float64, len(a)),
-		rng:   xrand.New(seed),
-	}
-}
-
-// First plays the first arm.
-func (g *EpsilonGreedy) First() core.Policy { return g.arms[0] }
-
-// Decide credits the played arm, then explores with probability ε and
-// exploits the lowest-mean arm otherwise (unplayed arms first, ties to the
-// earlier arm).
-func (g *EpsilonGreedy) Decide(w core.AdaptWindow) core.Policy {
-	for i, a := range g.arms {
-		if a == w.Active {
-			g.count[i]++
-			g.mean[i] += (w.LostPerInst() - g.mean[i]) / float64(g.count[i])
-			break
-		}
-	}
-	if g.rng.Float64() < egreedyEpsilon {
-		return g.arms[g.rng.Intn(len(g.arms))]
-	}
-	best := -1
-	for i := range g.arms {
-		if g.count[i] == 0 {
-			return g.arms[i]
-		}
-		if best < 0 || g.mean[i] < g.mean[best] {
-			best = i
-		}
-	}
-	return g.arms[best]
-}

@@ -136,7 +136,7 @@ func NewPhase(period int64) (*Phase, error) {
 	if period > MaxPhasePeriod {
 		return nil, fmt.Errorf("adaptive: phase period %d: at most %d windows per flush period", period, MaxPhasePeriod)
 	}
-	a := arms()
+	a := core.Policies() // the arms, in presentation order (the order also breaks ties)
 	cl := (period + 2) / 3
 	if cl >= period {
 		cl = period - 1

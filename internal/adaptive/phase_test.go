@@ -6,19 +6,7 @@ import (
 	"testing"
 
 	"specfetch/internal/core"
-	"specfetch/internal/metrics"
 )
-
-// phaseWin fabricates an indexed window digest: windows of 1000
-// instructions, attributed to the given active policy at the given cost.
-func phaseWin(idx int64, active core.Policy, lpi float64) core.AdaptWindow {
-	w := core.AdaptWindow{Active: active}
-	w.Index = int(idx)
-	w.StartInsts, w.EndInsts = idx*1000, (idx+1)*1000
-	w.StartCycle, w.EndCycle = idx*2000, (idx+1)*2000
-	w.Lost[metrics.RTICache] = int64(lpi * 1000)
-	return w
-}
 
 // phasedCost is a synthetic flush-phase cost model over a period-6 phase
 // with a 2-window cold class: cold windows cost a lot for everyone (the
@@ -38,21 +26,6 @@ func phasedCost(idx int64, pol core.Policy) float64 {
 		base -= 0.25
 	}
 	return base
-}
-
-// drivePhase feeds a chooser the phased cost model for n windows and
-// returns the policy chosen for each window index (entry i ran window i).
-func drivePhase(c core.Chooser, n int64) []core.Policy {
-	seq := make([]core.Policy, 0, n)
-	cur := c.First()
-	for i := int64(0); i < n; i++ {
-		seq = append(seq, cur)
-		cur = c.Decide(phaseWin(i, cur, phasedCost(i, cur)))
-		if !cur.IsStatic() {
-			panic("phase returned a non-static policy")
-		}
-	}
-	return seq
 }
 
 func TestPhaseParse(t *testing.T) {
@@ -100,7 +73,7 @@ func TestPhaseLearnsPerClassWinners(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 3000
-	seq := drivePhase(p, n)
+	seq := drive(p, phasedCost, n)
 	var coldRight, cold, warmRight, warm float64
 	for i := int64(n / 2); i < n; i++ {
 		if i%6 < 2 {
@@ -137,7 +110,7 @@ func TestPhaseDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(drivePhase(a, 2000), drivePhase(b, 2000)) {
+	if !reflect.DeepEqual(drive(a, phasedCost, 2000), drive(b, phasedCost, 2000)) {
 		t.Error("identical window streams produced diverging phase decisions")
 	}
 }
@@ -152,7 +125,7 @@ func TestPhaseBlockCommitment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq := drivePhase(p, 3000)
+	seq := drive(p, phasedCost, 3000)
 	for i := 1; i < len(seq); i++ {
 		pos := int64(i) % 6
 		if pos == 0 || pos == 2 {

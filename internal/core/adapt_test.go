@@ -254,7 +254,7 @@ func TestParsePolicyAdaptive(t *testing.T) {
 			t.Errorf("%v.IsStatic() = false", pol)
 		}
 	}
-	for _, bad := range []string{"tournament", "ucb", "egreedy", "pinned:oracle"} {
+	for _, bad := range []string{"phase", "phase:6", "pinned:oracle"} {
 		_, err := ParsePolicy(bad)
 		if err == nil {
 			t.Errorf("ParsePolicy(%q) accepted a strategy name", bad)

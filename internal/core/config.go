@@ -134,7 +134,7 @@ type Config struct {
 	StepMode StepMode `json:"step_mode,omitempty"`
 
 	// AdaptStrategy names the chooser strategy for adaptive runs
-	// ("tournament", "ucb", ...; see internal/adaptive). It is data, not
+	// ("phase:6", "pinned:resume"; see internal/adaptive). It is data, not
 	// code, so it crosses the distsweep wire and a remote worker rebuilds
 	// the identical chooser. Ignored when a Chooser is attached directly.
 	AdaptStrategy string `json:"adapt_strategy,omitempty"`
@@ -144,14 +144,15 @@ type Config struct {
 	// Required (positive) when Policy is Adaptive, ignored otherwise.
 	AdaptInterval int64 `json:"adapt_interval,omitempty"`
 
-	// AdaptSeed seeds randomized strategies (via internal/xrand). Runs with
-	// equal seeds are bit-identical; different seeds legitimately diverge.
+	// AdaptSeed is read by no strategy: every chooser is deterministic
+	// without one. It stays, with its wire key, only because perfbench
+	// compiles against it, and goes with the next benchmark change.
 	AdaptSeed uint64 `json:"adapt_seed,omitempty"`
 
 	// Chooser is the constructed strategy instance driving the Adaptive
 	// policy. In-process-only, like Probe and Arena: it never crosses the
-	// distsweep wire (workers rebuild one from AdaptStrategy/AdaptSeed),
-	// and a Chooser must not serve two concurrent engines. Required when
+	// distsweep wire (workers rebuild one from AdaptStrategy), and a
+	// Chooser must not serve two concurrent engines. Required when
 	// Policy is Adaptive and the engine is built directly; the experiments
 	// executor constructs one from AdaptStrategy when it is nil.
 	Chooser Chooser `json:"-"`

@@ -66,8 +66,8 @@ func (p Policy) String() string {
 }
 
 // ParsePolicy is the inverse of Policy.String. Chooser strategy names
-// ("tournament", "ucb", ...) are deliberately not policies: they select how
-// the Adaptive policy decides, not what the fetch unit does on a miss.
+// ("phase:6", "pinned:resume") are deliberately not policies: they select
+// how the Adaptive policy decides, not what the fetch unit does on a miss.
 func ParsePolicy(s string) (Policy, error) {
 	for i, n := range policyNames {
 		if n == s {

@@ -52,7 +52,7 @@ func FromConfig(c core.Config) (WireConfig, error) {
 	}
 	if c.Chooser != nil {
 		return WireConfig{}, fmt.Errorf("distsweep: config carries a constructed Chooser; " +
-			"ship AdaptStrategy/AdaptSeed and let the worker rebuild it")
+			"ship AdaptStrategy and let the worker rebuild it")
 	}
 	c.MaxInsts = 0
 	c.Arena = nil
@@ -115,7 +115,7 @@ func (s JobSpec) Validate() error {
 	if s.Config.Policy == core.Adaptive {
 		// The worker will rebuild the chooser from the strategy name, so an
 		// unknown name must fail here as a permanent error, not mid-batch.
-		if _, err := adaptive.New(s.Config.AdaptStrategy, s.Config.AdaptSeed); err != nil {
+		if _, err := adaptive.New(s.Config.AdaptStrategy, 0); err != nil {
 			return err
 		}
 	} else if s.Config.AdaptStrategy != "" {

@@ -86,7 +86,7 @@ func fixtureBatch() Batch {
 					Policy: core.Adaptive, FetchWidth: 4, MaxUnresolved: 4,
 					MissPenalty: 20, DecodeLatency: 2, ResolveLatency: 4,
 					ICache:        cache.Config{SizeBytes: 8 * 1024, LineBytes: 32, Assoc: 1},
-					AdaptStrategy: "tournament", AdaptInterval: 10_000, AdaptSeed: 0xada9,
+					AdaptStrategy: "phase:6", AdaptInterval: 10_000, AdaptSeed: 0xada9,
 				}},
 				Seed:  0x5eed,
 				Insts: 150_000,
@@ -108,7 +108,7 @@ func fullConfig() WireConfig {
 		PipelinedMemory: true, L2: &l2, L2Latency: 6, MSHRs: 2,
 		RASDepth: 8, FlushInterval: 200_000, SampleInterval: 5_000,
 		StepMode:      core.StepReference,
-		AdaptStrategy: "tournament", AdaptInterval: 20_000, AdaptSeed: 0xada9,
+		AdaptStrategy: "phase:6", AdaptInterval: 20_000, AdaptSeed: 0xada9,
 	}}
 }
 
@@ -316,7 +316,7 @@ func TestConfigRoundTrip(t *testing.T) {
 	cfg.FlushInterval = 50_000
 	cfg.SampleInterval = 1_000
 	cfg.StepMode = core.StepReference
-	cfg.AdaptStrategy = "egreedy"
+	cfg.AdaptStrategy = "phase:6"
 	cfg.AdaptInterval = 25_000
 	cfg.AdaptSeed = 99
 
@@ -385,7 +385,7 @@ func TestFromConfigRejectsInProcessState(t *testing.T) {
 	cfg = core.DefaultConfig()
 	cfg.Policy = core.Adaptive
 	cfg.AdaptInterval = 10_000
-	cfg.AdaptStrategy = "ucb"
+	cfg.AdaptStrategy = "phase:6"
 	cfg.Chooser, _ = adaptive.New(cfg.AdaptStrategy, 0)
 	if _, err := FromConfig(cfg); err == nil {
 		t.Error("FromConfig accepted a config with a constructed Chooser")
@@ -458,7 +458,7 @@ func TestJobSpecValidate(t *testing.T) {
 		t.Error("adaptive spec without an interval accepted")
 	}
 	bad = good
-	bad.Config.AdaptStrategy = "tournament" // on a non-adaptive policy
+	bad.Config.AdaptStrategy = "phase:6" // on a non-adaptive policy
 	if err := bad.Validate(); err == nil {
 		t.Error("strategy on a static-policy spec accepted")
 	}

@@ -31,7 +31,6 @@ type AdaptiveRow struct {
 // they are measured against, row-aligned (same benchmark x penalty order).
 type AdaptiveData struct {
 	Strategy string
-	Seed     uint64
 	Interval int64
 	Oracle   *OracleData
 	Rows     []AdaptiveRow
@@ -43,13 +42,14 @@ type AdaptiveData struct {
 // so every machine faces the identical dynamic instruction stream. Cells go
 // through the standard executor and shard across the pool and the distsweep
 // fleet; the chooser itself never leaves the worker that runs the cell (it
-// is rebuilt there from the strategy name and seed), which is what keeps
-// remote runs byte-identical to local ones.
+// is rebuilt there from the strategy name), which is what keeps remote runs
+// byte-identical to local ones. No strategy reads seed; it stays only
+// because perfbench compiles against this signature.
 func AdaptiveStudyData(opt Options, strategy string, seed uint64, interval int64, penalties []int) (*AdaptiveData, error) {
 	if interval <= 0 {
 		interval = DefaultOracleInterval
 	}
-	if _, err := adaptive.New(strategy, seed); err != nil {
+	if _, err := adaptive.New(strategy, 0); err != nil {
 		return nil, err // fail before burning a sweep on an unknown name
 	}
 	oracle, err := OracleSelectorData(opt, interval, penalties)
@@ -68,7 +68,6 @@ func AdaptiveStudyData(opt Options, strategy string, seed uint64, interval int64
 			cfg.FlushInterval = opt.FlushInterval
 			cfg.AdaptStrategy = strategy
 			cfg.AdaptInterval = interval
-			cfg.AdaptSeed = seed
 			cells = append(cells, newCell(b, cfg))
 		}
 	}
@@ -76,7 +75,7 @@ func AdaptiveStudyData(opt Options, strategy string, seed uint64, interval int64
 	if err != nil {
 		return nil, err
 	}
-	d := &AdaptiveData{Strategy: strategy, Seed: seed, Interval: interval, Oracle: oracle}
+	d := &AdaptiveData{Strategy: strategy, Interval: interval, Oracle: oracle}
 	for i, res := range results {
 		d.Rows = append(d.Rows, AdaptiveRow{
 			Bench:    cells[i].bench.Profile().Name,

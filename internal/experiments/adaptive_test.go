@@ -13,13 +13,27 @@ func adaptiveOpt() Options {
 	return Options{Insts: 60_000, Benchmarks: []string{"gcc", "groff"}}
 }
 
-// renderAdaptive runs the study and flattens its rendered artifacts into
-// one byte string for identity comparison.
-func renderAdaptive(t *testing.T, opt Options, strategy string) string {
+// The identity suites run a chooser that really switches: phase:3 at
+// 1000-instruction windows leaves its 48-window warm-up early enough to
+// switch several times per adaptiveOpt cell.
+const (
+	switchingStrategy = "phase:3"
+	switchingInterval = 1_000
+)
+
+// renderAdaptive runs the switching study and flattens its rendered
+// artifacts into one byte string for identity comparison. A row that never
+// switched fails the test, so the identity cannot pass vacuously.
+func renderAdaptive(t *testing.T, opt Options) string {
 	t.Helper()
-	d, err := AdaptiveStudyData(opt, strategy, 0x5eed, oracleTestInterval, nil)
+	d, err := AdaptiveStudyData(opt, switchingStrategy, 0, switchingInterval, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, r := range d.Rows {
+		if r.Switches == 0 {
+			t.Fatalf("%s@%dc: %s never switched", r.Bench, r.Penalty, switchingStrategy)
+		}
 	}
 	var b bytes.Buffer
 	if err := d.CrossoverTable().Render(&b); err != nil {
@@ -31,30 +45,26 @@ func renderAdaptive(t *testing.T, opt Options, strategy string) string {
 
 // TestAdaptiveBytesIdenticalAcrossWorkers: the study renders the same
 // bytes serially, on a 4-worker pool, and dispatched to a spawned 2-worker
-// fleet — for a seeded-random strategy and for the flush-phase strategy.
-// The chooser never crosses the wire; each worker rebuilds it from the
-// strategy name and seed, and this is the proof that reconstruction is
-// exact.
+// fleet. The chooser never crosses the wire; each worker rebuilds it from
+// the strategy name, and this is the proof that reconstruction is exact.
 func TestAdaptiveBytesIdenticalAcrossWorkers(t *testing.T) {
-	for _, strategy := range []string{"egreedy", "phase:3"} {
-		serial := adaptiveOpt()
-		serial.Workers = 1
-		want := renderAdaptive(t, serial, strategy)
+	serial := adaptiveOpt()
+	serial.Workers = 1
+	want := renderAdaptive(t, serial)
 
-		pooled := adaptiveOpt()
-		pooled.Workers = 4
-		if got := renderAdaptive(t, pooled, strategy); got != want {
-			t.Errorf("%s: 4-worker pool renders the adaptive study differently from serial", strategy)
-		}
+	pooled := adaptiveOpt()
+	pooled.Workers = 4
+	if got := renderAdaptive(t, pooled); got != want {
+		t.Error("4-worker pool renders the adaptive study differently from serial")
+	}
 
-		remote := adaptiveOpt()
-		remote.Dispatch = distsweep.New(distsweep.CoordinatorOptions{
-			Workers:   startWorkers(t, 2),
-			BatchSize: 4,
-		})
-		if got := renderAdaptive(t, remote, strategy); got != want {
-			t.Errorf("%s: remote fleet renders the adaptive study differently from serial", strategy)
-		}
+	remote := adaptiveOpt()
+	remote.Dispatch = distsweep.New(distsweep.CoordinatorOptions{
+		Workers:   startWorkers(t, 2),
+		BatchSize: 4,
+	})
+	if got := renderAdaptive(t, remote); got != want {
+		t.Error("remote fleet renders the adaptive study differently from serial")
 	}
 }
 
@@ -68,10 +78,8 @@ func TestAdaptiveStepModeIdentity(t *testing.T) {
 	fast.StepMode = core.StepSkipAhead
 	ref := fast
 	ref.StepMode = core.StepReference
-	for _, strategy := range []string{"tournament", "phase:3"} {
-		if renderAdaptive(t, fast, strategy) != renderAdaptive(t, ref, strategy) {
-			t.Errorf("%s: step modes render the adaptive study differently", strategy)
-		}
+	if renderAdaptive(t, fast) != renderAdaptive(t, ref) {
+		t.Error("step modes render the adaptive study differently")
 	}
 }
 

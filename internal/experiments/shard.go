@@ -280,9 +280,9 @@ func simulateCell(c runCell, opt Options, rd trace.Reader, arena *core.Arena) (c
 	if cfg.Policy == core.Adaptive && cfg.Chooser == nil {
 		// Cells travel chooser-free (the chooser is in-process-only state, so
 		// a cell that carried one could not go to the fleet); the chooser is
-		// built here, just in time, from the serializable strategy name and
-		// seed — the same code path on a pool worker and a remote daemon.
-		ch, cerr := adaptive.New(cfg.AdaptStrategy, cfg.AdaptSeed)
+		// built here, just in time, from the serializable strategy name —
+		// the same code path on a pool worker and a remote daemon.
+		ch, cerr := adaptive.New(cfg.AdaptStrategy, 0)
 		if cerr != nil {
 			return core.Result{}, nil, cerr
 		}

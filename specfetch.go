@@ -72,10 +72,10 @@ type Chooser = core.Chooser
 type AdaptWindow = core.AdaptWindow
 
 // NewChooser builds an adaptive chooser strategy by name — one of
-// ChooserStrategies: "tournament", "ucb", "egreedy", "phase:<period>", or
-// "pinned:<policy>". The seed feeds randomized strategies (egreedy);
-// deterministic ones accept and ignore it.
-func NewChooser(strategy string, seed uint64) (Chooser, error) { return adaptive.New(strategy, seed) }
+// ChooserStrategies: "phase:<period>" (plain "phase" is phase:6), the
+// flush-phase chooser, or "pinned:<policy>", which always answers one
+// static policy.
+func NewChooser(strategy string) (Chooser, error) { return adaptive.New(strategy, 0) }
 
 // ChooserStrategies lists the recognized adaptive strategy names.
 func ChooserStrategies() []string { return adaptive.Names() }

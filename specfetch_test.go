@@ -59,7 +59,7 @@ func TestAdaptiveFacade(t *testing.T) {
 	if len(specfetch.ChooserStrategies()) == 0 {
 		t.Fatal("no chooser strategies advertised")
 	}
-	if _, err := specfetch.NewChooser("bogus", 0); err == nil {
+	if _, err := specfetch.NewChooser("bogus"); err == nil {
 		t.Fatal("bogus strategy accepted")
 	}
 
@@ -77,7 +77,7 @@ func TestAdaptiveFacade(t *testing.T) {
 	cfg := specfetch.DefaultConfig()
 	cfg.Policy = specfetch.Adaptive
 	cfg.AdaptInterval = 10_000
-	cfg.Chooser, err = specfetch.NewChooser("pinned:resume", 0)
+	cfg.Chooser, err = specfetch.NewChooser("pinned:resume")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,8 @@ func TestAdaptiveFacade(t *testing.T) {
 		t.Errorf("adaptive pinned to resume differs from static resume:\n%+v\n%+v", got, want)
 	}
 
-	cfg.Chooser, err = specfetch.NewChooser("tournament", 0)
+	cfg.AdaptInterval = 1_000
+	cfg.Chooser, err = specfetch.NewChooser("phase:3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,9 +103,9 @@ func TestAdaptiveFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	if a.PolicySwitches == 0 {
-		t.Error("tournament strategy never switched over its opening round")
+		t.Error("phase:3 strategy never switched over its opening")
 	}
-	cfg.Chooser, err = specfetch.NewChooser("tournament", 0)
+	cfg.Chooser, err = specfetch.NewChooser("phase:3")
 	if err != nil {
 		t.Fatal(err)
 	}
