@@ -57,6 +57,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"specfetch/internal/core"
 	"specfetch/internal/distsweep"
 	"specfetch/internal/experiments"
 	"specfetch/internal/hosttime"
@@ -184,7 +185,7 @@ func main() {
 		Workers: *workers, AuditSample: *auditSmp,
 	}
 	if *stepMode != "" {
-		mode, err := experiments.ParseStepMode(*stepMode)
+		mode, err := core.ParseStepMode(*stepMode)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "paperbench: %v\n", err)
 			exit(2)

@@ -52,26 +52,15 @@ type Options struct {
 	// may serve many builders, so its retry/backoff/eviction state spans
 	// a campaign.
 	Dispatch *distsweep.Coordinator
-	// SampleInterval, when positive, stamps Config.SampleInterval onto every
-	// cell so attached samplers (and CaptureWindows) see fixed
-	// instruction-count boundaries. Like AuditSample it is observe-only:
-	// simulated results are bit-identical with it on or off.
-	SampleInterval int64
 	// FlushInterval, when positive, stamps Config.FlushInterval onto the
 	// cells of the studies that honor it (the oracle selector and the
 	// adaptive study): the I-cache is invalidated every FlushInterval
 	// correct-path instructions, modeling periodic context switches. Unlike
-	// SampleInterval this is NOT observe-only — it changes simulated
+	// a sampling interval this is NOT observe-only — it changes simulated
 	// results — which is why it only applies to the studies whose question
 	// ("does adaptation pay under phased behavior?") it defines. Zero keeps
 	// every cache warm for the whole run, the historical behavior.
 	FlushInterval int64
-	// CaptureWindows returns each cell's per-interval window series
-	// (obs.WindowRecord) alongside its Result — the raw material of the
-	// interval-analytics builders. Requires a positive SampleInterval. The
-	// capture crosses the distsweep wire as a flag on the JobSpec, so
-	// window-carrying sweeps still dispatch to remote fleets.
-	CaptureWindows bool
 	// StepMode selects the engine's time-advance strategy for every cell:
 	// the skip-ahead event core (the zero value) or the cycle-by-cycle
 	// reference stepper. The two produce bit-identical results (see
@@ -96,11 +85,8 @@ var envStepMode = sync.OnceValue(func() core.StepMode {
 	return m
 })
 
-// ParseStepMode re-exports core.ParseStepMode so command-line layers that
-// already depend on experiments need no direct core import for the flag.
-func ParseStepMode(s string) (core.StepMode, error) { return core.ParseStepMode(s) }
-
-// stepMode resolves the effective engine mode for this Options.
+// stepMode resolves the effective engine mode for this Options; runCellsFull
+// writes it into every cell.
 func (opt Options) stepMode() core.StepMode {
 	if opt.StepMode != core.StepSkipAhead {
 		return opt.StepMode

@@ -44,10 +44,11 @@ func TestTable6Figure1GoldenPinned(t *testing.T) {
 	}
 }
 
-// TestAblationsTable4GoldenPinned pins the rendered bytes of every ablation
-// and of Table 4, the builders that share their executor with the rest of
-// the sweep only through runCells. Regenerate with -update only for a
-// change that is meant to alter these outputs.
+// TestAblationsTable4GoldenPinned pins the rendered bytes of every ablation,
+// of Table 4 and of the seed-sensitivity table, the builders that share
+// their executor with the rest of the sweep only through runCells.
+// Regenerate with -update only for a change that is meant to alter these
+// outputs.
 func TestAblationsTable4GoldenPinned(t *testing.T) {
 	opt := Options{Insts: 30_000, Benchmarks: []string{"doduc", "gcc", "groff"}, Workers: 1}
 	var sb strings.Builder
@@ -62,7 +63,12 @@ func TestAblationsTable4GoldenPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb.WriteString(tab4.String())
+	sb.WriteString(tab4.String() + "\n")
+	sens, err := SeedSensitivity(opt, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb.WriteString(sens.String())
 	got := sb.String()
 
 	golden := filepath.Join("testdata", "ablations_table4.golden")
@@ -76,6 +82,6 @@ func TestAblationsTable4GoldenPinned(t *testing.T) {
 		t.Fatalf("missing golden file (run with -update): %v", err)
 	}
 	if got != string(want) {
-		t.Errorf("ablation + Table 4 bytes differ from the pinned golden\ngot:\n%s\nwant:\n%s", got, want)
+		t.Errorf("ablation + Table 4 + seed sensitivity bytes differ from the pinned golden\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -110,8 +110,8 @@ func TestJobRunnerMatchesFreshCells(t *testing.T) {
 				i, spec.Profile.Name, spec.Seed, spec.Insts, spec.Config.Policy)
 		}
 	}
-	if len(r.streams) != 1 || len(r.arenas) != 1 {
-		t.Errorf("idle runner retains %d streams and %d arenas, want 1 and 1", len(r.streams), len(r.arenas))
+	if len(r.cache.streams) != 1 || len(r.cache.arenas) != 1 {
+		t.Errorf("idle runner retains %d streams and %d arenas, want 1 and 1", len(r.cache.streams), len(r.cache.arenas))
 	}
 }
 
@@ -156,11 +156,11 @@ func TestJobRunnerConcurrent(t *testing.T) {
 			t.Errorf("goroutine %d: %v", g, err)
 		}
 	}
-	if len(r.arenas) > goroutines {
-		t.Errorf("%d arenas for %d concurrent callers", len(r.arenas), goroutines)
+	if len(r.cache.arenas) > goroutines {
+		t.Errorf("%d arenas for %d concurrent callers", len(r.cache.arenas), goroutines)
 	}
-	if len(r.streams) != 1 {
-		t.Errorf("idle runner retains %d streams, want 1", len(r.streams))
+	if len(r.cache.streams) != 1 {
+		t.Errorf("idle runner retains %d streams, want 1", len(r.cache.streams))
 	}
 }
 
@@ -180,21 +180,61 @@ func TestJobRunnerReuseAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	measure := func(run func()) uint64 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		run()
-		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc
-	}
-	warm := measure(func() {
+	warm := allocated(func() {
 		if _, err := r.Run(spec); err != nil {
 			t.Fatal(err)
 		}
 	})
-	limit := measure(func() { runtime.KeepAlive(cache.MustNew(spec.Config.ICache)) })
+	limit := allocated(func() { runtime.KeepAlive(cache.MustNew(spec.Config.ICache)) })
 	t.Logf("warm run allocated %d bytes; one cache build allocates %d", warm, limit)
 	if warm >= limit {
 		t.Errorf("a repeated-stream Run allocated %d bytes, want less than the %d of one cache build", warm, limit)
 	}
+}
+
+// TestPoolReuseAllocs is TestJobRunnerReuseAllocs for the in-process pool:
+// a serial work-list of n cells on one stream allocates, past its first
+// cell, less than one cache build per cell. The pool walks the stream once
+// and replays it, and one arena carries the engine's storage from cell to
+// cell.
+func TestPoolReuseAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	opt := Options{Insts: 200_000, Benchmarks: []string{"gcc"}, Workers: 1}
+	benches, err := buildAll(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 6
+	pols := core.Policies()
+	cells := make([]runCell, n)
+	for i := range cells {
+		cells[i] = newCell(benches[0], baseConfig(pols[i%len(pols)]))
+	}
+	run := func(cs []runCell) func() {
+		return func() {
+			if _, err := runCells(opt, cs); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	run(cells)() // warm the allocator's size classes
+	first := allocated(run(cells[:1]))
+	all := allocated(run(cells))
+	limit := allocated(func() { runtime.KeepAlive(cache.MustNew(cells[0].cfg.ICache)) })
+	t.Logf("%d cells allocated %d bytes, the first alone %d; one cache build allocates %d", n, all, first, limit)
+	if all-first >= (n-1)*limit {
+		t.Errorf("%d cells after the first allocated %d bytes, want less than %d cache builds (%d bytes)",
+			n-1, all-first, n-1, (n-1)*limit)
+	}
+}
+
+// allocated returns the bytes run allocates on the heap.
+func allocated(run func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }

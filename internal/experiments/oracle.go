@@ -169,8 +169,6 @@ func OracleSelectorData(opt Options, interval int64, penalties []int) (*OracleDa
 	if len(penalties) == 0 {
 		penalties = DefaultOraclePenalties
 	}
-	opt.SampleInterval = interval
-	opt.CaptureWindows = true
 	benches, err := buildAll(opt)
 	if err != nil {
 		return nil, err
@@ -183,7 +181,10 @@ func OracleSelectorData(opt Options, interval int64, penalties []int) (*OracleDa
 				cfg := baseConfig(pol)
 				cfg.MissPenalty = pen
 				cfg.FlushInterval = opt.FlushInterval
-				cells = append(cells, newCell(b, cfg))
+				cfg.SampleInterval = interval
+				c := newCell(b, cfg)
+				c.capture = true
+				cells = append(cells, c)
 			}
 		}
 	}

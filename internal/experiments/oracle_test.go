@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -171,12 +172,15 @@ func TestOracleLayerDisabledNeutral(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sampled := opt
-	sampled.SampleInterval = oracleTestInterval
-	capturing := sampled
-	capturing.CaptureWindows = true
-	for name, o := range map[string]Options{"sampled": sampled, "capturing": capturing} {
-		full, err := runCellsFull(o, cells)
+	sampled := slices.Clone(cells)
+	capturing := slices.Clone(cells)
+	for i := range cells {
+		sampled[i].cfg.SampleInterval = oracleTestInterval
+		capturing[i].cfg.SampleInterval = oracleTestInterval
+		capturing[i].capture = true
+	}
+	for name, cs := range map[string][]runCell{"sampled": sampled, "capturing": capturing} {
+		full, err := runCellsFull(opt, cs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,12 +204,12 @@ func TestOracleLayerDisabledNeutral(t *testing.T) {
 		}
 	}
 
-	// CaptureWindows without an interval is a loud error, not a silent
+	// Capture without an interval is a loud error, not a silent
 	// no-window sweep.
-	bad := opt
-	bad.CaptureWindows = true
-	if _, err := runCellsFull(bad, cells[:1]); err == nil {
-		t.Error("CaptureWindows without SampleInterval accepted")
+	bad := cells[0]
+	bad.capture = true
+	if _, err := runCellsFull(opt, []runCell{bad}); err == nil {
+		t.Error("window capture without SampleInterval accepted")
 	}
 }
 

@@ -54,13 +54,14 @@ func SeedSensitivityData(opt Options, seeds int) ([]SeedSensitivityRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	// One flat work-list of bench x policy x seed cells, each on its own
-	// dynamic stream.
+	// One flat work-list of bench x seed x policy cells: each dynamic
+	// stream's policy cells run back to back, so the cell cache walks every
+	// stream once.
 	pols := core.Policies()
 	var cells []runCell
 	for _, b := range benches {
-		for _, pol := range pols {
-			for s := 0; s < seeds; s++ {
+		for s := 0; s < seeds; s++ {
+			for _, pol := range pols {
 				c := newCell(b, baseConfig(pol))
 				c.seed = uint64(1000 + s)
 				cells = append(cells, c)
@@ -72,14 +73,12 @@ func SeedSensitivityData(opt Options, seeds int) ([]SeedSensitivityRow, error) {
 		return nil, err
 	}
 	rows := make([]SeedSensitivityRow, len(benches))
-	i := 0
 	for bi, b := range benches {
 		row := SeedSensitivityRow{Bench: b.Profile().Name, Stats: map[core.Policy]SeedStats{}}
-		for _, pol := range pols {
-			samples := make([]float64, 0, seeds)
-			for s := 0; s < seeds; s++ {
-				samples = append(samples, results[i].TotalISPI())
-				i++
+		for pi, pol := range pols {
+			samples := make([]float64, seeds)
+			for s := range samples {
+				samples[s] = results[(bi*seeds+s)*len(pols)+pi].TotalISPI()
 			}
 			row.Stats[pol] = describe(samples)
 		}

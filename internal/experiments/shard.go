@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -149,7 +150,9 @@ func benchRows[T any](opt Options, benches []*synth.Bench, fn func(b *synth.Benc
 }
 
 // runCell is one independent unit of sweep work: one benchmark simulated
-// under one configuration over one dynamic stream.
+// under one configuration over one dynamic stream. Like a distsweep.JobSpec
+// it carries its whole recipe; only the budget and the sampled audit come
+// from Options, and they are the same for every cell of a sweep.
 type runCell struct {
 	bench *synth.Bench
 	cfg   core.Config
@@ -159,6 +162,12 @@ type runCell struct {
 	// serializable for the distributed executor. Used by the
 	// branch-architecture ablation.
 	pred string
+	// capture returns the cell's per-interval window series (obs.WindowRecord)
+	// alongside its Result, the raw material of the interval-analytics
+	// builders. It requires a positive cfg.SampleInterval and crosses the
+	// distsweep wire as JobSpec.CaptureWindows, so capturing sweeps still
+	// dispatch to remote fleets.
+	capture bool
 }
 
 // newCell builds a cell on the experiments' shared stream seed.
@@ -167,7 +176,7 @@ func newCell(b *synth.Bench, cfg core.Config) runCell {
 }
 
 // cellOut pairs one cell's Result with its captured window series (nil
-// unless Options.CaptureWindows was set).
+// unless the cell set capture).
 type cellOut struct {
 	res     core.Result
 	windows []obs.WindowRecord
@@ -193,7 +202,15 @@ func runCells(opt Options, cells []runCell) ([]core.Result, error) {
 
 // runCellsFull is runCells keeping each cell's window series alongside its
 // Result — the executor entry point for the interval-analytics builders.
+// It resolves the engine mode once and writes it into a copy of every
+// cell's config, so a local or remote cell runs the mode this sweep
+// resolved, never a worker's environment default.
 func runCellsFull(opt Options, cells []runCell) ([]cellOut, error) {
+	mode := opt.stepMode()
+	cells = slices.Clone(cells)
+	for i := range cells {
+		cells[i].cfg.StepMode = mode
+	}
 	if opt.Dispatch != nil {
 		if res, ok, err := runCellsRemote(opt, cells); ok {
 			return res, err
@@ -202,36 +219,27 @@ func runCellsFull(opt Options, cells []runCell) ([]cellOut, error) {
 	return runCellsLocal(opt, cells)
 }
 
-// runCellsLocal executes a work-list on the in-process pool. With host
-// tracing enabled (Options.Spans), every cell is wrapped in a span named
-// "<bench>/<policy>" on the worker that ran it. Two per-pool reuses make the
-// steady state cheap without changing a byte of output: dynamic streams read
-// by several cells are generated once and replayed (sharedTraces), and each
-// pool worker keeps one core.Arena so consecutive cells on it reuse queue
-// and cache storage instead of reallocating.
+// runCellsLocal executes a work-list on the in-process pool, every cell
+// through one cellCache built for the call: each stream is generated once
+// and replayed to its cells, and concurrent cells borrow engine arenas
+// instead of reallocating queue and cache storage. With host tracing
+// enabled (Options.Spans), every cell is wrapped in a span named
+// "<bench>/<policy>" on the worker that ran it.
 func runCellsLocal(opt Options, cells []runCell) ([]cellOut, error) {
-	shared := sharedTraces(opt, cells)
-	arenas := make([]*core.Arena, opt.workers())
+	var cache cellCache
 	return mapCells(opt, len(cells), func(w, i int) (cellOut, error) {
 		var sp obs.SpanHandle
 		if opt.Spans != nil {
 			sp = opt.Spans.Start(
 				cells[i].bench.Profile().Name+"/"+cells[i].cfg.Policy.String(), w)
 		}
-		if arenas[w] == nil {
-			arenas[w] = core.NewArena()
-		}
-		var rd trace.Reader
-		if s := shared[cellTraceKey(cells[i], opt)]; s != nil {
-			rd = s.reader()
-		}
-		res, wins, err := simulateCell(cells[i], opt, rd, arenas[w])
+		out, err := cache.simulate(cells[i], opt)
 		spanEnd(opt, sp)
 		if err != nil {
 			return cellOut{}, fmt.Errorf("%s/%s: %w",
 				cells[i].bench.Profile().Name, cells[i].cfg.Policy, err)
 		}
-		return cellOut{res: res, windows: wins}, nil
+		return out, nil
 	})
 }
 
@@ -257,25 +265,21 @@ func spanEnd(opt Options, sp obs.SpanHandle) {
 }
 
 // simulateCell runs one cell in-process with a fresh engine, cache, and
-// predictor. With Options.AuditSample > 0 it attaches a sampled
-// obs.AuditProbe to the run: stream violations panic (the pool
-// re-surfaces them), and the final accounting identities are verified
-// before the result is accepted.
+// predictor, exactly as its config says (step mode included). With
+// Options.AuditSample > 0 it attaches a sampled obs.AuditProbe to the run:
+// stream violations panic (the pool re-surfaces them), and the final
+// accounting identities are verified before the result is accepted.
 //
-// The pool executor and the worker's JobRunner thread their reuses in: rd,
-// when non-nil, is a replay cursor over the cell's (pre-generated) stream;
-// arena, when non-nil, donates storage from earlier cells on the same
-// worker. Both are
-// behaviour-neutral; nil for either generates the stream or allocates
-// fresh storage. With Options.CaptureWindows set
-// (which requires a positive sample interval) the run carries an
-// obs.WindowSeries and the records come back as the second return; a
-// sample-only series attached alone keeps the engine's bulk path enabled,
-// so capture costs the interpolated samples and nothing else.
+// cellCache.simulate threads the reuses in: rd, when non-nil, is a replay
+// cursor over the cell's memoized stream; arena, when non-nil, donates
+// storage from earlier cells. Both are behaviour-neutral; nil for either
+// walks the stream or allocates fresh storage. With c.capture set the run
+// carries an obs.WindowSeries and the records come back as the second
+// return; a sample-only series attached alone keeps the engine's bulk
+// path enabled, so capture costs the interpolated samples and nothing else.
 func simulateCell(c runCell, opt Options, rd trace.Reader, arena *core.Arena) (core.Result, []obs.WindowRecord, error) {
 	cfg := c.cfg
 	cfg.MaxInsts = opt.Insts
-	cfg.StepMode = opt.stepMode()
 	cfg.Arena = arena
 	if cfg.Policy == core.Adaptive && cfg.Chooser == nil {
 		// Cells travel chooser-free (the chooser is in-process-only state, so
@@ -288,13 +292,10 @@ func simulateCell(c runCell, opt Options, rd trace.Reader, arena *core.Arena) (c
 		}
 		cfg.Chooser = ch
 	}
-	if opt.SampleInterval > 0 {
-		cfg.SampleInterval = opt.SampleInterval
-	}
 	var win *obs.WindowSeries
-	if opt.CaptureWindows {
+	if c.capture {
 		if cfg.SampleInterval <= 0 {
-			return core.Result{}, nil, fmt.Errorf("experiments: CaptureWindows requires a positive SampleInterval")
+			return core.Result{}, nil, fmt.Errorf("experiments: window capture requires a positive SampleInterval")
 		}
 		win = obs.NewWindowSeries()
 		if cfg.Probe != nil {

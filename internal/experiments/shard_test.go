@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -297,17 +298,19 @@ func TestWindowCaptureOverhead(t *testing.T) {
 		t.Fatal(err)
 	}
 	cells := table6Cells(benches)
-	capture := plain
-	capture.SampleInterval = 10_000
-	capture.CaptureWindows = true
-	sides := [2]Options{plain, capture}
+	capture := slices.Clone(cells)
+	for i := range capture {
+		capture[i].cfg.SampleInterval = 10_000
+		capture[i].capture = true
+	}
+	sides := [2][]runCell{cells, capture}
 
 	var best [2]time.Duration
 	for pair := 0; pair < 5; pair++ {
 		for k := 0; k < 2; k++ {
 			side := (pair + k) % 2
 			start := hosttime.Now()
-			out, err := runCellsFull(sides[side], cells)
+			out, err := runCellsFull(plain, sides[side])
 			d := hosttime.Since(start)
 			if err != nil {
 				t.Fatal(err)

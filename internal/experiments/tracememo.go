@@ -3,6 +3,7 @@ package experiments
 import (
 	"sync"
 
+	"specfetch/internal/core"
 	"specfetch/internal/isa"
 	"specfetch/internal/synth"
 	"specfetch/internal/trace"
@@ -12,12 +13,12 @@ import (
 // configurations, and every one of those cells walks the identical
 // correct-path stream: the walker is seeded per (benchmark, stream seed),
 // and the dynamic path never depends on the fetch configuration. Generating
-// the stream is a fifth or more of a low-miss-rate cell's wall time, so the
-// local executor pre-generates each stream that more than one cell of a
-// work-list reads and hands the cells replay cursors over the shared
-// records. Replay is bit-identical by construction: the records handed out,
-// their order, and the terminal error (io.EOF from the instruction limit, or
-// a walker fault mid-stream) are exactly what a fresh bounded walker yields.
+// the stream is a fifth or more of a low-miss-rate cell's wall time, so
+// both executors run cells through a cellCache, which generates each stream
+// once and hands its cells replay cursors over the shared records. Replay
+// is bit-identical by construction: the records handed out, their order,
+// and the terminal error (io.EOF from the instruction limit, or a walker
+// fault mid-stream) are exactly what a fresh bounded walker yields.
 //
 // The records are stored packed, 8 bytes each instead of trace.Record's 32,
 // in fixed chunks that never move as the stream grows. A packed record drops
@@ -25,7 +26,7 @@ import (
 // keeps only the first) and holds a taken target as a word offset from the
 // image base. Generation checks that every record unpacks to exactly the
 // walker's; a stream with one that does not is not memoized at all, and its
-// cells walk it lazily like an unshared stream.
+// cells walk it lazily.
 
 // traceKey identifies one dynamic stream at one instruction budget. It
 // names the stream by its built bench, not by the profile name: two
@@ -132,12 +133,14 @@ func packStream(rd trace.Reader, base isa.Addr) *packedStream {
 }
 
 // sharedTrace is one stream shared by several cells, generated on first use
-// (sync.Once so concurrent pool workers needing the same stream generate it
-// exactly once). A nil stream after generation means it did not pack.
+// (sync.Once so concurrent cells needing the same stream generate it exactly
+// once). A nil stream after generation means it did not pack.
 type sharedTrace struct {
 	once   sync.Once
 	key    traceKey
 	stream *packedStream
+	// readers counts the cells reading the stream now, under cellCache.mu.
+	readers int
 }
 
 // reader returns a fresh replay cursor over the stream, or nil when the
@@ -184,32 +187,65 @@ func (r *replayReader) PreValidatedTrace() bool { return r.s.valid }
 // checks at the final records, same as a direct walker run.
 func traceLimit(insts int64) int64 { return insts + insts/4 }
 
-// sharedTraces pre-plans memoization for a work-list: streams read by two or
-// more cells are shared, streams unique to one cell stay on the lazy walker
-// (memoizing those would only add memory). Generation itself is deferred to
-// first use so a work-list that fails early generates nothing extra.
-func sharedTraces(opt Options, cells []runCell) map[traceKey]*sharedTrace {
-	counts := make(map[traceKey]int, len(cells))
-	for _, c := range cells {
-		counts[cellTraceKey(c, opt)]++
-	}
-	var shared map[traceKey]*sharedTrace
-	for _, c := range cells {
-		k := cellTraceKey(c, opt)
-		if counts[k] < 2 {
-			continue
-		}
-		if shared == nil {
-			shared = make(map[traceKey]*sharedTrace)
-		}
-		if _, ok := shared[k]; !ok {
-			shared[k] = &sharedTrace{key: k}
-		}
-	}
-	return shared
+// cellCache is the one reuse path of both executors: the in-process pool
+// builds one per work-list and a sweep worker's JobRunner keeps one for its
+// lifetime. Work-lists and fleet batches list every cell of one stream
+// (policies x penalties x cache sizes) in a row, so the cache memoizes the
+// stream of every in-flight cell plus last, the most recently released
+// one, and drops any other when its last reader finishes. Each in-flight
+// cell also borrows an engine arena from a free list; it is not a
+// sync.Pool, which would drop them at every GC. Both reuses are
+// behaviour-neutral. The zero value is ready and safe for concurrent cells.
+type cellCache struct {
+	mu      sync.Mutex
+	streams map[traceKey]*sharedTrace
+	last    *sharedTrace
+	arenas  []*core.Arena
 }
 
-// cellTraceKey names the stream a cell reads.
-func cellTraceKey(c runCell, opt Options) traceKey {
-	return traceKey{b: c.bench, seed: c.seed, insts: opt.Insts}
+// simulate runs one cell through simulateCell on a replay of its stream and
+// a borrowed arena.
+func (cc *cellCache) simulate(c runCell, opt Options) (cellOut, error) {
+	s, arena := cc.acquire(traceKey{b: c.bench, seed: c.seed, insts: opt.Insts})
+	defer cc.release(s, arena)
+	res, wins, err := simulateCell(c, opt, s.reader(), arena)
+	return cellOut{res: res, windows: wins}, err
+}
+
+// acquire registers a reader of stream k and borrows an arena. The stream
+// is generated later, under its own sync.Once, so a walk never holds mu.
+func (cc *cellCache) acquire(k traceKey) (*sharedTrace, *core.Arena) {
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	s := cc.streams[k]
+	if s == nil {
+		if cc.streams == nil {
+			cc.streams = map[traceKey]*sharedTrace{}
+		}
+		s = &sharedTrace{key: k}
+		cc.streams[k] = s
+	}
+	s.readers++
+	if n := len(cc.arenas); n > 0 {
+		a := cc.arenas[n-1]
+		cc.arenas = cc.arenas[:n-1]
+		return s, a
+	}
+	return s, core.NewArena()
+}
+
+// release returns what acquire handed out. A stream whose last reader
+// finishes becomes the retained one, dropping the one retained before it
+// unless a cell is reading that again.
+func (cc *cellCache) release(s *sharedTrace, a *core.Arena) {
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	cc.arenas = append(cc.arenas, a)
+	if s.readers--; s.readers > 0 {
+		return
+	}
+	if old := cc.last; old != nil && old != s && old.readers == 0 {
+		delete(cc.streams, old.key)
+	}
+	cc.last = s
 }
