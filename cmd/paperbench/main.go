@@ -6,7 +6,9 @@
 // the rendered tables and figures are byte-identical at every worker count.
 // -remote-workers dispatches the same work-list across sweepworker daemon
 // processes (see cmd/sweepworker) — still byte-identical, with automatic
-// retry, eviction, and in-process fallback when workers fail.
+// retry, eviction, and in-process fallback when workers fail; the stderr
+// summary then adds one fleet line (remote and local batches, retries,
+// evictions).
 // -audit-sample N attaches the runtime accounting auditor to every cell,
 // checking one pipeline window in N.
 //
@@ -45,7 +47,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -62,7 +63,6 @@ import (
 	"specfetch/internal/experiments"
 	"specfetch/internal/hosttime"
 	"specfetch/internal/obs"
-	"specfetch/internal/sweeplog"
 	"specfetch/internal/texttable"
 )
 
@@ -91,36 +91,24 @@ func main() {
 		auditSmp = flag.Int("audit-sample", 0, "attach the accounting auditor to every simulation, checking every Nth pipeline window (1 = every window)")
 		stepMode = flag.String("stepmode", "", "engine core for every cell: skipahead (next-event) or reference (cycle-by-cycle); empty defers to SPECFETCH_STEPMODE, then skipahead. Output bytes are identical either way")
 		hostTr   = flag.String("host-trace", "", "write host-side spans (workers x cells, plus remote fleet tracks with -remote-workers) as a Chrome trace JSON to this file")
-		sweepLog = flag.String("sweep-log", "", "with -remote-workers, persist the structured sweep decision log (dispatch/retry/backoff/eviction/fallback JSONL) to this file")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	)
 	flag.Parse()
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	set["oracle"], set["adaptive"], set["remote-workers"] = *oracle, *adaptive, *remoteWk != ""
+	set["oracle"], set["adaptive"] = *oracle, *adaptive
 	if err := checkFlags(set); err != nil {
 		fmt.Fprintf(os.Stderr, "paperbench: %v\n", err)
 		os.Exit(2)
 	}
 
-	// Profiles and the sweep decision log must land even on the os.Exit
-	// paths (errors, SIGINT, audit failures), so every exit funnels through
-	// stopProfiles via exit().
+	// Profiles must land even on the os.Exit paths (errors, SIGINT, audit
+	// failures), so every exit funnels through stopProfiles via exit().
 	var profOnce sync.Once
 	var cpuFile *os.File
-	var sweepLogFile *os.File
-	var sweepLogger *sweeplog.Logger
 	stopProfiles := func() {
 		profOnce.Do(func() {
-			if err := sweepLogger.WriteErr(); err != nil {
-				fmt.Fprintf(os.Stderr, "paperbench: sweep-log: %v\n", err)
-			}
-			if sweepLogFile != nil {
-				if err := sweepLogFile.Close(); err != nil {
-					fmt.Fprintf(os.Stderr, "paperbench: sweep-log: %v\n", err)
-				}
-			}
 			if cpuFile != nil {
 				runtimepprof.StopCPUProfile()
 				if err := cpuFile.Close(); err != nil {
@@ -198,29 +186,12 @@ func main() {
 	if !*quiet {
 		opt.Progress = func(msg string) { fmt.Fprintf(os.Stderr, "paperbench: %s\n", msg) }
 	}
-	// The sweep decision log: -sweep-log persists it as JSONL; without the
-	// flag it still feeds the in-memory flight recorder behind /sweepz.
-	// Decisions go to the log and stderr only — never stdout, so rendered
-	// sweep bytes stay invariant.
+	// One coordinator for the whole campaign, so retry/eviction state spans
+	// builders: a worker evicted during table 2 stays evicted for figure 4.
 	var coord *distsweep.Coordinator
 	if *remoteWk != "" {
-		var logW io.Writer
-		if *sweepLog != "" {
-			f, err := os.Create(*sweepLog)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "paperbench: sweep-log: %v\n", err)
-				exit(1)
-			}
-			sweepLogFile, logW = f, f
-		} else if !*quiet {
-			logW = os.Stderr
-		}
-		sweepLogger = sweeplog.New(sweeplog.Options{W: logW})
-		// One coordinator for the whole campaign, so retry/eviction state
-		// spans builders: a worker evicted during table 2 stays evicted for
-		// figure 4.
 		coord = distsweep.New(distsweep.CoordinatorOptions{
-			Workers: strings.Split(*remoteWk, ","), Metrics: reg, Spans: spans, Log: sweepLogger,
+			Workers: strings.Split(*remoteWk, ","), Metrics: reg, Spans: spans,
 		})
 		opt.Dispatch = coord
 	}
@@ -238,7 +209,6 @@ func main() {
 		}
 		mux := http.NewServeMux()
 		mux.Handle("/metrics", reg.Handler())
-		mux.Handle("/sweepz", coord.StatusHandler(sweepLogger))
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -428,6 +398,13 @@ func main() {
 			fmt.Fprintf(os.Stderr, "paperbench:   %-24s %4d cells in %8.3fs (%7.1f cells/sec)\n",
 				b.name, b.cells, b.wall, rate)
 		}
+		if coord != nil {
+			s := coord.Status()
+			network := reg.Counter("specfetch_dispatch_retry_network_total",
+				"Failed remote batch attempts, by cause (network).").Value()
+			fmt.Fprintf(os.Stderr, "paperbench: fleet: %d remote batches, %d local batches, %d retries (%d network), %d evictions\n",
+				s.RemoteBatches, s.LocalBatches, s.Retries, network, s.Evictions)
+		}
 	}
 	if *hostTr != "" {
 		f, err := os.Create(*hostTr)
@@ -452,7 +429,7 @@ func ablationUsage() string {
 
 // checkFlags rejects a command line that sets a flag the selected run
 // never reads. set names the flags in effect: those flag.Visit reports,
-// with -oracle, -adaptive and -remote-workers present only when on.
+// with -oracle and -adaptive present only when on.
 // -adaptive runs ahead of -oracle, as main's dispatch orders them.
 func checkFlags(set map[string]bool) error {
 	adaptive := set["adaptive"]
@@ -465,7 +442,6 @@ func checkFlags(set map[string]bool) error {
 		{"flush-interval", "-oracle or -adaptive", oracle || adaptive},
 		{"interval", "-oracle or -adaptive", oracle || adaptive},
 		{"intervals-out", "-oracle", oracle},
-		{"sweep-log", "-remote-workers", set["remote-workers"]},
 	} {
 		if set[f.name] && !f.read {
 			return fmt.Errorf("-%s is only read with %s", f.name, f.needs)

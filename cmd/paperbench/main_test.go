@@ -26,8 +26,7 @@ func TestCheckFlags(t *testing.T) {
 		bad   string   // flag the error must name; "" = accepted
 	}{
 		{[]string{"table", "bench", "insts"}, ""},
-		{[]string{"table", "sweep-log"}, "sweep-log"},
-		{[]string{"table", "sweep-log", "remote-workers"}, ""},
+		{[]string{"table", "remote-workers"}, ""},
 		{[]string{"table", "intervals-out"}, "intervals-out"},
 		{[]string{"oracle", "intervals-out", "interval", "flush-interval"}, ""},
 		{[]string{"adaptive", "intervals-out"}, "intervals-out"},

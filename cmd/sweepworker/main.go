@@ -10,7 +10,7 @@
 //
 //	GET  /healthz  liveness + wire version + jobs completed
 //	POST /v1/run   run one batch (distsweep wire format, versioned)
-//	GET  /metrics  Prometheus text: worker + campaign counters
+//	GET  /metrics  Prometheus text: worker counters and batch latency
 //
 // Between batches the daemon keeps a memoized bench per profile, the most
 // recently read dynamic stream (packed, 8 bytes per record) and one engine
@@ -40,7 +40,6 @@ import (
 	"specfetch/internal/distsweep"
 	"specfetch/internal/experiments"
 	"specfetch/internal/obs"
-	"specfetch/internal/sweeplog"
 )
 
 func main() {
@@ -56,31 +55,12 @@ func run(args []string, stderr io.Writer) int {
 	addr := fs.String("addr", ":8477", "listen address (host:port; port 0 picks a free port)")
 	maxBatch := fs.Int("max-batch", 4096, "largest accepted batch, in jobs (positive)")
 	quiet := fs.Bool("quiet", false, "suppress per-simulation progress on stderr")
-	sweepLog := fs.String("sweep-log", "", "persist this worker's structured batch-execution log (JSONL, keyed by the coordinator's campaign) to this file")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	if fs.NArg() != 0 || *maxBatch <= 0 {
-		_, _ = fmt.Fprintln(stderr, "usage: sweepworker [-addr host:port] [-max-batch N] [-quiet] [-sweep-log file]")
+		_, _ = fmt.Fprintln(stderr, "usage: sweepworker [-addr host:port] [-max-batch N] [-quiet]")
 		return 2
-	}
-
-	var logger *sweeplog.Logger
-	if *sweepLog != "" {
-		f, err := os.Create(*sweepLog)
-		if err != nil {
-			_, _ = fmt.Fprintf(stderr, "sweepworker: sweep-log: %v\n", err)
-			return 1
-		}
-		defer func() {
-			if err := logger.WriteErr(); err != nil {
-				_, _ = fmt.Fprintf(stderr, "sweepworker: sweep-log: %v\n", err)
-			}
-			if err := f.Close(); err != nil {
-				_, _ = fmt.Fprintf(stderr, "sweepworker: sweep-log: %v\n", err)
-			}
-		}()
-		logger = sweeplog.New(sweeplog.Options{W: f})
 	}
 
 	reg := obs.NewRegistry()
@@ -93,7 +73,6 @@ func run(args []string, stderr io.Writer) int {
 	srv := distsweep.NewServer(distsweep.ServerOptions{
 		Runner:       runner.Run,
 		Metrics:      reg,
-		Log:          logger,
 		MaxBatchJobs: *maxBatch,
 	})
 

@@ -15,7 +15,6 @@ import (
 	"specfetch/internal/distsweep"
 	"specfetch/internal/experiments"
 	"specfetch/internal/obs"
-	"specfetch/internal/sweeplog"
 )
 
 // TestMain doubles as the worker executable: with the helper env var set,
@@ -182,8 +181,7 @@ func TestCrossProcessKillWorkerMidSweep(t *testing.T) {
 // TestTelemetryNeutralDifferential is the fleet-telemetry headline proof:
 // Table 6 + Figure 1 render byte-identically with telemetry enabled vs.
 // disabled: the metrics registry and span tracer at Workers 1 and 4
-// in-process, and those plus the sweep decision log against a real spawned
-// worker process.
+// in-process, and both against a real spawned worker process.
 // Run under -race in CI.
 func TestTelemetryNeutralDifferential(t *testing.T) {
 	plain := diffBase
@@ -205,36 +203,22 @@ func TestTelemetryNeutralDifferential(t *testing.T) {
 
 	u1, _ := spawnWorker(t)
 	remote := diffBase
-	log := sweeplog.New(sweeplog.Options{})
 	spans := obs.NewSpanTracer()
 	remote.Dispatch = distsweep.New(distsweep.CoordinatorOptions{
 		Workers:   []string{u1},
 		BatchSize: 3,
 		Metrics:   obs.NewRegistry(),
 		Spans:     spans,
-		Log:       log,
-		Campaign:  "difftest",
 	})
 	if got := renderSweep(t, remote); got != want {
 		t.Error("distributed sweep bytes change with telemetry enabled")
 	}
-	if len(logEvents(log, "dispatch")) == 0 {
-		t.Error("decision log recorded no dispatches")
+	if remote.Dispatch.Status().RemoteBatches == 0 {
+		t.Error("no batch completed on the worker process")
 	}
 	if fleet := remote.Dispatch.FleetSpans(); len(fleet) == 0 {
 		t.Error("coordinator collected no fleet spans from the worker process")
 	}
-}
-
-// logEvents filters a sweep log's flight recorder down to one event type.
-func logEvents(l *sweeplog.Logger, ev string) []string {
-	var out []string
-	for _, line := range l.Recent() {
-		if strings.Contains(line, `"ev":"`+ev+`"`) {
-			out = append(out, line)
-		}
-	}
-	return out
 }
 
 // TestFleetTracePerProcessTracks: with two spawned worker processes, the

@@ -21,8 +21,9 @@
 //   - errcheck: no discarded error results in the trace/program codecs and
 //     the command-line I/O paths.
 //   - sweeplint: the distributed-sweep layer (internal/distsweep,
-//     cmd/sweepworker) logs through the structured sweep log, never via
-//     ad-hoc fmt.Fprintf(os.Stderr, ...) or the global log package.
+//     cmd/sweepworker) reports through registry counters or an injected
+//     writer, never via ad-hoc fmt.Fprintf(os.Stderr, ...) or the global
+//     log package.
 //   - unitcheck: cycle counts (metrics.Cycles) and issue-slot counts
 //     (metrics.Slots) never mix or revert to raw integers without an
 //     explicit conversion — slots = cycles × width is the identity every

@@ -5,13 +5,13 @@ import (
 )
 
 // SweepLint bans ad-hoc diagnostics in the distributed-sweep layer. The
-// coordinator and worker daemon emit their operational record through the
-// structured sweep log (internal/sweeplog): one JSONL decision stream that
-// the flight recorder, /sweepz, and the CI fault-injection assertions all
-// read. A stray fmt.Fprintf(os.Stderr, ...) or log.Printf in that layer is
-// a decision the record silently misses — and, worse, free-form stderr
-// writes race with the daemon's "listening on" announcement line that
-// tests and scripts parse.
+// coordinator and worker daemon report what they did through registry
+// counters (specfetch_dispatch_*, specfetch_worker_*), which the fault
+// tests and paperbench's fleet summary line read, and the daemon speaks
+// only through the stderr writer its run function is given. A stray
+// fmt.Fprintf(os.Stderr, ...) or log.Printf in that layer is an event no
+// counter records, and its process-global write races with the daemon's
+// "listening on" announcement line that tests and scripts parse.
 //
 // Flagged inside internal/distsweep and cmd/sweepworker:
 //
@@ -25,7 +25,7 @@ import (
 // not ambient process-global output.
 var SweepLint = &Analyzer{
 	Name:      "sweeplint",
-	Doc:       "distsweep and sweepworker log through sweeplog, not ad-hoc stderr prints",
+	Doc:       "distsweep and sweepworker report through counters or an injected writer, not ad-hoc stderr prints",
 	AppliesTo: inPaths("internal/distsweep", "cmd/sweepworker"),
 	Run:       runSweepLint,
 }
@@ -51,10 +51,10 @@ func runSweepLint(pass *Pass) {
 			switch {
 			case pkg == "log" && sweepLintLogFuncs[fn]:
 				pass.Reportf(call.Pos(),
-					"log.%s in the sweep layer bypasses the structured sweep log; use sweeplog.Logger", fn)
+					"log.%s in the sweep layer writes process-global output; count it in the registry or print to the injected stderr writer", fn)
 			case pkg == "fmt" && (fn == "Fprint" || fn == "Fprintf" || fn == "Fprintln") && stderrCall(info, call):
 				pass.Reportf(call.Pos(),
-					"fmt.%s(os.Stderr, ...) in the sweep layer bypasses the structured sweep log; use sweeplog.Logger", fn)
+					"fmt.%s(os.Stderr, ...) in the sweep layer writes process-global output; count it in the registry or print to the injected stderr writer", fn)
 			}
 			return true
 		})

@@ -8,17 +8,14 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"specfetch/internal/hosttime"
 	"specfetch/internal/obs"
-	"specfetch/internal/sweeplog"
 	"specfetch/internal/xrand"
 )
 
@@ -44,24 +41,15 @@ type CoordinatorOptions struct {
 	// 0 means 2. Evicted workers take no further batches for the life of
 	// the coordinator — their in-flight work is re-queued to survivors.
 	EvictAfter int
-	// Metrics, when non-nil, receives specfetch_dispatch_* counters, the
-	// queue-depth and in-flight gauges, and per-worker-slot batch-latency
-	// histograms.
+	// Metrics, when non-nil, receives specfetch_dispatch_* counters
+	// (retries and local fallbacks also by cause) and per-worker-slot
+	// batch-latency histograms.
 	Metrics *obs.Registry
 	// Spans, when non-nil, wraps every remote batch attempt in a host span
 	// on the dispatching worker slot's track, and collects the per-job span
 	// timings workers return, re-anchored onto this tracer's axis
 	// (FleetSpans).
 	Spans *obs.SpanTracer
-	// Log, when non-nil, records every scheduling decision — dispatch,
-	// retry with cause, backoff, requeue, eviction, local fallback — as
-	// structured JSONL. Decisions never go to stdout: sweep bytes must
-	// stay invariant.
-	Log *sweeplog.Logger
-	// Campaign names this coordinator's run in logs and on the wire, so a
-	// worker serving several coordinators can split its log by campaign.
-	// Empty derives a name from the process id.
-	Campaign string
 	// Client overrides the HTTP client (tests); nil builds a default.
 	Client *http.Client
 }
@@ -86,18 +74,14 @@ type fleetKey struct {
 	pid int
 }
 
-// campaignSeq distinguishes campaigns created by one process.
-var campaignSeq atomic.Int64
-
 // Coordinator fans batches out to workers and reassembles results in
 // work-list order. It is safe for concurrent use: every Run carries its
 // own queue state, so overlapping sweeps just interleave batches on the
 // fleet. Eviction state persists across sweeps, so a dead worker is not
 // re-probed by every table builder.
 type Coordinator struct {
-	opt      CoordinatorOptions
-	client   *http.Client
-	campaign string
+	opt    CoordinatorOptions
+	client *http.Client
 
 	mu      sync.Mutex
 	workers []*workerState
@@ -106,12 +90,9 @@ type Coordinator struct {
 	fleetMu sync.Mutex
 	fleet   map[fleetKey][]obs.HostSpan
 
-	// Aggregate dispatch statistics across all Runs, for Status and the
-	// registry gauges (atomics: several Runs may be in flight).
-	queueDepth    atomic.Int64
-	inflightN     atomic.Int64
+	// Aggregate dispatch statistics across all Runs, for Status (atomics:
+	// several Runs may be in flight).
 	remoteBatches atomic.Int64
-	remoteJobs    atomic.Int64
 	localBatches  atomic.Int64
 	retries       atomic.Int64
 	evictions     atomic.Int64
@@ -140,22 +121,15 @@ func New(opt CoordinatorOptions) *Coordinator {
 	if opt.EvictAfter <= 0 {
 		opt.EvictAfter = 2
 	}
-	c := &Coordinator{opt: opt, client: opt.Client, campaign: opt.Campaign}
+	c := &Coordinator{opt: opt, client: opt.Client}
 	if c.client == nil {
 		c.client = &http.Client{}
-	}
-	if c.campaign == "" {
-		c.campaign = fmt.Sprintf("c%d-%d", os.Getpid(), campaignSeq.Add(1))
 	}
 	for _, u := range opt.Workers {
 		c.workers = append(c.workers, &workerState{url: u})
 	}
 	return c
 }
-
-// Campaign returns the name stamped on this coordinator's batches and log
-// records.
-func (c *Coordinator) Campaign() string { return c.campaign }
 
 // Alive returns the URLs of workers not yet evicted.
 func (c *Coordinator) Alive() []string {
@@ -176,46 +150,55 @@ func (c *Coordinator) count(name, help string) {
 	}
 }
 
-// causeMetric renders a cause as a metric-name fragment (Prometheus names
-// take no dashes).
-func causeMetric(cause sweeplog.Cause) string {
-	return strings.ReplaceAll(string(cause), "-", "_")
-}
+// cause classifies why a batch attempt failed or left the remote path, and
+// names the per-cause counters (specfetch_dispatch_retry_<cause>_total,
+// specfetch_dispatch_local_<cause>_total). The retry causes blame the
+// worker; the fallback causes explain why a batch ran in process.
+type cause string
 
-// noteQueue applies a queue-depth / in-flight delta and mirrors the new
-// values into the registry gauges.
-func (c *Coordinator) noteQueue(dQueue, dInflight int64) {
-	q := c.queueDepth.Add(dQueue)
-	f := c.inflightN.Add(dInflight)
-	if c.opt.Metrics != nil {
-		c.opt.Metrics.Gauge("specfetch_dispatch_queue_depth",
-			"Batches waiting for a worker slot, across all in-flight sweeps.").Set(float64(q))
-		c.opt.Metrics.Gauge("specfetch_dispatch_inflight_batches",
-			"Batches currently being attempted on a worker.").Set(float64(f))
-	}
-}
+const (
+	// causeNetwork: transport error or timeout — the worker never answered.
+	causeNetwork cause = "network"
+	// cause5xx: the worker answered with a 5xx status.
+	cause5xx cause = "5xx"
+	// causeCorrupt: undecodable body or protocol violation (wrong batch ID
+	// or result count).
+	causeCorrupt cause = "corrupt"
+	// causeVersion: the result speaks a different wire version.
+	causeVersion cause = "version"
+	// causeTamper: a result does not rebuild its claimed audit identity or
+	// window series.
+	causeTamper cause = "tamper"
+	// causePermanent: the worker proved the batch unrunnable (4xx); only
+	// the local runner can produce the authoritative outcome.
+	causePermanent cause = "permanent"
+	// causeRetriesExhausted: the batch burned its remote retry budget.
+	causeRetriesExhausted cause = "retries_exhausted"
+	// causeNoWorkers: no live worker was left to run the batch.
+	causeNoWorkers cause = "no_workers"
+)
 
 // dispatchError classifies a failed batch attempt for the retry taxonomy.
 type dispatchError struct {
-	cause sweeplog.Cause
+	cause cause
 	err   error
 }
 
 func (e *dispatchError) Error() string { return e.err.Error() }
 func (e *dispatchError) Unwrap() error { return e.err }
 
-func classified(cause sweeplog.Cause, err error) error {
-	return &dispatchError{cause: cause, err: err}
+func classified(why cause, err error) error {
+	return &dispatchError{cause: why, err: err}
 }
 
 // causeOf extracts the classification; an unclassified error (impossible
 // via tryBatch, but conservative) blames the network.
-func causeOf(err error) sweeplog.Cause {
+func causeOf(err error) cause {
 	var de *dispatchError
 	if errors.As(err, &de) {
 		return de.cause
 	}
-	return sweeplog.CauseNetwork
+	return causeNetwork
 }
 
 // batchWork is one in-flight batch: a contiguous window of the work-list.
@@ -231,14 +214,14 @@ type batchWork struct {
 }
 
 // localCause explains why a batch is leaving the remote path.
-func (b *batchWork) localCause(retries int) sweeplog.Cause {
+func (b *batchWork) localCause(retries int) cause {
 	switch {
 	case b.permanent:
-		return sweeplog.CausePermanent
+		return causePermanent
 	case b.attempts > retries:
-		return sweeplog.CauseRetriesExhausted
+		return causeRetriesExhausted
 	default:
-		return sweeplog.CauseNoWorkers
+		return causeNoWorkers
 	}
 }
 
@@ -289,7 +272,6 @@ func (c *Coordinator) Run(jobs []JobSpec, local LocalRunner, onRemote func(offse
 		}
 	}
 	c.mu.Unlock()
-	c.noteQueue(int64(len(st.queue)), 0)
 
 	if alive > 0 {
 		var wg sync.WaitGroup
@@ -311,21 +293,18 @@ func (c *Coordinator) Run(jobs []JobSpec, local LocalRunner, onRemote func(offse
 	// lowest offset first, so the first error surfaced is the
 	// deterministic lowest-index one.
 	st.mu.Lock()
-	drained := len(st.queue)
 	st.local = append(st.local, st.queue...)
 	st.queue = nil
 	locals := st.local
 	st.mu.Unlock()
-	c.noteQueue(int64(-drained), 0)
 	sort.Slice(locals, func(i, j int) bool { return locals[i].offset < locals[j].offset })
 	for _, b := range locals {
-		cause := b.localCause(c.opt.Retries)
+		why := b.localCause(c.opt.Retries)
 		c.localBatches.Add(1)
 		c.count("specfetch_dispatch_local_batches_total",
 			"Batches that fell back to in-process execution.")
-		c.count("specfetch_dispatch_local_"+causeMetric(cause)+"_total",
-			"Local-fallback batches, by cause ("+string(cause)+").")
-		c.opt.Log.LocalFallback(c.campaign, b.id, b.offset, len(b.jobs), cause)
+		c.count("specfetch_dispatch_local_"+string(why)+"_total",
+			"Local-fallback batches, by cause ("+string(why)+").")
 		res, err := local(b.offset, b.jobs)
 		if err != nil {
 			return nil, err
@@ -353,16 +332,13 @@ func (c *Coordinator) dispatchLoop(slot int, w *workerState, st *runState, out [
 		st.queue = st.queue[1:]
 		st.inflight++
 		st.mu.Unlock()
-		c.noteQueue(-1, 1)
 
-		c.opt.Log.Dispatch(c.campaign, b.id, b.attempts+1, w.url, b.offset, len(b.jobs))
 		err := c.tryBatch(slot, w, b, out)
 		if err == nil {
 			st.mu.Lock()
 			st.inflight--
 			st.cond.Broadcast()
 			st.mu.Unlock()
-			c.noteQueue(0, -1)
 			c.mu.Lock()
 			w.fails = 0
 			c.mu.Unlock()
@@ -373,14 +349,12 @@ func (c *Coordinator) dispatchLoop(slot int, w *workerState, st *runState, out [
 		}
 
 		b.attempts++
-		cause := causeOf(err)
 		evict := false
-		fails := 0
 		if !b.permanent {
 			// The worker answered wrongly or not at all: blame it.
+			why := causeOf(err)
 			c.mu.Lock()
 			w.fails++
-			fails = w.fails
 			if w.fails >= c.opt.EvictAfter {
 				w.evicted = true
 				evict = true
@@ -389,10 +363,9 @@ func (c *Coordinator) dispatchLoop(slot int, w *workerState, st *runState, out [
 			c.retries.Add(1)
 			c.count("specfetch_dispatch_retries_total",
 				"Failed remote batch attempts (each is retried elsewhere or locally).")
-			c.count("specfetch_dispatch_retry_"+causeMetric(cause)+"_total",
-				"Failed remote batch attempts, by cause ("+string(cause)+").")
+			c.count("specfetch_dispatch_retry_"+string(why)+"_total",
+				"Failed remote batch attempts, by cause ("+string(why)+").")
 		}
-		c.opt.Log.Retry(c.campaign, b.id, b.attempts, w.url, cause, err)
 
 		st.mu.Lock()
 		st.inflight--
@@ -400,27 +373,18 @@ func (c *Coordinator) dispatchLoop(slot int, w *workerState, st *runState, out [
 			st.local = append(st.local, b)
 		} else {
 			st.queue = append(st.queue, b)
-			c.opt.Log.Requeue(c.campaign, b.id, b.attempts)
 		}
 		st.cond.Broadcast()
 		st.mu.Unlock()
-		if b.permanent || b.attempts > c.opt.Retries {
-			c.noteQueue(0, -1)
-		} else {
-			c.noteQueue(1, -1)
-		}
 
 		if evict {
 			c.evictions.Add(1)
 			c.count("specfetch_dispatch_evictions_total",
 				"Workers evicted after consecutive failures.")
-			c.opt.Log.Evict(c.campaign, w.url, fails)
 			return
 		}
 		if !b.permanent {
-			d := c.backoff(w, b)
-			c.opt.Log.Backoff(c.campaign, w.url, fails, d)
-			time.Sleep(d)
+			time.Sleep(c.backoff(w, b))
 		}
 	}
 }
@@ -447,7 +411,7 @@ func (c *Coordinator) backoff(w *workerState, b *batchWork) time.Duration {
 // permanentErr marks a batch outcome remote retries cannot change.
 func permanentErr(b *batchWork, err error) error {
 	b.permanent = true
-	return classified(sweeplog.CausePermanent, err)
+	return classified(causePermanent, err)
 }
 
 // tryBatch POSTs one batch to one worker and, on success, writes the
@@ -470,11 +434,7 @@ func (c *Coordinator) tryBatch(slot int, w *workerState, b *batchWork, out []Job
 
 	ctx, cancel := context.WithTimeout(context.Background(), c.opt.Timeout)
 	defer cancel()
-	body, err := json.Marshal(Batch{
-		Version: WireVersion, ID: b.id,
-		Campaign: c.campaign, Attempt: b.attempts + 1,
-		Jobs: b.jobs,
-	})
+	body, err := json.Marshal(Batch{Version: WireVersion, ID: b.id, Jobs: b.jobs})
 	if err != nil {
 		return permanentErr(b, fmt.Errorf("encoding batch: %w", err))
 	}
@@ -487,7 +447,7 @@ func (c *Coordinator) tryBatch(slot int, w *workerState, b *batchWork, out []Job
 	t0 := hosttime.Now()
 	resp, err := c.client.Do(req)
 	if err != nil {
-		return classified(sweeplog.CauseNetwork, fmt.Errorf("posting batch: %w", err))
+		return classified(causeNetwork, fmt.Errorf("posting batch: %w", err))
 	}
 	defer func() { _ = resp.Body.Close() }()
 	if resp.StatusCode != http.StatusOK {
@@ -502,37 +462,36 @@ func (c *Coordinator) tryBatch(slot int, w *workerState, b *batchWork, out []Job
 			// runner is the authority on what error the sweep reports.
 			return permanentErr(b, err)
 		}
-		return classified(sweeplog.Cause5xx, err)
+		return classified(cause5xx, err)
 	}
 
 	var br BatchResult
 	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
-		return classified(sweeplog.CauseCorrupt, fmt.Errorf("decoding result: %w", err))
+		return classified(causeCorrupt, fmt.Errorf("decoding result: %w", err))
 	}
 	rtt := hosttime.Since(t0)
 	if br.Version != WireVersion {
-		return classified(sweeplog.CauseVersion,
+		return classified(causeVersion,
 			fmt.Errorf("result speaks wire version %d, want %d", br.Version, WireVersion))
 	}
 	if br.ID != b.id {
-		return classified(sweeplog.CauseCorrupt,
+		return classified(causeCorrupt,
 			fmt.Errorf("result echoes batch %d, want %d", br.ID, b.id))
 	}
 	if len(br.Results) != len(b.jobs) {
-		return classified(sweeplog.CauseCorrupt,
+		return classified(causeCorrupt,
 			fmt.Errorf("result has %d entries for %d jobs", len(br.Results), len(b.jobs)))
 	}
 	for i, r := range br.Results {
 		if !r.SelfConsistent(b.jobs[i]) {
 			c.count("specfetch_dispatch_audit_rejects_total",
 				"Batch results rejected because a result does not rebuild its claimed audit identity or window series.")
-			return classified(sweeplog.CauseTamper,
+			return classified(causeTamper,
 				fmt.Errorf("job %d result fails its self-check (tampered or corrupt)", b.offset+i))
 		}
 	}
 	copy(out[b.offset:], br.Results)
 	c.remoteBatches.Add(1)
-	c.remoteJobs.Add(int64(len(b.jobs)))
 	c.count("specfetch_dispatch_batches_total", "Batches completed remotely.")
 	if c.opt.Metrics != nil {
 		c.opt.Metrics.Counter("specfetch_dispatch_jobs_total", "Sweep jobs completed remotely.").
@@ -608,87 +567,25 @@ func (c *Coordinator) FleetSpans() []obs.ProcessSpans {
 	return out
 }
 
-// WorkerStatus is one worker's live dispatch state.
-type WorkerStatus struct {
-	URL     string
-	Fails   int
-	Evicted bool
-}
-
-// Status is a snapshot of the coordinator's aggregate dispatch state,
+// Status is a snapshot of the coordinator's aggregate dispatch counts,
 // across all Runs it has served.
 type Status struct {
-	Campaign      string
-	QueueDepth    int64
-	Inflight      int64
 	RemoteBatches int64
-	RemoteJobs    int64
 	LocalBatches  int64
 	Retries       int64
 	Evictions     int64
-	Workers       []WorkerStatus
 }
 
 // Status snapshots the coordinator. A nil coordinator returns the zero
-// Status, so status endpoints need no guards.
+// Status.
 func (c *Coordinator) Status() Status {
 	if c == nil {
 		return Status{}
 	}
-	s := Status{
-		Campaign:      c.campaign,
-		QueueDepth:    c.queueDepth.Load(),
-		Inflight:      c.inflightN.Load(),
+	return Status{
 		RemoteBatches: c.remoteBatches.Load(),
-		RemoteJobs:    c.remoteJobs.Load(),
 		LocalBatches:  c.localBatches.Load(),
 		Retries:       c.retries.Load(),
 		Evictions:     c.evictions.Load(),
 	}
-	c.mu.Lock()
-	for _, w := range c.workers {
-		s.Workers = append(s.Workers, WorkerStatus{URL: w.url, Fails: w.fails, Evicted: w.evicted})
-	}
-	c.mu.Unlock()
-	return s
-}
-
-// StatusHandler serves a live plain-text flight-recorder view (/sweepz):
-// the Status snapshot plus, when log is non-nil, the most recent decision
-// records from its ring. Works on a nil coordinator (reports "no sweep
-// coordinator"), so callers can mount it unconditionally.
-func (c *Coordinator) StatusHandler(log *sweeplog.Logger) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		var sb strings.Builder
-		if c == nil {
-			sb.WriteString("no sweep coordinator (run with -remote-workers)\n")
-		} else {
-			s := c.Status()
-			fmt.Fprintf(&sb, "sweep coordinator: campaign %s\n", s.Campaign)
-			fmt.Fprintf(&sb, "queue depth:    %d\n", s.QueueDepth)
-			fmt.Fprintf(&sb, "in flight:      %d\n", s.Inflight)
-			fmt.Fprintf(&sb, "remote batches: %d (%d jobs)\n", s.RemoteBatches, s.RemoteJobs)
-			fmt.Fprintf(&sb, "local batches:  %d\n", s.LocalBatches)
-			fmt.Fprintf(&sb, "retries:        %d\n", s.Retries)
-			fmt.Fprintf(&sb, "evictions:      %d\n", s.Evictions)
-			sb.WriteString("workers:\n")
-			for _, ws := range s.Workers {
-				state := fmt.Sprintf("ok (fails=%d)", ws.Fails)
-				if ws.Evicted {
-					state = "EVICTED"
-				}
-				fmt.Fprintf(&sb, "  %-40s %s\n", ws.URL, state)
-			}
-		}
-		if recent := log.Recent(); len(recent) > 0 {
-			sb.WriteString("recent decisions:\n")
-			for _, line := range recent {
-				sb.WriteString("  ")
-				sb.WriteString(line)
-				sb.WriteByte('\n')
-			}
-		}
-		_, _ = io.WriteString(w, sb.String())
-	})
 }

@@ -18,7 +18,6 @@ import (
 	"specfetch/internal/cache"
 	"specfetch/internal/core"
 	"specfetch/internal/obs"
-	"specfetch/internal/sweeplog"
 )
 
 // fakeResult derives a deterministic JobResult from a spec, standing in
@@ -134,6 +133,9 @@ func TestCoordinatorHappyPath(t *testing.T) {
 	}
 	if v := reg.Counter("specfetch_dispatch_jobs_total", "").Value(); v != int64(len(jobs)) {
 		t.Errorf("dispatch jobs counter = %d, want %d", v, len(jobs))
+	}
+	if s, want := c.Status(), (Status{RemoteBatches: 4}); s != want {
+		t.Errorf("Status = %+v, want %+v (10 jobs in batches of 3, no faults)", s, want)
 	}
 }
 
@@ -424,27 +426,21 @@ func TestServerRejects(t *testing.T) {
 	}
 }
 
-// logEvents filters a logger's flight recorder down to one event type.
-func logEvents(l *sweeplog.Logger, ev string) []string {
-	var out []string
-	for _, line := range l.Recent() {
-		if strings.Contains(line, `"ev":"`+ev+`"`) {
-			out = append(out, line)
-		}
-	}
-	return out
+// counter reads one dispatch counter from a registry.
+func counter(reg *obs.Registry, name string) int64 {
+	return reg.Counter(name, "").Value()
 }
 
-// TestCoordinatorLogCauses: each failure mode of a flaky worker is recorded
-// in the decision log as a retry with its classified cause, alongside the
-// dispatch/backoff/requeue records of the recovery.
+// TestCoordinatorLogCauses: each failure mode of a flaky worker is counted
+// as a retry under its classified cause, and every retry under that cause
+// alone, while every failed batch is requeued and completes remotely.
 func TestCoordinatorLogCauses(t *testing.T) {
-	wantCause := map[string]sweeplog.Cause{
-		"drop":    sweeplog.Cause5xx,
-		"corrupt": sweeplog.CauseCorrupt,
-		"delay":   sweeplog.CauseNetwork,
-		"tamper":  sweeplog.CauseTamper,
-		"windows": sweeplog.CauseTamper,
+	wantCause := map[string]cause{
+		"drop":    cause5xx,
+		"corrupt": causeCorrupt,
+		"delay":   causeNetwork,
+		"tamper":  causeTamper,
+		"windows": causeTamper,
 	}
 	for _, mode := range []string{"drop", "corrupt", "delay", "tamper", "windows"} {
 		t.Run(mode, func(t *testing.T) {
@@ -454,13 +450,12 @@ func TestCoordinatorLogCauses(t *testing.T) {
 			flakySrv := httptest.NewServer(flaky)
 			t.Cleanup(flakySrv.Close)
 
-			log := sweeplog.New(sweeplog.Options{})
+			reg := obs.NewRegistry()
 			opt := fastOptions(healthy.URL, flakySrv.URL)
 			if mode == "delay" {
 				opt.Timeout = 100 * time.Millisecond
 			}
-			opt.Log = log
-			opt.Campaign = "test-" + mode
+			opt.Metrics = reg
 			c := New(opt)
 
 			var localCalls atomic.Int64
@@ -468,32 +463,31 @@ func TestCoordinatorLogCauses(t *testing.T) {
 				t.Fatalf("Run: %v", err)
 			}
 
-			retries := logEvents(log, "retry")
-			if len(retries) == 0 {
-				t.Fatal("no retry records in the decision log")
+			s := c.Status()
+			if s.Retries == 0 {
+				t.Fatal("no retries counted")
 			}
-			want := `"cause":"` + string(wantCause[mode]) + `"`
-			for _, line := range retries {
-				if !strings.Contains(line, want) {
-					t.Errorf("retry record lacks %s: %s", want, line)
+			for _, why := range []cause{causeNetwork, cause5xx, causeCorrupt, causeVersion, causeTamper} {
+				want := int64(0)
+				if why == wantCause[mode] {
+					want = s.Retries
 				}
-				if !strings.Contains(line, `"campaign":"test-`+mode+`"`) {
-					t.Errorf("retry record lacks the campaign: %s", line)
+				if v := counter(reg, "specfetch_dispatch_retry_"+string(why)+"_total"); v != want {
+					t.Errorf("%s retries = %d, want %d of %d", why, v, want, s.Retries)
 				}
 			}
-			if len(logEvents(log, "dispatch")) == 0 {
-				t.Error("no dispatch records")
-			}
-			if len(logEvents(log, "backoff")) == 0 {
-				t.Error("no backoff records")
+			// A failed attempt is either requeued or run locally, so with
+			// no local batch every retry was a requeue to the healthy peer.
+			if s.RemoteBatches == 0 || s.LocalBatches != 0 {
+				t.Errorf("remote/local batches = %d/%d, want every batch remote", s.RemoteBatches, s.LocalBatches)
 			}
 		})
 	}
 }
 
-// TestCoordinatorEvictionLog: the degraded-run flight recording is exact —
-// a lone always-failing worker yields precisely EvictAfter retries (cause
-// 5xx), their requeues, one eviction, and a no-workers local fallback for
+// TestCoordinatorEvictionLog: the degraded-run counts are exact — a lone
+// always-failing worker yields precisely EvictAfter retries (cause 5xx),
+// each of them requeued, one eviction, and a no-workers local fallback for
 // every batch.
 func TestCoordinatorEvictionLog(t *testing.T) {
 	flaky := &flakyHandler{inner: NewServer(ServerOptions{Runner: fakeRunner}).Handler(), mode: "drop"}
@@ -501,9 +495,9 @@ func TestCoordinatorEvictionLog(t *testing.T) {
 	srv := httptest.NewServer(flaky)
 	t.Cleanup(srv.Close)
 
-	log := sweeplog.New(sweeplog.Options{})
+	reg := obs.NewRegistry()
 	opt := fastOptions(srv.URL)
-	opt.Log = log
+	opt.Metrics = reg
 	c := New(opt)
 
 	jobs := testJobs(12) // batch size 3 -> 4 batches
@@ -512,30 +506,67 @@ func TestCoordinatorEvictionLog(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 
-	if got := logEvents(log, "evict"); len(got) != 1 {
-		t.Errorf("evict records = %d, want exactly 1:\n%s", len(got), strings.Join(got, "\n"))
-	} else if !strings.Contains(got[0], `"worker":"`+srv.URL+`"`) {
-		t.Errorf("evict record names the wrong worker: %s", got[0])
+	s := c.Status()
+	if s.Evictions != 1 || len(c.Alive()) != 0 {
+		t.Errorf("evictions = %d, alive = %v; want the one worker evicted once", s.Evictions, c.Alive())
 	}
-	retries := logEvents(log, "retry")
-	if len(retries) != opt.EvictAfter {
-		t.Errorf("retry records = %d, want exactly EvictAfter (%d)", len(retries), opt.EvictAfter)
+	if s.Retries != int64(opt.EvictAfter) {
+		t.Errorf("retries = %d, want exactly EvictAfter (%d)", s.Retries, opt.EvictAfter)
 	}
-	for _, line := range retries {
-		if !strings.Contains(line, `"cause":"5xx"`) {
-			t.Errorf("retry cause is not 5xx: %s", line)
+	if v := counter(reg, "specfetch_dispatch_retry_5xx_total"); v != s.Retries {
+		t.Errorf("5xx retries = %d of %d, want all", v, s.Retries)
+	}
+	// A failed attempt is either requeued or sent local with its retries
+	// exhausted, so requeues = retries - local_retries_exhausted.
+	if requeues := s.Retries - counter(reg, "specfetch_dispatch_local_retries_exhausted_total"); requeues != int64(opt.EvictAfter) {
+		t.Errorf("requeues = %d, want %d (each failed attempt requeued before eviction)", requeues, opt.EvictAfter)
+	}
+	if s.LocalBatches != 4 || s.RemoteBatches != 0 {
+		t.Errorf("local/remote batches = %d/%d, want 4/0 (every batch local)", s.LocalBatches, s.RemoteBatches)
+	}
+	if v := counter(reg, "specfetch_dispatch_local_no_workers_total"); v != 4 {
+		t.Errorf("no-workers local fallbacks = %d, want 4", v)
+	}
+}
+
+// TestCoordinatorBackoff: a worker's k-th consecutive failure sits it out
+// base·2^(k-1), capped at BackoffMax (also when the shift overflows), plus
+// jitter in [0, base) fixed by the batch ID and attempt.
+func TestCoordinatorBackoff(t *testing.T) {
+	const base, max = 100 * time.Millisecond, 5 * time.Second
+	c := New(CoordinatorOptions{Workers: []string{"http://unused"}, BackoffBase: base, BackoffMax: max})
+	for _, tc := range []struct {
+		fails int
+		want  time.Duration // before jitter
+	}{
+		{0, base}, // a sit-out never goes below the first step
+		{1, base},
+		{2, 2 * base},
+		{3, 4 * base},
+		{4, 8 * base},
+		{7, max},  // 6.4s: capped
+		{56, max}, // base<<55 wraps negative
+		{64, max}, // base<<63 wraps to zero
+	} {
+		w := &workerState{fails: tc.fails}
+		jitters := map[time.Duration]bool{}
+		for id := uint64(1); id <= 32; id++ {
+			for attempts := 1; attempts <= 2; attempts++ {
+				b := &batchWork{id: id, attempts: attempts}
+				d := c.backoff(w, b)
+				if j := d - tc.want; j < 0 || j >= base {
+					t.Fatalf("fails=%d batch %d attempt %d: backoff %v, want %v plus jitter in [0, %v)",
+						tc.fails, id, attempts, d, tc.want, base)
+				} else {
+					jitters[j] = true
+				}
+				if again := c.backoff(w, &batchWork{id: id, attempts: attempts}); again != d {
+					t.Errorf("fails=%d batch %d attempt %d: backoff %v then %v, want the same", tc.fails, id, attempts, d, again)
+				}
+			}
 		}
-	}
-	if got := logEvents(log, "requeue"); len(got) != opt.EvictAfter {
-		t.Errorf("requeue records = %d, want %d (each failed attempt requeued before eviction)", len(got), opt.EvictAfter)
-	}
-	locals := logEvents(log, "local")
-	if len(locals) != 4 {
-		t.Errorf("local fallback records = %d, want 4 (every batch)", len(locals))
-	}
-	for _, line := range locals {
-		if !strings.Contains(line, `"cause":"no-workers"`) {
-			t.Errorf("local fallback cause is not no-workers: %s", line)
+		if len(jitters) < 32 {
+			t.Errorf("fails=%d: %d distinct jitters over 64 (batch, attempt) pairs, want them spread", tc.fails, len(jitters))
 		}
 	}
 }
@@ -609,42 +640,6 @@ func TestCoordinatorFleetSpans(t *testing.T) {
 	}
 }
 
-// TestCoordinatorStatusHandler: /sweepz reports live dispatch state plus
-// the flight recorder, and degrades gracefully with no coordinator at all.
-func TestCoordinatorStatusHandler(t *testing.T) {
-	w1 := newWorker(t, 0)
-	log := sweeplog.New(sweeplog.Options{})
-	opt := fastOptions(w1.URL)
-	opt.Log = log
-	opt.Campaign = "statusz"
-	c := New(opt)
-
-	var localCalls atomic.Int64
-	if _, err := c.Run(testJobs(6), localRunner(&localCalls), nil); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-
-	rec := httptest.NewRecorder()
-	c.StatusHandler(log).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/sweepz", nil))
-	body := rec.Body.String()
-	for _, want := range []string{"campaign statusz", w1.URL, "remote batches: 2 (6 jobs)", "recent decisions:", `"ev":"dispatch"`} {
-		if !strings.Contains(body, want) {
-			t.Errorf("/sweepz missing %q:\n%s", want, body)
-		}
-	}
-	s := c.Status()
-	if s.RemoteBatches != 2 || s.RemoteJobs != 6 || s.QueueDepth != 0 || s.Inflight != 0 {
-		t.Errorf("Status = %+v, want 2 remote batches, 6 jobs, drained queue", s)
-	}
-
-	var nilC *Coordinator
-	rec = httptest.NewRecorder()
-	nilC.StatusHandler(nil).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/sweepz", nil))
-	if !strings.Contains(rec.Body.String(), "no sweep coordinator") {
-		t.Errorf("nil-coordinator /sweepz = %q", rec.Body.String())
-	}
-}
-
 // postBatch runs one batch against a server and decodes the result.
 func postBatch(t *testing.T, url string, batch Batch) BatchResult {
 	t.Helper()
@@ -707,7 +702,7 @@ func TestServerHealthzAdvances(t *testing.T) {
 func TestServerResultTelemetry(t *testing.T) {
 	srv := newWorker(t, time.Millisecond)
 	jobs := testJobs(3)
-	br := postBatch(t, srv.URL, Batch{Version: WireVersion, ID: 5, Campaign: "tele", Attempt: 1, Jobs: jobs})
+	br := postBatch(t, srv.URL, Batch{Version: WireVersion, ID: 5, Jobs: jobs})
 	if br.Pid != os.Getpid() {
 		t.Errorf("result pid = %d, want %d", br.Pid, os.Getpid())
 	}

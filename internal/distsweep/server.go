@@ -9,7 +9,6 @@ import (
 
 	"specfetch/internal/hosttime"
 	"specfetch/internal/obs"
-	"specfetch/internal/sweeplog"
 )
 
 // Runner executes one validated job spec and returns the result plus the
@@ -28,9 +27,6 @@ type ServerOptions struct {
 	// jobs_failed counter, and the wire_version gauge, and is exposed at
 	// /metrics on the handler.
 	Metrics *obs.Registry
-	// Log, when non-nil, records batch execution (batch_start, batch_done,
-	// job_error) under the campaign the coordinator stamped on the batch.
-	Log *sweeplog.Logger
 	// MaxBatchJobs rejects batches larger than this with HTTP 400;
 	// 0 means the default of 4096.
 	MaxBatchJobs int
@@ -116,13 +112,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	for i, job := range batch.Jobs {
 		if err := job.Validate(); err != nil {
-			s.opt.Log.JobError(batch.Campaign, batch.ID, i, err)
 			s.fail(w, http.StatusUnprocessableEntity, i, "job %d: %v", i, err)
 			return
 		}
 	}
 
-	s.opt.Log.BatchStart(batch.Campaign, batch.ID, batch.Attempt, len(batch.Jobs))
 	epoch := hosttime.Now()
 	out := BatchResult{
 		Version: WireVersion, ID: batch.ID,
@@ -136,7 +130,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			// A failing simulation is deterministic: every retry would fail
 			// identically, so report it permanent (422) with the job index.
-			s.opt.Log.JobError(batch.Campaign, batch.ID, i, err)
 			s.fail(w, http.StatusUnprocessableEntity, i, "job %d: %v", i, err)
 			return
 		}
@@ -158,7 +151,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	exec := hosttime.Since(epoch)
 	out.ExecUS = exec.Microseconds()
-	s.opt.Log.BatchDone(batch.Campaign, batch.ID, len(batch.Jobs), exec)
 	if s.opt.Metrics != nil {
 		s.opt.Metrics.Counter("specfetch_worker_batches_total",
 			"Batches completed by this worker.").Inc()

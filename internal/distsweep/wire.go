@@ -129,17 +129,13 @@ func (s JobSpec) Validate() error {
 // work-list. ID is coordinator-assigned and echoed back so a late response
 // from a timed-out attempt can never be mistaken for the retry's.
 //
-// Campaign and Attempt are the batch's trace/log context, added to wire v1
-// additively (omitempty; absent fields decode to zero values, so old and
-// new peers interoperate): Campaign names the coordinator run so one
-// worker's log can be split by campaign, and Attempt ties worker-side
-// records to the coordinator's dispatch attempt counter.
+// Older coordinators also sent "campaign" and "attempt" keys (omitempty
+// log context); a worker's decode ignores unknown keys, so they are still
+// served.
 type Batch struct {
-	Version  int       `json:"version"`
-	ID       uint64    `json:"id"`
-	Campaign string    `json:"campaign,omitempty"`
-	Attempt  int       `json:"attempt,omitempty"`
-	Jobs     []JobSpec `json:"jobs"`
+	Version int       `json:"version"`
+	ID      uint64    `json:"id"`
+	Jobs    []JobSpec `json:"jobs"`
 }
 
 // JobResult pairs a simulation result with the worker's audit self-check:

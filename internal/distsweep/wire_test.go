@@ -45,10 +45,8 @@ func fixtureProfile() synth.Profile {
 func fixtureBatch() Batch {
 	l2 := cache.Config{SizeBytes: 256 * 1024, LineBytes: 32, Assoc: 4}
 	return Batch{
-		Version:  WireVersion,
-		ID:       7,
-		Campaign: "c99-1",
-		Attempt:  2,
+		Version: WireVersion,
+		ID:      7,
 		Jobs: []JobSpec{
 			{
 				Profile: fixtureProfile(),
@@ -135,19 +133,42 @@ func fixtureBatchResult() BatchResult {
 	}
 }
 
-// TestWireAdditive proves the v1 extension is additive: a pre-telemetry
-// peer's encoding (no campaign/attempt, no pid/exec_us/spans) still decodes,
-// with the new fields at their zero values — mixed fleets interoperate
-// without a version bump.
+// TestWireAdditive proves the v1 extensions are additive: a pre-telemetry
+// peer's encoding (no pid/exec_us/spans) still decodes, with the new fields
+// at their zero values, and a batch from a coordinator that still stamps the
+// retired "campaign"/"attempt" keys decodes to the same batch as one
+// without them — mixed fleets interoperate without a version bump.
 func TestWireAdditive(t *testing.T) {
-	oldBatch := []byte(`{"version":1,"id":9,"jobs":[]}`)
-	var b Batch
-	if err := json.Unmarshal(oldBatch, &b); err != nil {
-		t.Fatalf("old batch encoding rejected: %v", err)
+	raw, err := json.Marshal(fixtureBatch())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if b.Campaign != "" || b.Attempt != 0 {
-		t.Errorf("old batch decoded with non-zero telemetry fields: %+v", b)
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &fields); err != nil {
+		t.Fatal(err)
 	}
+	fields["campaign"] = json.RawMessage(`"c99-1"`)
+	fields["attempt"] = json.RawMessage(`2`)
+	stamped, err := json.Marshal(fields)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var plain, old Batch
+	if err := json.Unmarshal(raw, &plain); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(stamped, &old); err != nil {
+		t.Fatalf("batch with campaign/attempt keys rejected: %v", err)
+	}
+	if !reflect.DeepEqual(old, plain) {
+		t.Errorf("campaign/attempt keys changed the decoded batch:\n got %+v\nwant %+v", old, plain)
+	}
+	for _, key := range []string{"campaign", "attempt"} {
+		if bytes.Contains(raw, []byte(`"`+key+`"`)) {
+			t.Errorf("batch encodes the retired %q key: %s", key, raw)
+		}
+	}
+
 	oldResult := []byte(`{"version":1,"id":9,"results":[]}`)
 	var br BatchResult
 	if err := json.Unmarshal(oldResult, &br); err != nil {
@@ -157,16 +178,7 @@ func TestWireAdditive(t *testing.T) {
 		t.Errorf("old result decoded with non-zero telemetry fields: %+v", br)
 	}
 
-	// And a zero-telemetry Batch/BatchResult encodes without the new keys.
-	raw, err := json.Marshal(Batch{Version: WireVersion, ID: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{"campaign", "attempt"} {
-		if bytes.Contains(raw, []byte(key)) {
-			t.Errorf("zero-telemetry batch encodes %q: %s", key, raw)
-		}
-	}
+	// And a zero-telemetry BatchResult encodes without the new keys.
 	raw, err = json.Marshal(BatchResult{Version: WireVersion, ID: 9})
 	if err != nil {
 		t.Fatal(err)
