@@ -85,6 +85,8 @@ func TestReadImageErrors(t *testing.T) {
 		"image v1 base 0x0\nret 0x4",      // operand on ret
 		"image v1 base 0x0\nfunc f 0x100", // func not at emission point
 		"image v1 base 0x0\njump 0x800",   // target outside image
+		// Nine instructions from here would wrap past 2^64 to End 0x14.
+		"image v1 base 0xfffffffffffffff0\nplain 8\nret",
 	}
 	for _, in := range cases {
 		if _, err := ReadImage(strings.NewReader(in)); err == nil {

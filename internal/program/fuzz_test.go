@@ -17,6 +17,7 @@ func FuzzReadImage(f *testing.F) {
 	f.Add(good.String())
 	f.Add("image v1 base 0x0\nplain 3\nret\n")
 	f.Add("image v1 base 0x0\nfunc f 0x100\n")
+	f.Add("image v1 base 0xfffffffffffffff0\nplain 8\nret\n")
 	f.Add("garbage")
 	f.Fuzz(func(t *testing.T, in string) {
 		img, err := ReadImage(strings.NewReader(in))

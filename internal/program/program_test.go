@@ -1,6 +1,7 @@
 package program
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -60,6 +61,14 @@ func TestBuildRejectsBadTargets(t *testing.T) {
 	if _, err := b2.Build(); err == nil || !strings.Contains(err.Error(), "misaligned") {
 		t.Errorf("misaligned target not rejected: %v", err)
 	}
+
+	b3, _ := NewBuilder(0)
+	b3.AppendPlain(2)
+	b3.Append(Inst{Kind: isa.Plain, Target: 0x4}) // plain instructions have no target
+	b3.Append(Inst{Kind: isa.Return})
+	if _, err := b3.Build(); err == nil || !strings.Contains(err.Error(), "plain instruction at 0x8 has target") {
+		t.Errorf("plain instruction with a target not rejected: %v", err)
+	}
 }
 
 func TestContainsAndAt(t *testing.T) {
@@ -80,12 +89,16 @@ func TestContainsAndAt(t *testing.T) {
 	if img.At(0x104).Kind != isa.Call {
 		t.Errorf("At(0x104) = %v", img.At(0x104))
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("At outside image did not panic")
-		}
-	}()
-	img.At(0x108)
+	for _, a := range []isa.Addr{0xfc, 0x102, 0x108} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("At(%s) outside image did not panic", a)
+				}
+			}()
+			img.At(a)
+		}()
+	}
 }
 
 func TestFuncAt(t *testing.T) {
@@ -132,5 +145,82 @@ func TestStats(t *testing.T) {
 	want := Stats{Insts: 15, Branches: 5, Conditional: 1, Indirect: 2, Calls: 2, Returns: 1}
 	if s != want {
 		t.Errorf("stats = %+v, want %+v", s, want)
+	}
+}
+
+// TestPlainRunsMerge: plain instructions appended one at a time and in
+// runs form one run, whose length PlainRunLen reports at every slot.
+func TestPlainRunsMerge(t *testing.T) {
+	b, _ := NewBuilder(0x40)
+	b.AppendPlain(2)
+	b.Append(Inst{Kind: isa.Plain})
+	b.AppendPlain(0)
+	b.AppendPlain(1)
+	b.Append(Inst{Kind: isa.Jump, Target: 0x40})
+	b.AppendPlain(3)
+	img, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []int{4, 3, 2, 1, 0, 3, 2, 1}
+	if img.NumInsts() != len(want) {
+		t.Fatalf("%d insts, want %d", img.NumInsts(), len(want))
+	}
+	for i, w := range want {
+		pc := img.Base().Plus(i)
+		if got := img.PlainRunLen(pc); got != w {
+			t.Errorf("PlainRunLen(%s) = %d, want %d", pc, got, w)
+		}
+		if got := img.At(pc); (got.Kind == isa.Plain) != (w > 0) {
+			t.Errorf("At(%s) = %+v", pc, got)
+		}
+	}
+	if got := img.At(0x50); got != (Inst{Kind: isa.Jump, Target: 0x40}) {
+		t.Errorf("At(0x50) = %+v", got)
+	}
+}
+
+// TestBuildAddressSpaceEnd: an image may end exactly at the top of the
+// address space but not past it, and one far past it is rejected before
+// anything is allocated for it.
+func TestBuildAddressSpaceEnd(t *testing.T) {
+	b, _ := NewBuilder(0xfffffffffffffff0)
+	b.AppendPlain(3)
+	img, err := b.Build()
+	if err != nil {
+		t.Fatalf("image ending at the top rejected: %v", err)
+	}
+	if !img.Contains(img.Base()) || img.PlainRunLen(img.Base()) != 3 {
+		t.Errorf("image ending at the top misread")
+	}
+	b.AppendPlain(1)
+	if _, err := b.Build(); err == nil || !strings.Contains(err.Error(), "top of the address space") {
+		t.Errorf("image one instruction past the top: %v", err)
+	}
+
+	if raceEnabled {
+		return
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = ReadImage(strings.NewReader("image v1 base 0xffffffff00000000\nplain 4000000000\nret\n"))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("4e9 plain instructions at a high base accepted")
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+		t.Errorf("rejecting an oversized image allocated %d bytes", alloc)
+	}
+}
+
+// TestAppendPlainAllocs: a plain run costs the builder a counter, not
+// storage per instruction.
+func TestAppendPlainAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	b, _ := NewBuilder(0)
+	if n := testing.AllocsPerRun(10, func() { b.AppendPlain(1 << 20) }); n != 0 {
+		t.Errorf("AppendPlain(1<<20) allocated %.0f times per call", n)
 	}
 }

@@ -7,5 +7,11 @@ import "specfetch/internal/isa"
 // addresses that are not conditional sites. It exists for calibration
 // diagnostics and tests.
 func (b *Bench) CondClass(pc isa.Addr) string {
-	return b.conds[pc].class
+	if !b.img.Contains(pc) || b.img.At(pc).Kind != isa.CondBranch {
+		return ""
+	}
+	if s := b.siteAt(pc); s >= 0 {
+		return b.conds[s].class.String()
+	}
+	return ""
 }

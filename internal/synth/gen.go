@@ -2,27 +2,55 @@ package synth
 
 import (
 	"fmt"
+	"slices"
 
 	"specfetch/internal/isa"
 	"specfetch/internal/program"
 	"specfetch/internal/xrand"
 )
 
+// siteClass tags a conditional site's generation origin for diagnostics.
+type siteClass uint8
+
+const (
+	classBias siteClass = iota + 1
+	classPattern
+	classHard
+	classLoop
+	classGuard
+)
+
+var classNames = [...]string{
+	classBias:    "bias",
+	classPattern: "pattern",
+	classHard:    "hard",
+	classLoop:    "loop",
+	classGuard:   "guard",
+}
+
+func (c siteClass) String() string { return classNames[c] }
+
 // condMeta is the dynamic behaviour of one conditional-branch site.
 type condMeta struct {
+	pc isa.Addr
 	// takenP is the per-execution probability the branch is taken, used
-	// when pattern is nil.
+	// when patLen is 0.
 	takenP float64
-	// pattern, when non-nil, is a deterministic periodic outcome sequence
-	// the site cycles through (history-predictable behaviour).
-	pattern []bool
-	// class tags the site's generation origin ("bias", "pattern", "hard",
-	// "loop", "guard") for diagnostics.
-	class string
+	// pattern holds, from bit 0 up, a deterministic periodic sequence of
+	// patLen outcomes (1 = taken) the site cycles through
+	// (history-predictable behaviour). patLen is 0 for a site without one.
+	pattern uint8
+	patLen  uint8
+	class   siteClass
+	// seq is a driver guard's call-site index, for phased execution, or a
+	// patterned site's number among the patterned sites, which indexes a
+	// walker's pattern positions. No site is both.
+	seq int32
 }
 
 // indirectMeta is the dynamic behaviour of one indirect-transfer site.
 type indirectMeta struct {
+	pc      isa.Addr
 	targets []isa.Addr
 	zipf    *xrand.Zipf
 }
@@ -33,18 +61,72 @@ type Bench struct {
 	profile Profile
 	img     *program.Image
 	entry   isa.Addr
-	conds   map[isa.Addr]condMeta
-	indirs  map[isa.Addr]indirectMeta
 	// loopStart is the top of the driver loop; walkers count iterations by
 	// watching control return to it.
 	loopStart isa.Addr
-	// guardIdx maps each driver guard branch to its site index, for phased
-	// execution.
-	guardIdx map[isa.Addr]int
+	// conds and indirs are the conditional and indirect sites, numbered in
+	// the order they were generated; patterns counts the patterned conds.
+	conds    []condMeta
+	indirs   []indirectMeta
+	patterns int
+	// site maps each image slot to one plus the number of the site it
+	// holds (in conds for a conditional, in indirs for an indirect
+	// transfer), or to 0 for a slot without one.
+	site []int32
 	// fromProfile is true only for a bench Build made, the one kind that
 	// Build(profile) reproduces.
 	fromProfile bool
 }
+
+// newBench assembles a benchmark, numbers its patterned sites and indexes
+// its sites: each must sit on an instruction of its kind, one site to an
+// instruction.
+func newBench(p Profile, img *program.Image, entry, loopStart isa.Addr, conds []condMeta, indirs []indirectMeta) (*Bench, error) {
+	b := &Bench{
+		profile: p, img: img, entry: entry, loopStart: loopStart,
+		conds: conds, indirs: indirs,
+		site: make([]int32, img.NumInsts()),
+	}
+	for i := range conds {
+		m := &conds[i]
+		if m.patLen > 0 {
+			m.seq = int32(b.patterns)
+			b.patterns++
+		}
+		if err := b.indexSite(m.pc, i, isa.CondBranch, isa.CondBranch); err != nil {
+			return nil, err
+		}
+	}
+	for i, m := range indirs {
+		if err := b.indexSite(m.pc, i, isa.IndirectJump, isa.IndirectCall); err != nil {
+			return nil, err
+		}
+	}
+	return b, nil
+}
+
+// indexSite records site number n at pc, which must hold kind k1 or k2.
+func (b *Bench) indexSite(pc isa.Addr, n int, k1, k2 isa.Kind) error {
+	if !b.img.Contains(pc) {
+		return fmt.Errorf("synth: site %s outside the image", pc)
+	}
+	if k := b.img.At(pc).Kind; k != k1 && k != k2 {
+		return fmt.Errorf("synth: site %s holds a %s", pc, k)
+	}
+	i := b.slot(pc)
+	if b.site[i] != 0 {
+		return fmt.Errorf("synth: two sites at %s", pc)
+	}
+	b.site[i] = int32(n + 1)
+	return nil
+}
+
+// slot returns the image slot index of pc, which must be inside the image.
+func (b *Bench) slot(pc isa.Addr) uint64 { return uint64(pc-b.img.Base()) / isa.InstBytes }
+
+// siteAt returns the number of the site at pc, which must be inside the
+// image, or -1 when pc holds none.
+func (b *Bench) siteAt(pc isa.Addr) int { return int(b.site[b.slot(pc)]) - 1 }
 
 // Profile returns the profile the benchmark was generated from.
 func (b *Bench) Profile() Profile { return b.profile }
@@ -72,11 +154,10 @@ type gen struct {
 	p         Profile
 	rng       *xrand.Rand
 	b         *program.Builder
-	conds     map[isa.Addr]condMeta
-	indirs    map[isa.Addr]indirectMeta
+	conds     []condMeta
+	indirs    []indirectMeta
 	entries   []isa.Addr
 	zipf      *xrand.Zipf
-	guardIdx  map[isa.Addr]int
 	loopStart isa.Addr
 }
 
@@ -90,13 +171,10 @@ func Build(p Profile) (*Bench, error) {
 		return nil, err
 	}
 	g := &gen{
-		p:        p,
-		rng:      xrand.New(p.Seed ^ hashName(p.Name)),
-		b:        builder,
-		conds:    make(map[isa.Addr]condMeta),
-		indirs:   make(map[isa.Addr]indirectMeta),
-		zipf:     xrand.NewZipf(p.NumFuncs, p.ZipfS),
-		guardIdx: make(map[isa.Addr]int),
+		p:    p,
+		rng:  xrand.New(p.Seed ^ hashName(p.Name)),
+		b:    builder,
+		zipf: xrand.NewZipf(p.NumFuncs, p.ZipfS),
 	}
 	for i := 0; i < p.NumFuncs; i++ {
 		g.genFunc(i)
@@ -106,12 +184,12 @@ func Build(p Profile) (*Bench, error) {
 	if err != nil {
 		return nil, fmt.Errorf("synth: %s: %w", p.Name, err)
 	}
-	return &Bench{
-		profile: p, img: img, entry: entry,
-		conds: g.conds, indirs: g.indirs,
-		loopStart: g.loopStart, guardIdx: g.guardIdx,
-		fromProfile: true,
-	}, nil
+	b, err := newBench(p, img, entry, g.loopStart, g.conds, g.indirs)
+	if err != nil {
+		return nil, fmt.Errorf("synth: %s: %w", p.Name, err)
+	}
+	b.fromProfile = true
+	return b, nil
 }
 
 // MustBuild is Build for known-good profiles.
@@ -157,9 +235,9 @@ func (g *gen) condSite(inLoop bool) condMeta {
 			takenSide = 0.5
 		}
 		if g.rng.Bool(takenSide) {
-			return condMeta{takenP: 1 - g.p.BiasNear, class: "bias"}
+			return condMeta{takenP: 1 - g.p.BiasNear, class: classBias}
 		}
-		return condMeta{takenP: g.p.BiasNear, class: "bias"}
+		return condMeta{takenP: g.p.BiasNear, class: classBias}
 	case r < g.p.CondBiasFrac+g.p.PatternFrac:
 		if !inLoop {
 			// Outside loops a gshare predictor cannot see the site's own
@@ -167,27 +245,32 @@ func (g *gen) condSite(inLoop bool) condMeta {
 			// behave like a worst-case random branch. Fold the mass into a
 			// moderately biased site instead.
 			if g.rng.Bool(0.5) {
-				return condMeta{takenP: 2 * g.p.BiasNear, class: "bias"}
+				return condMeta{takenP: 2 * g.p.BiasNear, class: classBias}
 			}
-			return condMeta{takenP: 1 - 2*g.p.BiasNear, class: "bias"}
+			return condMeta{takenP: 1 - 2*g.p.BiasNear, class: classBias}
 		}
 		n := 2 + g.rng.Intn(3)
-		pat := make([]bool, n)
-		same := true
-		for i := range pat {
-			pat[i] = g.rng.Bool(0.5)
-			if i > 0 && pat[i] != pat[0] {
-				same = false
+		var pat uint8
+		for i := 0; i < n; i++ {
+			if g.rng.Bool(0.5) {
+				pat |= 1 << i
 			}
 		}
-		if same {
-			pat[n/2] = !pat[0]
+		if pat == 0 || pat == 1<<n-1 {
+			// All one outcome is no pattern: flip the middle one.
+			pat ^= 1 << (n / 2)
 		}
-		return condMeta{pattern: pat, class: "pattern"}
+		return condMeta{pattern: pat, patLen: uint8(n), class: classPattern}
 	default:
 		lo, hi := g.p.HardRange[0], g.p.HardRange[1]
-		return condMeta{takenP: lo + g.rng.Float64()*(hi-lo), class: "hard"}
+		return condMeta{takenP: lo + g.rng.Float64()*(hi-lo), class: classHard}
 	}
+}
+
+// addCond records the conditional site at pc.
+func (g *gen) addCond(pc isa.Addr, m condMeta) {
+	m.pc = pc
+	g.conds = append(g.conds, m)
 }
 
 // pickCallee draws a callee index below limit with Zipf hotness.
@@ -202,16 +285,16 @@ func (g *gen) pickCallee(limit int) int {
 
 // alignToLine pads with plain instructions to the next 32-byte boundary,
 // as compilers align function entries.
-func (g *gen) alignToLine() {
-	geom := isa.MustLineGeom(isa.DefaultLineBytes)
-	for uint64(g.b.PC())%uint64(geom.LineBytes) != 0 {
-		g.b.Append(program.Inst{Kind: isa.Plain})
+func alignToLine(b *program.Builder) {
+	const line = isa.DefaultLineBytes
+	if off := int(uint64(b.PC()) % line); off != 0 {
+		b.AppendPlain((line - off) / isa.InstBytes)
 	}
 }
 
 // genFunc emits function i (callable by later functions and the driver).
 func (g *gen) genFunc(i int) {
-	g.alignToLine()
+	alignToLine(g.b)
 	g.b.MarkFunc(fmt.Sprintf("f%03d", i))
 	g.entries = append(g.entries, g.b.PC())
 
@@ -263,7 +346,7 @@ func (g *gen) genIfElse() {
 	g.b.AppendPlain(thenLen)
 	g.b.Append(program.Inst{Kind: isa.Jump, Target: join})
 	g.b.AppendPlain(elseLen)
-	g.conds[condPC] = g.condSite(false)
+	g.addCond(condPC, g.condSite(false))
 }
 
 // genIfSkip emits a conditional that either falls into or skips a body
@@ -277,7 +360,7 @@ func (g *gen) genIfSkip(mul float64, inLoop bool) {
 	condPC := g.b.PC()
 	g.b.Append(program.Inst{Kind: isa.CondBranch, Target: condPC.Plus(1 + bodyLen)})
 	g.b.AppendPlain(bodyLen)
-	g.conds[condPC] = g.condSite(inLoop)
+	g.addCond(condPC, g.condSite(inLoop))
 }
 
 // genLoop emits an innermost loop: preheader, body (optionally containing a
@@ -298,7 +381,7 @@ func (g *gen) genLoop() {
 	condPC := g.b.PC()
 	g.b.Append(program.Inst{Kind: isa.CondBranch, Target: loopStart})
 	contP := 1 - 1/g.p.MeanLoopTrip
-	g.conds[condPC] = condMeta{takenP: contP, class: "loop"}
+	g.addCond(condPC, condMeta{takenP: contP, class: classLoop})
 }
 
 // genCall emits a call site in function i: a direct call to a hotter,
@@ -321,21 +404,21 @@ func (g *gen) genIndirect(kind isa.Kind, limit int) {
 	if fanout > limit {
 		fanout = limit
 	}
+	// Function entries are distinct, so a callee is already a target
+	// exactly when its entry is.
 	targets := make([]isa.Addr, 0, fanout)
-	seen := make(map[int]bool, fanout)
 	for len(targets) < fanout {
 		c := g.pickCallee(limit)
-		if seen[c] {
+		if slices.Contains(targets, g.entries[c]) {
 			c = (c + 1 + g.rng.Intn(limit)) % limit
-			if seen[c] {
+			if slices.Contains(targets, g.entries[c]) {
 				break
 			}
 		}
-		seen[c] = true
 		targets = append(targets, g.entries[c])
 	}
 	pc := g.b.Append(program.Inst{Kind: kind})
-	g.indirs[pc] = indirectMeta{targets: targets, zipf: xrand.NewZipf(len(targets), 1.0)}
+	g.indirs = append(g.indirs, indirectMeta{pc: pc, targets: targets, zipf: xrand.NewZipf(len(targets), 1.0)})
 }
 
 // genSwitch emits a switch-style indirect jump over case blocks inside the
@@ -365,7 +448,7 @@ func (g *gen) genSwitch() {
 		g.b.AppendPlain(cl)
 		g.b.Append(program.Inst{Kind: isa.Jump, Target: join})
 	}
-	g.indirs[ijPC] = indirectMeta{targets: caseStarts, zipf: xrand.NewZipf(ncases, 0.8)}
+	g.indirs = append(g.indirs, indirectMeta{pc: ijPC, targets: caseStarts, zipf: xrand.NewZipf(ncases, 0.8)})
 }
 
 // guardExecP draws a driver call-site execution probability from a high/low
@@ -389,7 +472,7 @@ func (g *gen) guardExecP() float64 {
 // generated functions, closed by an unconditional backward jump, so the
 // walker can run for any instruction budget.
 func (g *gen) genDriver() isa.Addr {
-	g.alignToLine()
+	alignToLine(g.b)
 	g.b.MarkFunc("main")
 	entry := g.b.PC()
 	g.b.AppendPlain(g.blockLen())
@@ -405,8 +488,7 @@ func (g *gen) genDriver() isa.Addr {
 		// guard would flood the PHT with worst-case branches.
 		execP := g.guardExecP()
 		g.b.Append(program.Inst{Kind: isa.CondBranch, Target: guardPC.Plus(2)})
-		g.conds[guardPC] = condMeta{takenP: 1 - execP, class: "guard"}
-		g.guardIdx[guardPC] = s
+		g.addCond(guardPC, condMeta{takenP: 1 - execP, class: classGuard, seq: int32(s)})
 		callee := g.pickCallee(g.p.NumFuncs)
 		g.b.Append(program.Inst{Kind: isa.Call, Target: g.entries[callee]})
 		if g.rng.Bool(0.3) {

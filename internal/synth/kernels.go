@@ -28,14 +28,12 @@ func LoopKernel(bodyInsts int, trips float64) (*Bench, error) {
 	if err != nil {
 		return nil, err
 	}
-	conds := map[isa.Addr]condMeta{}
-
 	b.MarkFunc("loop")
 	entry := b.PC()
 	loopTop := b.PC()
 	b.AppendPlain(bodyInsts)
 	condPC := b.Append(program.Inst{Kind: isa.CondBranch, Target: loopTop})
-	conds[condPC] = condMeta{takenP: 1 - 1/trips, class: "loop"}
+	conds := []condMeta{{pc: condPC, takenP: 1 - 1/trips, class: classLoop}}
 	// Exited: jump straight back in (the driver).
 	b.Append(program.Inst{Kind: isa.Jump, Target: loopTop})
 
@@ -43,15 +41,7 @@ func LoopKernel(bodyInsts int, trips float64) (*Bench, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Bench{
-		profile:   kernelProfile("loop-kernel"),
-		img:       img,
-		entry:     entry,
-		conds:     conds,
-		indirs:    map[isa.Addr]indirectMeta{},
-		loopStart: loopTop,
-		guardIdx:  map[isa.Addr]int{},
-	}, nil
+	return newBench(kernelProfile("loop-kernel"), img, entry, loopTop, conds, nil)
 }
 
 // CallKernel builds a chain of depth nested functions, each with bodyInsts
@@ -87,15 +77,7 @@ func CallKernel(depth, bodyInsts int) (*Bench, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Bench{
-		profile:   kernelProfile("call-kernel"),
-		img:       img,
-		entry:     entry,
-		conds:     map[isa.Addr]condMeta{},
-		indirs:    map[isa.Addr]indirectMeta{},
-		loopStart: loopTop,
-		guardIdx:  map[isa.Addr]int{},
-	}, nil
+	return newBench(kernelProfile("call-kernel"), img, entry, loopTop, nil, nil)
 }
 
 // DispatchKernel builds an interpreter-style indirect dispatch loop: an
@@ -111,8 +93,6 @@ func DispatchKernel(fanout, handlerInsts int) (*Bench, error) {
 	if err != nil {
 		return nil, err
 	}
-	indirs := map[isa.Addr]indirectMeta{}
-
 	b.MarkFunc("dispatch")
 	entry := b.PC()
 	loopTop := b.PC()
@@ -130,21 +110,13 @@ func DispatchKernel(fanout, handlerInsts int) (*Bench, error) {
 		b.AppendPlain(handlerInsts)
 		b.Append(program.Inst{Kind: isa.Jump, Target: loopTop})
 	}
-	indirs[ijPC] = indirectMeta{targets: handlers, zipf: xrand.NewZipf(fanout, 0.01)}
+	indirs := []indirectMeta{{pc: ijPC, targets: handlers, zipf: xrand.NewZipf(fanout, 0.01)}}
 
 	img, err := b.Build()
 	if err != nil {
 		return nil, err
 	}
-	return &Bench{
-		profile:   kernelProfile("dispatch-kernel"),
-		img:       img,
-		entry:     entry,
-		conds:     map[isa.Addr]condMeta{},
-		indirs:    indirs,
-		loopStart: loopTop,
-		guardIdx:  map[isa.Addr]int{},
-	}, nil
+	return newBench(kernelProfile("dispatch-kernel"), img, entry, loopTop, nil, indirs)
 }
 
 // kernelProfile is a minimal valid profile carried by kernel benches (the

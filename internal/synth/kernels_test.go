@@ -92,3 +92,30 @@ func TestKernelTraceContinuity(t *testing.T) {
 		}
 	}
 }
+
+// TestSiteTableChecks: every bench constructor indexes its sites through
+// newBench, which refuses a site on an instruction of another kind, two
+// sites on one instruction, and a site outside the image.
+func TestSiteTableChecks(t *testing.T) {
+	k, err := LoopKernel(4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, cond := k.Image(), k.conds[0]
+	for _, c := range []struct {
+		name  string
+		conds []condMeta
+	}{
+		{"plain", []condMeta{{pc: img.Base(), class: classLoop}}},
+		{"twice", []condMeta{cond, cond}},
+		{"outside", []condMeta{{pc: img.End(), class: classLoop}}},
+	} {
+		if _, err := newBench(k.profile, img, k.entry, k.loopStart, c.conds, nil); err == nil {
+			t.Errorf("%s: site table accepted", c.name)
+		}
+	}
+	if _, err := newBench(k.profile, img, k.entry, k.loopStart, nil,
+		[]indirectMeta{{pc: cond.pc}}); err == nil {
+		t.Error("indirect site on a conditional accepted")
+	}
+}

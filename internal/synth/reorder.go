@@ -62,31 +62,19 @@ func profileFuncs(b *Bench, insts int64, streamSeed uint64) (map[isa.Addr]int64,
 	}
 }
 
-// sortedSites returns m's keys in ascending address order, so iterating the
-// site maps (and any remap error they surface) is reproducible.
-func sortedSites[V any](m map[isa.Addr]V) []isa.Addr {
-	keys := make([]isa.Addr, 0, len(m))
-	for a := range m {
-		keys = append(keys, a)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
-}
-
 // relayout rebuilds the benchmark with functions emitted in the given order
 // (indices into the image's function list).
 func relayout(b *Bench, order []int) (*Bench, error) {
 	oldImg := b.img
 	funcs := oldImg.Funcs()
-	geom := isa.MustLineGeom(isa.DefaultLineBytes)
 
 	// First pass: assign each function its new line-aligned entry address.
 	newEntry := make(map[isa.Addr]isa.Addr, len(funcs))
 	pc := oldImg.Base()
 	for _, idx := range order {
 		f := funcs[idx]
-		if off := uint64(pc) % uint64(geom.LineBytes); off != 0 {
-			pc = pc.Plus(int((uint64(geom.LineBytes) - off) / isa.InstBytes))
+		if off := int(uint64(pc) % isa.DefaultLineBytes); off != 0 {
+			pc = pc.Plus((isa.DefaultLineBytes - off) / isa.InstBytes)
 		}
 		newEntry[f.Entry] = pc
 		pc = pc.Plus(f.NumInsts)
@@ -109,16 +97,21 @@ func relayout(b *Bench, order []int) (*Bench, error) {
 	}
 	for _, idx := range order {
 		f := funcs[idx]
-		for uint64(nb.PC())%uint64(geom.LineBytes) != 0 {
-			nb.Append(program.Inst{Kind: isa.Plain})
-		}
+		alignToLine(nb)
 		if nb.PC() != newEntry[f.Entry] {
 			return nil, fmt.Errorf("synth: layout drift for %s: planned %s, emitting at %s",
 				f.Name, newEntry[f.Entry], nb.PC())
 		}
 		nb.MarkFunc(f.Name)
 		for i := 0; i < f.NumInsts; i++ {
-			in := oldImg.At(f.Entry.Plus(i))
+			pc := f.Entry.Plus(i)
+			if run := oldImg.PlainRunLen(pc); run > 0 {
+				run = min(run, f.NumInsts-i)
+				nb.AppendPlain(run)
+				i += run - 1
+				continue
+			}
+			in := oldImg.At(pc)
 			if in.Kind == isa.CondBranch || in.Kind == isa.Jump || in.Kind == isa.Call {
 				t, err := remap(in.Target)
 				if err != nil {
@@ -134,40 +127,27 @@ func relayout(b *Bench, order []int) (*Bench, error) {
 		return nil, fmt.Errorf("synth: rebuilding reordered image: %w", err)
 	}
 
-	// Remap the dynamic-site metadata, visiting sites in address order so a
-	// remap failure always reports the same (lowest) offending address.
-	newConds := make(map[isa.Addr]condMeta, len(b.conds))
-	for _, a := range sortedSites(b.conds) {
-		na, err := remap(a)
-		if err != nil {
+	// Remap the dynamic-site metadata; site numbers do not change.
+	newConds := make([]condMeta, len(b.conds))
+	for i, m := range b.conds {
+		if m.pc, err = remap(m.pc); err != nil {
 			return nil, err
 		}
-		newConds[na] = b.conds[a]
+		newConds[i] = m
 	}
-	newIndirs := make(map[isa.Addr]indirectMeta, len(b.indirs))
-	for _, a := range sortedSites(b.indirs) {
-		m := b.indirs[a]
-		na, err := remap(a)
-		if err != nil {
+	newIndirs := make([]indirectMeta, len(b.indirs))
+	for i, m := range b.indirs {
+		if m.pc, err = remap(m.pc); err != nil {
 			return nil, err
 		}
-		nm := indirectMeta{targets: make([]isa.Addr, len(m.targets)), zipf: m.zipf}
-		for i, t := range m.targets {
-			nt, err := remap(t)
-			if err != nil {
+		targets := make([]isa.Addr, len(m.targets))
+		for j, t := range m.targets {
+			if targets[j], err = remap(t); err != nil {
 				return nil, err
 			}
-			nm.targets[i] = nt
 		}
-		newIndirs[na] = nm
-	}
-	newGuards := make(map[isa.Addr]int, len(b.guardIdx))
-	for _, a := range sortedSites(b.guardIdx) {
-		na, err := remap(a)
-		if err != nil {
-			return nil, err
-		}
-		newGuards[na] = b.guardIdx[a]
+		m.targets = targets
+		newIndirs[i] = m
 	}
 	entry, err := remap(b.entry)
 	if err != nil {
@@ -178,13 +158,5 @@ func relayout(b *Bench, order []int) (*Bench, error) {
 		return nil, err
 	}
 
-	return &Bench{
-		profile:   b.profile,
-		img:       newImg,
-		entry:     entry,
-		conds:     newConds,
-		indirs:    newIndirs,
-		loopStart: loopStart,
-		guardIdx:  newGuards,
-	}, nil
+	return newBench(b.profile, newImg, entry, loopStart, newConds, newIndirs)
 }

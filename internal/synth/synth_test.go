@@ -1,9 +1,12 @@
 package synth
 
 import (
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"specfetch/internal/isa"
+	"specfetch/internal/program"
 	"specfetch/internal/trace"
 )
 
@@ -287,5 +290,34 @@ func TestModernProfilesBuild(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestBuildAllocs guards the generator's footprint: building gcc allocates
+// at most 1.5 times what the bench keeps, its image slots plus its site
+// tables (1.34x when written). Growing the image one instruction at a time,
+// beside address-keyed site maps, allocated 4.2 MB, about 4.3 times.
+func TestBuildAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b := MustBuild(GCC())
+	runtime.ReadMemStats(&after)
+	alloc := after.TotalAlloc - before.TotalAlloc
+
+	kept := b.Image().NumInsts()*int(unsafe.Sizeof(program.Inst{})) +
+		len(b.site)*int(unsafe.Sizeof(b.site[0])) +
+		len(b.conds)*int(unsafe.Sizeof(condMeta{})) +
+		len(b.indirs)*int(unsafe.Sizeof(indirectMeta{}))
+	for _, m := range b.indirs {
+		kept += len(m.targets) * int(unsafe.Sizeof(isa.Addr(0)))
+	}
+	limit := uint64(kept) * 3 / 2
+	t.Logf("%d instructions: %d bytes allocated, %d kept (%.2fx), limit %d",
+		b.Image().NumInsts(), alloc, kept, float64(alloc)/float64(kept), limit)
+	if alloc > limit {
+		t.Errorf("building gcc allocated %d bytes, want at most %d (1.5x the %d bytes kept)", alloc, limit, kept)
 	}
 }

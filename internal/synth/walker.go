@@ -22,9 +22,9 @@ type Walker struct {
 	rng   *xrand.Rand
 	pc    isa.Addr
 	stack []isa.Addr
-	// patPos tracks each patterned conditional site's position in its
-	// outcome sequence.
-	patPos map[isa.Addr]int
+	// patPos tracks each patterned site's position in its outcome
+	// pattern, indexed by the site's seq.
+	patPos []int32
 	// iter counts completed driver-loop iterations, driving phased
 	// execution.
 	iter int64
@@ -37,7 +37,7 @@ func (b *Bench) NewWalker(streamSeed uint64) *Walker {
 		bench:  b,
 		rng:    xrand.New(b.profile.Seed ^ streamSeed ^ 0xabcdef0123456789),
 		pc:     b.entry,
-		patPos: make(map[isa.Addr]int),
+		patPos: make([]int32, b.patterns),
 	}
 }
 
@@ -85,20 +85,23 @@ func (w *Walker) branch(in program.Inst, start isa.Addr, n int) (trace.Record, e
 	rec := trace.Record{Start: start, N: n, BrKind: in.Kind}
 	switch in.Kind {
 	case isa.CondBranch:
-		meta, ok := w.bench.conds[pc]
-		if !ok {
+		s := w.bench.siteAt(pc)
+		if s < 0 {
 			return trace.Record{}, fmt.Errorf("synth: conditional at %s has no site metadata", pc)
 		}
+		meta := &w.bench.conds[s]
 		switch {
-		case meta.pattern != nil:
-			pos := w.patPos[pc]
-			rec.Taken = meta.pattern[pos]
-			w.patPos[pc] = (pos + 1) % len(meta.pattern)
-		case meta.class == "guard" && w.bench.profile.PhaseSites > 0:
+		case meta.patLen > 0:
+			pos := &w.patPos[meta.seq]
+			rec.Taken = meta.pattern>>*pos&1 != 0
+			if *pos++; *pos == int32(meta.patLen) {
+				*pos = 0
+			}
+		case meta.class == classGuard && w.bench.profile.PhaseSites > 0:
 			// Phased execution: the guard skips its call (taken) unless the
 			// site is inside the currently active window.
 			takenP := 0.97
-			if w.inPhase(w.bench.guardIdx[pc]) {
+			if w.inPhase(int(meta.seq)) {
 				takenP = 1 - w.bench.profile.DriverCallExecP
 			}
 			rec.Taken = w.rng.Bool(takenP)
@@ -127,10 +130,11 @@ func (w *Walker) branch(in program.Inst, start isa.Addr, n int) (trace.Record, e
 		w.stack = w.stack[:len(w.stack)-1]
 
 	case isa.IndirectCall, isa.IndirectJump:
-		meta, ok := w.bench.indirs[pc]
-		if !ok {
+		s := w.bench.siteAt(pc)
+		if s < 0 {
 			return trace.Record{}, fmt.Errorf("synth: indirect transfer at %s has no site metadata", pc)
 		}
+		meta := &w.bench.indirs[s]
 		rec.Taken = true
 		rec.Target = meta.targets[meta.zipf.Draw(w.rng)]
 		if in.Kind == isa.IndirectCall {
