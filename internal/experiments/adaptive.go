@@ -39,30 +39,29 @@ type AdaptiveData struct {
 // AdaptiveStudyData runs the study: the full oracle-selector sweep (five
 // static policies, windows captured) plus one adaptive run per benchmark x
 // penalty under the named chooser strategy, all over the shared stream seed
-// so every machine faces the identical dynamic instruction stream. Cells go
-// through the standard executor and shard across the pool and the distsweep
-// fleet; the chooser itself never leaves the worker that runs the cell (it
-// is rebuilt there from the strategy name), which is what keeps remote runs
-// byte-identical to local ones. No strategy reads seed; it stays only
-// because perfbench compiles against this signature.
+// so every machine faces the identical dynamic instruction stream. Both
+// arms are one work-list, each bench's oracle cells followed by its
+// adaptive cells, so every stream is walked once and replayed to all of
+// its cells; the oracle arm equals what OracleSelectorData returns at the
+// same settings. Cells go through the standard executor and shard across
+// the pool and the distsweep fleet; the chooser itself never leaves the
+// worker that runs the cell (it is rebuilt there from the strategy name),
+// which is what keeps remote runs byte-identical to local ones. No
+// strategy reads seed; it stays only because perfbench compiles against
+// this signature.
 func AdaptiveStudyData(opt Options, strategy string, seed uint64, interval int64, penalties []int) (*AdaptiveData, error) {
-	if interval <= 0 {
-		interval = DefaultOracleInterval
-	}
 	if _, err := adaptive.New(strategy, 0); err != nil {
 		return nil, err // fail before burning a sweep on an unknown name
 	}
-	oracle, err := OracleSelectorData(opt, interval, penalties)
-	if err != nil {
-		return nil, err
-	}
+	interval, penalties = resolveOracle(interval, penalties)
 	benches, err := buildAll(opt)
 	if err != nil {
 		return nil, err
 	}
 	var cells []runCell
 	for _, b := range benches {
-		for _, pen := range oracle.Penalties {
+		cells = append(cells, oracleCells(opt, b, interval, penalties)...)
+		for _, pen := range penalties {
 			cfg := baseConfig(core.Adaptive)
 			cfg.MissPenalty = pen
 			cfg.FlushInterval = opt.FlushInterval
@@ -71,27 +70,29 @@ func AdaptiveStudyData(opt Options, strategy string, seed uint64, interval int64
 			cells = append(cells, newCell(b, cfg))
 		}
 	}
-	results, err := runCells(opt, cells)
+	full, err := runCellsFull(opt, cells)
 	if err != nil {
 		return nil, err
 	}
+	oracle := &OracleData{Interval: interval, Penalties: penalties}
 	d := &AdaptiveData{Strategy: strategy, Interval: interval, Oracle: oracle}
-	for i, res := range results {
-		d.Rows = append(d.Rows, AdaptiveRow{
-			Bench:    cells[i].bench.Profile().Name,
-			Penalty:  cells[i].cfg.MissPenalty,
-			ISPI:     res.TotalISPI(),
-			Switches: res.PolicySwitches,
-		})
-	}
-	if len(d.Rows) != len(oracle.Rows) {
-		return nil, fmt.Errorf("experiments: adaptive rows (%d) misaligned with oracle rows (%d)",
-			len(d.Rows), len(oracle.Rows))
-	}
-	for i := range d.Rows {
-		if d.Rows[i].Bench != oracle.Rows[i].Bench || d.Rows[i].Penalty != oracle.Rows[i].Penalty {
-			return nil, fmt.Errorf("experiments: adaptive row %d is %s@%d, oracle row is %s@%d",
-				i, d.Rows[i].Bench, d.Rows[i].Penalty, oracle.Rows[i].Bench, oracle.Rows[i].Penalty)
+	arm := len(penalties) * len(core.Policies()) // oracle cells per bench
+	per := arm + len(penalties)
+	for i, b := range benches {
+		outs := full[i*per : (i+1)*per]
+		rows, err := oracleRows(b, penalties, outs[:arm])
+		if err != nil {
+			return nil, err
+		}
+		oracle.Rows = append(oracle.Rows, rows...)
+		for j, pen := range penalties {
+			res := outs[arm+j].res
+			d.Rows = append(d.Rows, AdaptiveRow{
+				Bench:    b.Profile().Name,
+				Penalty:  pen,
+				ISPI:     res.TotalISPI(),
+				Switches: res.PolicySwitches,
+			})
 		}
 	}
 	return d, nil

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"specfetch/internal/core"
@@ -65,6 +66,29 @@ func TestAdaptiveBytesIdenticalAcrossWorkers(t *testing.T) {
 	})
 	if got := renderAdaptive(t, remote); got != want {
 		t.Error("remote fleet renders the adaptive study differently from serial")
+	}
+}
+
+// TestAdaptiveOracleArmExact: the study's oracle arm, run in one
+// work-list with the adaptive cells, is exactly the study
+// OracleSelectorData runs on its own at the same settings, serially and
+// on a 4-worker pool.
+func TestAdaptiveOracleArmExact(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		opt := adaptiveOpt()
+		opt.Workers = workers
+		opt.FlushInterval = 15_000
+		want, err := OracleSelectorData(opt, switchingInterval, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := AdaptiveStudyData(opt, switchingStrategy, 0, switchingInterval, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(d.Oracle, want) {
+			t.Errorf("workers=%d: the adaptive study's oracle arm differs from OracleSelectorData", workers)
+		}
 	}
 }
 

@@ -146,15 +146,50 @@ func selected(opt Options) ([]synth.Profile, error) {
 	return out, nil
 }
 
-// buildAll generates the selected benchmarks.
+// buildAll returns the selected benchmarks from the process's bench memo.
 func buildAll(opt Options) ([]*synth.Bench, error) {
 	profs, err := selected(opt)
 	if err != nil {
 		return nil, err
 	}
 	return mapCells(opt, len(profs), func(_, i int) (*synth.Bench, error) {
-		return synth.Build(profs[i])
+		return benchFor(profs[i])
 	})
+}
+
+// builtBench is one bench memo entry, built once under its own sync.Once
+// so that pool workers build different profiles concurrently and no build
+// holds the memo's lock. Build is deterministic, so its error is memoized
+// too.
+type builtBench struct {
+	once  sync.Once
+	bench *synth.Bench
+	err   error
+}
+
+// benchMemo is the process-wide bench memo, keyed by the whole Profile so
+// that two profiles sharing a name never share a bench.
+var benchMemo = struct {
+	mu sync.Mutex
+	m  map[synth.Profile]*builtBench
+}{m: map[synth.Profile]*builtBench{}}
+
+// benchFor returns the bench profile p builds, building it on first use.
+// Every builder and every JobRunner in the process shares the result: a
+// bench is a pure function of its Profile and read-only once built, so
+// sharing it is behaviour-neutral, and building it is set-up rather than
+// simulation. Reordered layouts and kernels are not built from a profile
+// and never enter the memo.
+func benchFor(p synth.Profile) (*synth.Bench, error) {
+	benchMemo.mu.Lock()
+	e := benchMemo.m[p]
+	if e == nil {
+		e = &builtBench{}
+		benchMemo.m[p] = e
+	}
+	benchMemo.mu.Unlock()
+	e.once.Do(func() { e.bench, e.err = synth.Build(p) })
+	return e.bench, e.err
 }
 
 // mean computes the arithmetic mean the paper's "Average" rows use.

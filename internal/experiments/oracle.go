@@ -10,6 +10,7 @@ import (
 
 	"specfetch/internal/core"
 	"specfetch/internal/obs"
+	"specfetch/internal/synth"
 	"specfetch/internal/texttable"
 )
 
@@ -163,56 +164,82 @@ func (r OracleRow) Switches() int {
 // the distsweep fleet like any other table and renders identical bytes at
 // every worker and process count.
 func OracleSelectorData(opt Options, interval int64, penalties []int) (*OracleData, error) {
-	if interval <= 0 {
-		interval = DefaultOracleInterval
-	}
-	if len(penalties) == 0 {
-		penalties = DefaultOraclePenalties
-	}
+	interval, penalties = resolveOracle(interval, penalties)
 	benches, err := buildAll(opt)
 	if err != nil {
 		return nil, err
 	}
-	pols := core.Policies()
 	var cells []runCell
 	for _, b := range benches {
-		for _, pen := range penalties {
-			for _, pol := range pols {
-				cfg := baseConfig(pol)
-				cfg.MissPenalty = pen
-				cfg.FlushInterval = opt.FlushInterval
-				cfg.SampleInterval = interval
-				c := newCell(b, cfg)
-				c.capture = true
-				cells = append(cells, c)
-			}
-		}
+		cells = append(cells, oracleCells(opt, b, interval, penalties)...)
 	}
 	full, err := runCellsFull(opt, cells)
 	if err != nil {
 		return nil, err
 	}
 	d := &OracleData{Interval: interval, Penalties: penalties}
-	i := 0
-	for _, b := range benches {
-		for _, pen := range penalties {
-			row := OracleRow{
-				Bench:   b.Profile().Name,
-				Penalty: pen,
-				Series:  map[core.Policy][]obs.WindowRecord{},
-			}
-			for _, pol := range pols {
-				row.Series[pol] = full[i].windows
-				i++
-			}
-			row.Winners, err = OracleSelect(row.Series, pols)
-			if err != nil {
-				return nil, fmt.Errorf("%s@%d: %w", row.Bench, pen, err)
-			}
-			d.Rows = append(d.Rows, row)
+	per := len(penalties) * len(core.Policies())
+	for i, b := range benches {
+		rows, err := oracleRows(b, penalties, full[i*per:(i+1)*per])
+		if err != nil {
+			return nil, err
 		}
+		d.Rows = append(d.Rows, rows...)
 	}
 	return d, nil
+}
+
+// resolveOracle applies the study's defaults: a non-positive interval means
+// DefaultOracleInterval and no penalties mean DefaultOraclePenalties.
+func resolveOracle(interval int64, penalties []int) (int64, []int) {
+	if interval <= 0 {
+		interval = DefaultOracleInterval
+	}
+	if len(penalties) == 0 {
+		penalties = DefaultOraclePenalties
+	}
+	return interval, penalties
+}
+
+// oracleCells lists one bench's oracle cells, penalty-major: every policy
+// at every penalty, windows captured at the resolved interval.
+func oracleCells(opt Options, b *synth.Bench, interval int64, penalties []int) []runCell {
+	cells := make([]runCell, 0, len(penalties)*len(core.Policies()))
+	for _, pen := range penalties {
+		for _, pol := range core.Policies() {
+			cfg := baseConfig(pol)
+			cfg.MissPenalty = pen
+			cfg.FlushInterval = opt.FlushInterval
+			cfg.SampleInterval = interval
+			c := newCell(b, cfg)
+			c.capture = true
+			cells = append(cells, c)
+		}
+	}
+	return cells
+}
+
+// oracleRows reduces one bench's oracle cells, in oracleCells order, to
+// its rows: one per penalty, with the per-window winners.
+func oracleRows(b *synth.Bench, penalties []int, outs []cellOut) ([]OracleRow, error) {
+	pols := core.Policies()
+	rows := make([]OracleRow, len(penalties))
+	for j, pen := range penalties {
+		row := OracleRow{
+			Bench:   b.Profile().Name,
+			Penalty: pen,
+			Series:  map[core.Policy][]obs.WindowRecord{},
+		}
+		for k, pol := range pols {
+			row.Series[pol] = outs[j*len(pols)+k].windows
+		}
+		var err error
+		if row.Winners, err = OracleSelect(row.Series, pols); err != nil {
+			return nil, fmt.Errorf("%s@%d: %w", row.Bench, pen, err)
+		}
+		rows[j] = row
+	}
+	return rows, nil
 }
 
 // CrossoverTable renders the oracle-vs-static comparison: per benchmark and

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"sync"
-
 	"specfetch/internal/distsweep"
 	"specfetch/internal/obs"
 	"specfetch/internal/synth"
@@ -89,13 +87,14 @@ func runCellsRemote(opt Options, cells []runCell) ([]cellOut, bool, error) {
 	return out, true, nil
 }
 
-// JobRunner is the worker-side distsweep.Runner: it rebuilds the bench
-// from the spec's profile (memoized — a sweep sends the same profile once
-// per cell) and runs the spec's cell through a cellCache it keeps for its
-// lifetime, the same path the in-process pool runs cells through. A sweep
-// sends every cell of one stream in a row, so the cache replays each
-// stream to the cells after its first, and between batches it retains one
-// packed stream and one arena per batch that ran concurrently.
+// JobRunner is the worker-side distsweep.Runner: it takes the bench of the
+// spec's profile from the process-wide bench memo (benchFor), which it
+// shares with the in-process pool, and runs the spec's cell through a
+// cellCache it keeps for its lifetime, the same path the in-process pool
+// runs cells through. A sweep sends every cell of one stream in a row, so
+// the cache replays each stream to the cells after its first, and between
+// batches it retains one packed stream and one arena per batch that ran
+// concurrently.
 type JobRunner struct {
 	// Metrics, when non-nil, accumulates the worker's campaign counters
 	// (specfetch_simulations_total etc.).
@@ -103,29 +102,12 @@ type JobRunner struct {
 	// Progress, when non-nil, receives per-simulation progress lines.
 	Progress func(msg string)
 
-	mu      sync.Mutex
-	benches map[synth.Profile]*synth.Bench
-	cache   cellCache
+	cache cellCache
 }
 
 // NewJobRunner builds a worker-side runner.
 func NewJobRunner(reg *obs.Registry) *JobRunner {
-	return &JobRunner{Metrics: reg, benches: map[synth.Profile]*synth.Bench{}}
-}
-
-// bench returns the (memoized) built benchmark for a profile.
-func (r *JobRunner) bench(p synth.Profile) (*synth.Bench, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if b, ok := r.benches[p]; ok {
-		return b, nil
-	}
-	b, err := synth.Build(p)
-	if err != nil {
-		return nil, err
-	}
-	r.benches[p] = b
-	return b, nil
+	return &JobRunner{Metrics: reg}
 }
 
 // specCell is the cell and options a spec runs as on bench b. The wire
@@ -137,15 +119,15 @@ func specCell(spec distsweep.JobSpec, b *synth.Bench) (runCell, Options) {
 	return cell, Options{Insts: spec.Insts, AuditSample: spec.AuditSample}
 }
 
-// Run implements distsweep.Runner. Safe for concurrent batches: benches
-// are built under a lock and read-only afterwards, exactly as the
-// in-process pool shares them across workers, and the cache never lends
-// one arena to two Runs at once.
+// Run implements distsweep.Runner. Safe for concurrent batches: each bench
+// is built once and read-only afterwards, exactly as the in-process pool
+// shares it across workers, and the cache never lends one arena to two
+// Runs at once.
 func (r *JobRunner) Run(spec distsweep.JobSpec) (distsweep.JobResult, error) {
 	if err := spec.Validate(); err != nil {
 		return distsweep.JobResult{}, err
 	}
-	b, err := r.bench(spec.Profile)
+	b, err := benchFor(spec.Profile)
 	if err != nil {
 		return distsweep.JobResult{}, err
 	}
