@@ -1,16 +1,18 @@
 // Package classify reproduces the paper's Table 4: it runs the Oracle and
 // Optimistic policies over the same trace and partitions correct-path
 // I-cache misses into the four categories the paper defines, by matching up
-// the two runs' structural reference streams (which are policy independent
-// for a given trace).
+// the two runs' miss bitmaps (core.Result.MissBits). The structural
+// reference stream is policy independent for a given trace, so bit i of
+// both bitmaps describes the same reference.
 //
-// NewArm sets up one run's config and records its miss stream, and
-// Categorize matches two finished arms, so a sweep can run the arms as
-// ordinary cells; Run does both for one image.
+// ArmConfig sets up one run's config and Categorize matches two finished
+// runs, so a sweep runs the arms as ordinary cells; Run does both for one
+// image.
 package classify
 
 import (
 	"fmt"
+	"math/bits"
 
 	"specfetch/internal/bpred"
 	"specfetch/internal/core"
@@ -56,67 +58,53 @@ type NewReader func() trace.Reader
 // Run classifies misses for the given machine configuration (whose Policy
 // field is ignored; Oracle and Optimistic are used).
 func Run(cfg core.Config, img *program.Image, newReader NewReader, newPred NewPredictor) (Categories, error) {
-	oracleCfg, oracle := NewArm(cfg, core.Oracle)
-	oracleRes, err := core.Run(oracleCfg, img, newReader(), newPred())
+	oracle, err := core.Run(ArmConfig(cfg, core.Oracle), img, newReader(), newPred())
 	if err != nil {
 		return Categories{}, fmt.Errorf("classify: oracle run: %w", err)
 	}
-	optCfg, opt := NewArm(cfg, core.Optimistic)
-	optRes, err := core.Run(optCfg, img, newReader(), newPred())
+	opt, err := core.Run(ArmConfig(cfg, core.Optimistic), img, newReader(), newPred())
 	if err != nil {
 		return Categories{}, fmt.Errorf("classify: optimistic run: %w", err)
 	}
-	return Categorize(oracle, oracleRes, opt, optRes)
+	return Categorize(oracle, opt)
 }
 
-// Arm is one of a classification's two runs: the per-reference miss
-// outcomes its access callback recorded.
-type Arm struct {
-	misses []bool
-}
-
-// NewArm returns cfg set up as the classification run under pol, without
-// prefetching (Table 4 is measured without it), and the Arm its
-// OnRightPathAccess callback records into. Each returned config must run
-// at most once.
-func NewArm(cfg core.Config, pol core.Policy) (core.Config, *Arm) {
-	a := &Arm{}
+// ArmConfig returns cfg set up as the classification run under pol: without
+// prefetching (Table 4 is measured without it) and recording its miss
+// bitmap.
+func ArmConfig(cfg core.Config, pol core.Policy) core.Config {
 	cfg.Policy = pol
 	cfg.NextLinePrefetch = false
-	cfg.OnRightPathAccess = func(seq int64, line uint64, miss bool) {
-		if seq != int64(len(a.misses)) {
-			panic(fmt.Sprintf("classify: non-monotone reference sequence %d (have %d)", seq, len(a.misses)))
-		}
-		a.misses = append(a.misses, miss)
-	}
-	return cfg, a
+	cfg.RecordMisses = true
+	return cfg
 }
 
-// Categorize partitions the correct-path misses of a finished Oracle arm
-// and Optimistic arm, given each run's result.
-func Categorize(oracle *Arm, oracleRes core.Result, opt *Arm, optRes core.Result) (Categories, error) {
-	if oracleRes.Insts != optRes.Insts {
+// Categorize partitions the correct-path misses of a finished Oracle run
+// and Optimistic run, each made with an ArmConfig. A reference that missed
+// in both runs is a both-miss; the Oracle's other misses were prevented by
+// wrong-path prefetching, and the Optimistic run's others were caused by
+// wrong-path pollution.
+func Categorize(oracle, opt core.Result) (Categories, error) {
+	if oracle.Insts != opt.Insts {
 		return Categories{}, fmt.Errorf("classify: instruction counts diverge: oracle %d, optimistic %d",
-			oracleRes.Insts, optRes.Insts)
+			oracle.Insts, opt.Insts)
 	}
-	if len(oracle.misses) != len(opt.misses) {
+	if oracle.RightPathAccesses != opt.RightPathAccesses {
 		return Categories{}, fmt.Errorf("classify: reference streams diverge: oracle %d refs, optimistic %d",
-			len(oracle.misses), len(opt.misses))
+			oracle.RightPathAccesses, opt.RightPathAccesses)
 	}
-
-	var both, pollute, prefetch int64
-	for i, om := range oracle.misses {
-		switch pm := opt.misses[i]; {
-		case om && pm:
-			both++
-		case om && !pm:
-			prefetch++
-		case !om && pm:
-			pollute++
+	for _, r := range []core.Result{oracle, opt} {
+		if !r.MissBitsValid() {
+			return Categories{}, fmt.Errorf("classify: %v run carries no valid miss bitmap", r.Policy)
 		}
 	}
 
-	insts := oracleRes.Insts
+	var both int64
+	for i := range min(len(oracle.MissBits), len(opt.MissBits)) {
+		both += int64(bits.OnesCount64(oracle.MissBits[i] & opt.MissBits[i]))
+	}
+
+	insts := oracle.Insts
 	pct := func(n int64) float64 {
 		if insts == 0 {
 			return 0
@@ -125,13 +113,13 @@ func Categorize(oracle *Arm, oracleRes core.Result, opt *Arm, optRes core.Result
 	}
 	cat := Categories{
 		BothMiss:     pct(both),
-		SpecPollute:  pct(pollute),
-		SpecPrefetch: pct(prefetch),
-		WrongPath:    pct(int64(optRes.Traffic.WrongPathFills)),
+		SpecPollute:  pct(opt.RightPathMisses - both),
+		SpecPrefetch: pct(oracle.RightPathMisses - both),
+		WrongPath:    pct(int64(opt.Traffic.WrongPathFills)),
 		Insts:        insts,
 	}
-	if oracleRes.Traffic.Total() > 0 {
-		cat.TrafficRatio = float64(optRes.Traffic.Total()) / float64(oracleRes.Traffic.Total())
+	if oracle.Traffic.Total() > 0 {
+		cat.TrafficRatio = float64(opt.Traffic.Total()) / float64(oracle.Traffic.Total())
 	}
 	return cat, nil
 }

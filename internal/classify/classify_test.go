@@ -103,3 +103,16 @@ func TestRunDetectsInstMismatch(t *testing.T) {
 		t.Error("divergent traces not detected")
 	}
 }
+
+// TestCategorizeNeedsBitmaps: results without a valid miss bitmap (runs
+// made without ArmConfig) are refused rather than read as sharing no miss.
+func TestCategorizeNeedsBitmaps(t *testing.T) {
+	res := core.Result{Insts: 10, RightPathAccesses: 5, RightPathMisses: 2}
+	if _, err := Categorize(res, res); err == nil {
+		t.Error("results without miss bitmaps categorized")
+	}
+	res.MissBits = []uint64{0b10010}
+	if _, err := Categorize(res, res); err != nil {
+		t.Errorf("results with valid bitmaps refused: %v", err)
+	}
+}

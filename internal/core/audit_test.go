@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -55,7 +56,7 @@ func TestAuditAllPolicies(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s audited: %v", prof.Name, pol, err)
 			}
-			if audited != plain {
+			if !reflect.DeepEqual(audited, plain) {
 				t.Errorf("%s/%s: audited run diverged from unaudited run\naudited   %+v\nunaudited %+v",
 					prof.Name, pol, audited, plain)
 			}

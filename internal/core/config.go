@@ -12,7 +12,7 @@ import (
 //
 // The json tags are the distsweep wire encoding of a cell's machine, so a
 // field added here crosses the wire under its own key. Fields tagged "-" are
-// in-process only: callbacks, constructed state, and MaxInsts, which travels
+// in-process only: the probe, constructed state, and MaxInsts, which travels
 // as the job's instruction budget.
 type Config struct {
 	// Policy is the I-cache fetch policy under test.
@@ -104,11 +104,12 @@ type Config struct {
 	// 0 means run the whole trace.
 	MaxInsts int64 `json:"-"`
 
-	// OnRightPathAccess, if non-nil, is invoked for every structural
-	// correct-path line reference with a policy-independent sequence
-	// number, the line, and whether it missed. The classify package uses it
-	// to build the paper's Table 4 miss categorization.
-	OnRightPathAccess func(seq int64, line uint64, miss bool) `json:"-"`
+	// RecordMisses makes the run return Result.MissBits, the bitmap of
+	// which structural correct-path line references missed. The reference
+	// sequence is policy independent for a given trace, so the classify
+	// package matches two runs' bitmaps to build the paper's Table 4 miss
+	// categorization. Recording is behaviour-neutral.
+	RecordMisses bool `json:"record_misses,omitempty"`
 
 	// Probe, when non-nil, receives typed instrumentation callbacks as the
 	// simulation runs (see internal/obs): fetch cycles, misses, fills, bus

@@ -244,8 +244,7 @@ func NewEngine(cfg Config, img *program.Image, rd trace.Reader, pred bpred.Predi
 		}
 	}
 	e.scheduleAfter(0)
-	e.fastIssue = cfg.StepMode == StepSkipAhead && e.probe == nil &&
-		cfg.OnRightPathAccess == nil && !e.prefetchOn()
+	e.fastIssue = cfg.StepMode == StepSkipAhead && e.probe == nil && !e.prefetchOn()
 	if pv, ok := rd.(trace.PreValidated); ok && pv.PreValidatedTrace() {
 		e.trustRecs = true
 	}
@@ -766,6 +765,16 @@ func (e *Engine) freeBuffer(bufs []cache.LineBuffer, now Cycles) *cache.LineBuff
 	return nil
 }
 
+// recordMiss sets bit i of Result.MissBits, growing the bitmap to the word
+// that holds it.
+func (e *Engine) recordMiss(i int64) {
+	w := int(i >> 6)
+	for len(e.res.MissBits) <= w {
+		e.res.MissBits = append(e.res.MissBits, 0)
+	}
+	e.res.MissBits[w] |= 1 << (i & 63)
+}
+
 // stepCycle simulates one fetch cycle (and any stall it runs into),
 // advancing e.cy past everything it accounted for.
 func (e *Engine) stepCycle() {
@@ -803,12 +812,11 @@ func (e *Engine) stepCycle() {
 				e.lastInstLine = line
 				e.haveLastLine = true
 				e.res.RightPathAccesses++
-				miss := kind == lookupMiss
-				if miss {
+				if kind == lookupMiss {
 					e.res.RightPathMisses++
-				}
-				if e.cfg.OnRightPathAccess != nil {
-					e.cfg.OnRightPathAccess(e.res.RightPathAccesses-1, line, miss)
+					if e.cfg.RecordMisses {
+						e.recordMiss(e.res.RightPathAccesses - 1)
+					}
 				}
 			} else if kind == lookupMiss {
 				e.res.ReentryMisses++

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"specfetch/internal/bpred"
@@ -85,7 +86,7 @@ func TestProbeEventInvariants(t *testing.T) {
 				t.Fatalf("%v pref=%v probed: %v", pol, pref, err)
 			}
 
-			if res != base {
+			if !reflect.DeepEqual(res, base) {
 				t.Errorf("%v pref=%v: probe changed the result:\nprobed %+v\n  base %+v", pol, pref, res, base)
 			}
 			if p.issued != res.Insts {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"specfetch/internal/bpred"
@@ -107,7 +108,7 @@ func TestEngineInvariantsUnderRandomConfigs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d rerun: %v", i, err)
 		}
-		if res != res2 {
+		if !reflect.DeepEqual(res, res2) {
 			t.Errorf("trial %d: nondeterministic results\ncfg %+v", i, cfg)
 		}
 		if err := aud.Verify(res2.AuditFinal()); err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"specfetch/internal/metrics"
@@ -30,6 +31,11 @@ type Result struct {
 	RightPathAccesses int64
 	// RightPathMisses is how many of those references missed.
 	RightPathMisses int64
+	// MissBits, recorded when Config.RecordMisses is set, has bit i (bit
+	// i%64 of word i/64) set when structural reference i missed. It ends at
+	// the word holding the last miss, so it is nil for a run without misses
+	// and its popcount is RightPathMisses.
+	MissBits []uint64 `json:",omitempty"`
 	// ReentryMisses counts the rare correct-path misses on re-entering a
 	// line after a stall (the line was evicted mid-group); they are
 	// excluded from the classification stream.
@@ -46,6 +52,26 @@ type Result struct {
 	// PolicySwitches counts the Adaptive meta-policy's active-policy changes
 	// (always 0 for static runs and for choosers that never move).
 	PolicySwitches int64
+}
+
+// MissBitsValid reports whether MissBits is a bitmap a run recording its
+// misses could have returned with these counters: its popcount is
+// RightPathMisses, no bit is set at or past RightPathAccesses, and it ends
+// at the word holding its last miss.
+func (r Result) MissBitsValid() bool {
+	bm := r.MissBits
+	if len(bm) == 0 {
+		return r.RightPathMisses == 0
+	}
+	last := bm[len(bm)-1]
+	if last == 0 || int64(len(bm)-1)*64+int64(63-bits.LeadingZeros64(last)) >= r.RightPathAccesses {
+		return false
+	}
+	var n int64
+	for _, w := range bm {
+		n += int64(bits.OnesCount64(w))
+	}
+	return n == r.RightPathMisses
 }
 
 // TotalISPI returns the total penalty in issue slots lost per correct-path

@@ -97,7 +97,9 @@ func diffCompare(t *testing.T, cfg Config, bench *synth.Bench, seed uint64,
 // TestStepModeDifferentialMatrix covers every policy x every stock profile x
 // both paper miss penalties, with no probe attached — this is the only arm
 // that exercises the bulk plain-issue fast path, which a probe disables.
-// The skip side reuses one arena per profile across all its cells.
+// The 5-cycle cells record their miss bitmaps, so the two cores' MissBits
+// are compared too. The skip side reuses one arena per profile across all
+// its cells.
 func TestStepModeDifferentialMatrix(t *testing.T) {
 	t.Parallel()
 	profiles := synth.Profiles()
@@ -115,6 +117,7 @@ func TestStepModeDifferentialMatrix(t *testing.T) {
 					cfg := DefaultConfig()
 					cfg.Policy = pol
 					cfg.MissPenalty = pen
+					cfg.RecordMisses = pen == 5
 					diffCompare(t, cfg, bench, p.Seed^0x5eed, arena, false, 0)
 				}
 			}

@@ -30,7 +30,7 @@ var fuzzBenches = sync.OnceValue(func() []*synth.Bench {
 	return bs
 })
 
-// fuzzConfig decodes a 46-bit knob word into a Config. Fields are consumed
+// fuzzConfig decodes a 47-bit knob word into a Config. Fields are consumed
 // in a fixed order so corpus entries stay interpretable; every decoded value
 // lands in (or is clamped to) its legal range, and Validate is still run on
 // the result as a belt-and-braces skip.
@@ -80,6 +80,7 @@ func fuzzConfig(bits uint64) Config {
 	} else {
 		take(10)
 	}
+	cfg.RecordMisses = take(1) == 1
 	return cfg
 }
 
@@ -97,6 +98,7 @@ func FuzzStepModeEquivalence(f *testing.F) {
 	f.Add(uint64(0xfedc_ba98_7654_3210), uint64(8), uint8(9))  // dense mixed
 	f.Add(uint64(0xaaaa_aaaa_aaaa_aaaa), uint64(9), uint8(11)) // alternating
 	f.Add(uint64(0x5555_5555_5555_5555), uint64(10), uint8(12))
+	f.Add(uint64(1)<<46, uint64(11), uint8(7)) // baseline recording its miss bitmap
 
 	f.Fuzz(func(t *testing.T, bits, seed uint64, profileIdx uint8) {
 		cfg := fuzzConfig(bits)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -22,9 +23,13 @@ import (
 
 // fakeResult derives a deterministic JobResult from a spec, standing in
 // for a real simulation in protocol tests. A capturing spec gets a
-// two-window series that tiles the run.
+// two-window series that tiles the run, and a spec that records misses
+// gets the fixture's miss bitmap.
 func fakeResult(spec JobSpec) JobResult {
 	res := fixtureBatchResult().Results[0].Result
+	if spec.Config.RecordMisses {
+		res = missBitsResult().Result
+	}
 	res.Insts = spec.Insts
 	res.Cycles = core.Cycles(int64(spec.Seed) + spec.Insts)
 	res.Lost[0] = core.Slots(spec.Seed)
@@ -41,7 +46,8 @@ func fakeResult(spec JobSpec) JobResult {
 
 func fakeRunner(spec JobSpec) (JobResult, error) { return fakeResult(spec), nil }
 
-// testJobs builds n valid window-capturing specs distinguished by seed.
+// testJobs builds n valid window-capturing, miss-recording specs
+// distinguished by seed.
 func testJobs(n int) []JobSpec {
 	jobs := make([]JobSpec, n)
 	for i := range jobs {
@@ -49,6 +55,7 @@ func testJobs(n int) []JobSpec {
 		jobs[i].Seed = uint64(1000 + i)
 		jobs[i].CaptureWindows = true
 		jobs[i].Config.SampleInterval = 50_000
+		jobs[i].Config.RecordMisses = true
 	}
 	return jobs
 }
@@ -144,7 +151,7 @@ func TestCoordinatorHappyPath(t *testing.T) {
 type flakyHandler struct {
 	inner http.Handler
 	bad   atomic.Int64
-	mode  string // "drop", "corrupt", "delay", "tamper", "windows"
+	mode  string // "drop", "corrupt", "delay", "tamper", "windows", "missbits"
 }
 
 func (f *flakyHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -184,17 +191,30 @@ func (f *flakyHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		// holds, but the series no longer sums to the run.
 		br.Results[0].WindowSeries[0].Lost[0] += 9
 		_ = json.NewEncoder(w).Encode(br)
+	case "missbits":
+		rec := httptest.NewRecorder()
+		f.inner.ServeHTTP(rec, r)
+		var br BatchResult
+		if err := json.Unmarshal(rec.Body.Bytes(), &br); err != nil || len(br.Results) == 0 {
+			w.WriteHeader(http.StatusInternalServerError)
+			return
+		}
+		// Flip one bit of the miss bitmap: the audit identity and the
+		// window series still hold, but the bitmap no longer counts the
+		// run's misses.
+		br.Results[0].Result.MissBits[0] ^= 1 << 1
+		_ = json.NewEncoder(w).Encode(br)
 	default:
 		panic("unknown mode " + f.mode)
 	}
 }
 
 // TestCoordinatorFaultInjection: a worker that drops, corrupts, delays, or
-// tampers with batches (their results or their window series) mid-sweep
-// never changes the reduced results — the batches are retried on the
-// healthy worker without any local fallback.
+// tampers with batches (their results, window series or miss bitmaps)
+// mid-sweep never changes the reduced results — the batches are retried on
+// the healthy worker without any local fallback.
 func TestCoordinatorFaultInjection(t *testing.T) {
-	for _, mode := range []string{"drop", "corrupt", "delay", "tamper", "windows"} {
+	for _, mode := range []string{"drop", "corrupt", "delay", "tamper", "windows", "missbits"} {
 		t.Run(mode, func(t *testing.T) {
 			// The healthy worker is slowed so the flaky one keeps pulling
 			// batches instead of watching the queue drain.
@@ -227,7 +247,7 @@ func TestCoordinatorFaultInjection(t *testing.T) {
 			if v := reg.Counter("specfetch_dispatch_retries_total", "").Value(); v < 1 {
 				t.Errorf("retries = %d, want >= 1", v)
 			}
-			if mode == "tamper" || mode == "windows" {
+			if mode == "tamper" || mode == "windows" || mode == "missbits" {
 				if v := reg.Counter("specfetch_dispatch_audit_rejects_total", "").Value(); v < 1 {
 					t.Errorf("audit rejects = %d, want >= 1", v)
 				}
@@ -424,6 +444,18 @@ func TestServerRejects(t *testing.T) {
 			t.Errorf("overflowing %s geometry: status %d job %d, want 422 job 0", name, code, eb.Job)
 		}
 	}
+
+	// A budget whose stream limit overflows is a permanent error too, not a
+	// zero-instruction result.
+	bad = fixtureBatch()
+	bad.Jobs[1].Insts = math.MaxInt64
+	raw, err = json.Marshal(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, eb := post(string(raw)); code != http.StatusUnprocessableEntity || eb.Job != 1 {
+		t.Errorf("overflowing budget: status %d job %d, want 422 job 1", code, eb.Job)
+	}
 }
 
 // counter reads one dispatch counter from a registry.
@@ -436,13 +468,14 @@ func counter(reg *obs.Registry, name string) int64 {
 // alone, while every failed batch is requeued and completes remotely.
 func TestCoordinatorLogCauses(t *testing.T) {
 	wantCause := map[string]cause{
-		"drop":    cause5xx,
-		"corrupt": causeCorrupt,
-		"delay":   causeNetwork,
-		"tamper":  causeTamper,
-		"windows": causeTamper,
+		"drop":     cause5xx,
+		"corrupt":  causeCorrupt,
+		"delay":    causeNetwork,
+		"tamper":   causeTamper,
+		"windows":  causeTamper,
+		"missbits": causeTamper,
 	}
-	for _, mode := range []string{"drop", "corrupt", "delay", "tamper", "windows"} {
+	for _, mode := range []string{"drop", "corrupt", "delay", "tamper", "windows", "missbits"} {
 		t.Run(mode, func(t *testing.T) {
 			healthy := newWorker(t, 5*time.Millisecond)
 			flaky := &flakyHandler{inner: NewServer(ServerOptions{Runner: fakeRunner}).Handler(), mode: mode}

@@ -19,6 +19,7 @@ import (
 	"specfetch/internal/core"
 	"specfetch/internal/obs"
 	"specfetch/internal/synth"
+	"specfetch/internal/trace"
 )
 
 // WireVersion is the protocol version stamped on every Batch and
@@ -28,27 +29,22 @@ import (
 const WireVersion = 1
 
 // WireConfig is a core.Config on the wire: its json tags are the encoding,
-// and the fields tagged "-" never cross. Probe and OnRightPathAccess are
-// functions, Chooser and Arena are in-process state, and MaxInsts travels as
-// JobSpec.Insts, the same per-sweep instruction budget the in-process
-// executor stamps onto every cell. Cells that carry a probe, an access
-// callback or a constructed chooser are not serializable and must run
-// in-process; FromConfig enforces that.
+// and the fields tagged "-" never cross. Probe, Chooser and Arena are
+// in-process state, and MaxInsts travels as JobSpec.Insts, the same
+// per-sweep instruction budget the in-process executor stamps onto every
+// cell. Cells that carry a probe or a constructed chooser are not
+// serializable and must run in-process; FromConfig enforces that.
 type WireConfig struct {
 	core.Config
 }
 
 // FromConfig wraps a core.Config for the wire, with MaxInsts and Arena
-// cleared. It fails when the config carries in-process-only state (a probe,
-// an access callback or a constructed chooser): such cells must not be
-// dispatched remotely, because the callbacks would silently not fire on the
-// worker.
+// cleared. It fails when the config carries in-process-only state (a probe
+// or a constructed chooser): such cells must not be dispatched remotely,
+// because the probe would silently not fire on the worker.
 func FromConfig(c core.Config) (WireConfig, error) {
 	if c.Probe != nil {
 		return WireConfig{}, fmt.Errorf("distsweep: config carries a Probe; not serializable")
-	}
-	if c.OnRightPathAccess != nil {
-		return WireConfig{}, fmt.Errorf("distsweep: config carries OnRightPathAccess; not serializable")
 	}
 	if c.Chooser != nil {
 		return WireConfig{}, fmt.Errorf("distsweep: config carries a constructed Chooser; " +
@@ -88,9 +84,9 @@ type JobSpec struct {
 }
 
 // Validate rejects specs a worker could not run: bad profiles, bad
-// configs, unknown predictor kinds, non-positive budgets. Workers validate
-// before running so malformed specs come back as permanent (4xx) errors
-// instead of burning retries.
+// configs, unknown predictor kinds, budgets that are not positive or whose
+// stream limit overflows. Workers validate before running so malformed
+// specs come back as permanent (4xx) errors instead of burning retries.
 func (s JobSpec) Validate() error {
 	if err := s.Profile.Validate(); err != nil {
 		return err
@@ -103,8 +99,8 @@ func (s JobSpec) Validate() error {
 	if _, err := bpred.ByName(s.Pred); err != nil {
 		return err
 	}
-	if s.Insts <= 0 {
-		return fmt.Errorf("distsweep: job has no instruction budget")
+	if _, err := trace.BudgetLimit(s.Insts); err != nil {
+		return fmt.Errorf("distsweep: %w", err)
 	}
 	if s.AuditSample < 0 {
 		return fmt.Errorf("distsweep: negative audit sample %d", s.AuditSample)
@@ -147,7 +143,9 @@ type Batch struct {
 // CaptureWindows, added to wire v1 additively (omitempty; absent decodes to
 // nil): the coordinator checks it against the Result (SelfConsistent), the
 // reducer hands it to the caller untouched, and specs that do not capture
-// windows encode exactly as before.
+// windows encode exactly as before. Result.MissBits is additive the same
+// way: only a spec whose config sets RecordMisses gets a bitmap back, and
+// SelfConsistent checks it against the Result's reference counts.
 type JobResult struct {
 	Result       core.Result        `json:"result"`
 	Audit        obs.AuditFinal     `json:"audit"`
@@ -155,13 +153,23 @@ type JobResult struct {
 }
 
 // SelfConsistent reports whether the result's own counters rebuild the
-// audit identity the worker claims to have verified and whether its window
-// series is the one a run of spec could have cut: absent unless the spec
-// captures windows, and otherwise a series that passes obs.CheckSeries,
-// tiles the run from instruction 0 to Result.Insts and Result.Cycles, and
-// sums to the run's lost slots and right-path accesses and misses.
+// audit identity the worker claims to have verified, whether its miss
+// bitmap is one a run of spec could have recorded (absent unless the spec
+// records misses, and otherwise valid by Result.MissBitsValid), and
+// whether its window series is the one a run of spec could have cut:
+// absent unless the spec captures windows, and otherwise a series that
+// passes obs.CheckSeries, tiles the run from instruction 0 to Result.Insts
+// and Result.Cycles, and sums to the run's lost slots and right-path
+// accesses and misses.
 func (r JobResult) SelfConsistent(spec JobSpec) bool {
 	if r.Result.AuditFinal() != r.Audit {
+		return false
+	}
+	if spec.Config.RecordMisses {
+		if !r.Result.MissBitsValid() {
+			return false
+		}
+	} else if len(r.Result.MissBits) > 0 {
 		return false
 	}
 	ws := r.WindowSeries

@@ -25,6 +25,7 @@ func addGoldenSeed(f *testing.F, name string) {
 func FuzzBatchDecode(f *testing.F) {
 	addGoldenSeed(f, "batch.golden.json")
 	f.Add([]byte(`{"version":1,"id":1,"jobs":[{"profile":{},"config":{},"seed":1,"insts":1}]}`))
+	f.Add([]byte(`{"version":1,"id":1,"jobs":[{"profile":{},"config":{},"seed":1,"insts":9223372036854775807}]}`))
 	f.Add([]byte(`{"version":1,"id":1,"jobs":[{"config":{"icache":{"SizeBytes":8192,` +
 		`"LineBytes":4294967296,"Assoc":4294967296}}}]}`))
 	f.Fuzz(func(t *testing.T, in []byte) {
@@ -53,11 +54,18 @@ func FuzzBatchDecode(f *testing.F) {
 
 // FuzzBatchResultDecode feeds arbitrary bytes to the coordinator's result
 // decode: the self-check it runs on every returned job must not panic,
-// whether or not the job captured windows.
+// whether or not the job captured windows or recorded misses.
 func FuzzBatchResultDecode(f *testing.F) {
 	addGoldenSeed(f, "batchresult.golden.json")
 	f.Add([]byte(`{"version":1,"id":1,"results":[{"result":{"Insts":5},"audit":{},` +
 		`"window_series":[{"index":0,"end_insts":5}]}]}`))
+	withBits, err := json.Marshal(BatchResult{Version: WireVersion, ID: 1, Results: []JobResult{missBitsResult()}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(withBits)
+	var record JobSpec
+	record.Config.RecordMisses = true
 	f.Fuzz(func(t *testing.T, in []byte) {
 		var br BatchResult
 		if err := json.Unmarshal(in, &br); err != nil {
@@ -66,6 +74,7 @@ func FuzzBatchResultDecode(f *testing.F) {
 		for _, r := range br.Results {
 			r.SelfConsistent(JobSpec{})
 			r.SelfConsistent(JobSpec{CaptureWindows: true})
+			r.SelfConsistent(record)
 		}
 	})
 }

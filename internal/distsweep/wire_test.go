@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -104,7 +106,7 @@ func fullConfig() WireConfig {
 		ICache:           cache.Config{SizeBytes: 8 * 1024, LineBytes: 32, Assoc: 1, VictimLines: 4},
 		NextLinePrefetch: true, TargetPrefetch: true, StreamDepth: 3,
 		PipelinedMemory: true, L2: &l2, L2Latency: 6, MSHRs: 2,
-		RASDepth: 8, FlushInterval: 200_000, SampleInterval: 5_000,
+		RASDepth: 8, FlushInterval: 200_000, RecordMisses: true, SampleInterval: 5_000,
 		StepMode:      core.StepReference,
 		AdaptStrategy: "phase:6", AdaptInterval: 20_000, AdaptSeed: 0xada9,
 	}}
@@ -326,6 +328,7 @@ func TestConfigRoundTrip(t *testing.T) {
 	cfg.MSHRs = 2
 	cfg.RASDepth = 16
 	cfg.FlushInterval = 50_000
+	cfg.RecordMisses = true
 	cfg.SampleInterval = 1_000
 	cfg.StepMode = core.StepReference
 	cfg.AdaptStrategy = "phase:6"
@@ -366,7 +369,7 @@ func TestConfigRoundTrip(t *testing.T) {
 // run remote cells at its zero value.
 func TestConfigWireTags(t *testing.T) {
 	inProcess := map[string]bool{
-		"MaxInsts": true, "OnRightPathAccess": true, "Probe": true, "Chooser": true, "Arena": true,
+		"MaxInsts": true, "Probe": true, "Chooser": true, "Arena": true,
 	}
 	typ := reflect.TypeOf(core.Config{})
 	for i := 0; i < typ.NumField(); i++ {
@@ -381,18 +384,13 @@ func TestConfigWireTags(t *testing.T) {
 	}
 }
 
-// TestFromConfigRejectsInProcessState: cells carrying callbacks must be
-// refused, not silently stripped.
+// TestFromConfigRejectsInProcessState: cells carrying a probe or a
+// constructed chooser must be refused, not silently stripped.
 func TestFromConfigRejectsInProcessState(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Probe = obs.NewEventRecorder(16)
 	if _, err := FromConfig(cfg); err == nil {
 		t.Error("FromConfig accepted a config with a Probe")
-	}
-	cfg = core.DefaultConfig()
-	cfg.OnRightPathAccess = func(int64, uint64, bool) {}
-	if _, err := FromConfig(cfg); err == nil {
-		t.Error("FromConfig accepted a config with OnRightPathAccess")
 	}
 	cfg = core.DefaultConfig()
 	cfg.Policy = core.Adaptive
@@ -418,6 +416,10 @@ func TestJobSpecValidate(t *testing.T) {
 	bad.Insts = 0
 	if err := bad.Validate(); err == nil {
 		t.Error("zero budget accepted")
+	}
+	bad.Insts = math.MaxInt64 // its stream limit overflows
+	if err := bad.Validate(); err == nil {
+		t.Error("overflowing budget accepted")
 	}
 	bad = good
 	bad.Pred = "perceptron"
@@ -505,6 +507,8 @@ func TestSelfConsistent(t *testing.T) {
 	if jr.SelfConsistent(spec) {
 		t.Error("window series on a non-capturing job accepted")
 	}
+	testSelfConsistentMissBits(t)
+
 	for name, tamper := range map[string]func(ws []obs.WindowRecord) []obs.WindowRecord{
 		"missing":     func([]obs.WindowRecord) []obs.WindowRecord { return nil },
 		"truncated":   func(ws []obs.WindowRecord) []obs.WindowRecord { return ws[:1] },
@@ -520,5 +524,68 @@ func TestSelfConsistent(t *testing.T) {
 		if bad.SelfConsistent(capture) {
 			t.Errorf("%s window series accepted", name)
 		}
+	}
+}
+
+// missBitsResult is the fixture result with a recorded miss bitmap: its 123
+// misses at every 500th of its 70,000 references.
+func missBitsResult() JobResult {
+	jr := fixtureBatchResult().Results[0]
+	for i := int64(0); i < jr.Result.RightPathMisses; i++ {
+		setBit(&jr.Result.MissBits, i*500)
+	}
+	return jr
+}
+
+func setBit(bm *[]uint64, i int64) {
+	for int64(len(*bm)) <= i/64 {
+		*bm = append(*bm, 0)
+	}
+	(*bm)[i/64] |= 1 << (i % 64)
+}
+
+// testSelfConsistentMissBits: a bitmap is accepted only on a spec that
+// records misses, and only when it is one the engine could have recorded.
+func testSelfConsistentMissBits(t *testing.T) {
+	spec := fixtureBatch().Jobs[0]
+	record := spec
+	record.Config.RecordMisses = true
+	jr := missBitsResult()
+	if !jr.SelfConsistent(record) {
+		t.Fatal("recorded miss bitmap rejected")
+	}
+	if jr.SelfConsistent(spec) {
+		t.Error("miss bitmap on a spec that does not record misses accepted")
+	}
+	noMiss := fixtureBatchResult().Results[0]
+	noMiss.Result.RightPathMisses = 0
+	noMiss.Audit = noMiss.Result.AuditFinal()
+	if !noMiss.SelfConsistent(record) {
+		t.Error("empty bitmap of a run without misses rejected")
+	}
+	last := (jr.Result.RightPathMisses - 1) * 500
+	for name, tamper := range map[string]func(bm []uint64) []uint64{
+		"missing": func([]uint64) []uint64 { return nil },
+		"flipped": func(bm []uint64) []uint64 { bm[3] ^= 1 << 9; return bm },
+		"past the references": func(bm []uint64) []uint64 {
+			bm[last/64] &^= 1 << (last % 64)
+			setBit(&bm, jr.Result.RightPathAccesses)
+			return bm
+		},
+		"trailing zero word": func(bm []uint64) []uint64 { return append(bm, 0) },
+	} {
+		bad := jr
+		bad.Result.MissBits = tamper(slices.Clone(jr.Result.MissBits))
+		if bad.SelfConsistent(record) {
+			t.Errorf("%s miss bitmap accepted", name)
+		}
+	}
+	// The last reference is still inside the run.
+	edge := jr
+	edge.Result.MissBits = slices.Clone(jr.Result.MissBits)
+	edge.Result.MissBits[last/64] &^= 1 << (last % 64)
+	setBit(&edge.Result.MissBits, jr.Result.RightPathAccesses-1)
+	if !edge.SelfConsistent(record) {
+		t.Error("miss on the last reference rejected")
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"specfetch/internal/distsweep"
 	"specfetch/internal/obs"
 	"specfetch/internal/synth"
+	"specfetch/internal/trace"
 )
 
 // Options selects what and how much to simulate.
@@ -44,9 +45,10 @@ type Options struct {
 	// Dispatch, when non-nil, is the coordinator of a sweepworker fleet:
 	// every work-list whose cells are all serializable is dispatched to it
 	// in batches over the distsweep protocol instead of running on the
-	// in-process pool. Work-lists with in-process-only state (probes,
-	// access callbacks, benches not rebuilt from their profile), and any
-	// batch the fleet cannot complete, run on the local executor.
+	// in-process pool. Work-lists with in-process-only state (probes, or
+	// benches not rebuilt from their profile, which among the builders
+	// only the layout ablation has), and any batch the fleet cannot
+	// complete, run on the local executor.
 	// Reduction order is unchanged, so rendered bytes are invariant in
 	// process count exactly as they are in worker count. One coordinator
 	// may serve many builders, so its retry/backoff/eviction state spans
@@ -155,6 +157,16 @@ func buildAll(opt Options) ([]*synth.Bench, error) {
 	return mapCells(opt, len(profs), func(_, i int) (*synth.Bench, error) {
 		return benchFor(profs[i])
 	})
+}
+
+// checkBudget rejects an instruction budget no run can honour: one that is
+// not positive, or whose stream limit overflows. Every builder meets it in
+// runCellsFull or benchRows, the two places a sweep walks streams.
+func checkBudget(insts int64) error {
+	if _, err := trace.BudgetLimit(insts); err != nil {
+		return fmt.Errorf("experiments: %w", err)
+	}
+	return nil
 }
 
 // builtBench is one bench memo entry, built once under its own sync.Once

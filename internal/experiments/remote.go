@@ -14,8 +14,9 @@ import (
 // renders the same bytes — as an in-process one.
 
 // specForCell converts one cell to its wire form. ok is false when the
-// cell carries in-process-only state (a probe or access callback) or its
-// bench is not the one its profile rebuilds, and must run locally.
+// cell carries in-process-only state (a probe) or its bench is not the one
+// its profile rebuilds (the layout ablation's reordered benches), and must
+// run locally.
 func specForCell(opt Options, c runCell) (distsweep.JobSpec, bool) {
 	if !c.bench.FromProfile() {
 		return distsweep.JobSpec{}, false
@@ -41,10 +42,10 @@ func specForCell(opt Options, c runCell) (distsweep.JobSpec, bool) {
 // runCellsRemote dispatches a work-list through the coordinator. ok is
 // false (and the caller runs everything in-process) when any cell is not
 // serializable — mixed dispatch would complicate reasoning for no gain,
-// since only probe-carrying sweeps, Table 4 and the layout ablation are
-// affected. Results come back keyed
-// by cell index, so the caller's serial canonical-order reduction is
-// untouched: remote bytes are in-process bytes.
+// since among the builders only the layout ablation is kept local.
+// Results come back keyed by cell index, so the caller's serial
+// canonical-order reduction is untouched: remote bytes are in-process
+// bytes.
 func runCellsRemote(opt Options, cells []runCell) ([]cellOut, bool, error) {
 	specs := make([]distsweep.JobSpec, len(cells))
 	for i, c := range cells {

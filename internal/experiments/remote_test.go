@@ -90,6 +90,30 @@ func TestRemoteAblationAndCharacterize(t *testing.T) {
 	}
 }
 
+// TestRemoteTable4: Table 4's classification arms are ordinary cells, so
+// the table dispatches to a fleet and renders the in-process bytes.
+func TestRemoteTable4(t *testing.T) {
+	base := Options{Insts: 50_000, Benchmarks: []string{"gcc", "groff"}}
+	local := base
+	local.Workers = 1
+	want, err := Table4(local)
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote := base
+	remote.Dispatch = distsweep.New(distsweep.CoordinatorOptions{Workers: startWorkers(t, 1)})
+	got, err := Table4(remote)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Errorf("remote Table 4 renders differently from the local one\ngot:\n%s\nwant:\n%s", got, want)
+	}
+	if s := remote.Dispatch.Status(); s.RemoteBatches < 1 || s.LocalBatches != 0 {
+		t.Errorf("remote/local batches = %d/%d, want every batch remote", s.RemoteBatches, s.LocalBatches)
+	}
+}
+
 // TestRemoteFallsBackForInProcessState: a sweep whose cells carry a probe
 // cannot be serialized and must silently run in-process even with a fleet
 // configured — asserted by pointing Dispatch at a dead server and checking
@@ -106,9 +130,9 @@ func TestRemoteFallsBackForInProcessState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var fired atomic.Int64
+	probe := obs.NewEventRecorder(16)
 	cfg := baseConfig(core.Oracle)
-	cfg.OnRightPathAccess = func(int64, uint64, bool) { fired.Add(1) }
+	cfg.Probe = probe
 
 	opt := Options{Insts: 20_000, Workers: 1}
 	opt.Dispatch = distsweep.New(distsweep.CoordinatorOptions{
@@ -120,8 +144,8 @@ func TestRemoteFallsBackForInProcessState(t *testing.T) {
 	if _, err := runCells(opt, cells); err != nil {
 		t.Fatalf("probe-carrying sweep failed: %v", err)
 	}
-	if fired.Load() == 0 {
-		t.Error("access callback never fired; the cell did not run in-process")
+	if probe.Total() == 0 {
+		t.Error("probe never fired; the cell did not run in-process")
 	}
 	if len(opt.Dispatch.Alive()) != 1 {
 		t.Error("dead worker was probed (and evicted) for a non-serializable sweep")

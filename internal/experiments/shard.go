@@ -137,10 +137,13 @@ func mapCells[T any](opt Options, n int, fn func(worker, i int) (T, error)) ([]T
 
 // benchRows evaluates fn once per benchmark on the pool, preserving bench
 // order: the per-bench work that is not a simulation (trace scans, the
-// layout ablation's profiling walks). Simulations go through runCells,
-// never from inside fn. Each row is wrapped in one host span
-// ("<bench>/row").
+// layout ablation's profiling walks), which walks opt.Insts instructions
+// once checkBudget accepts them. Simulations go through runCells, never
+// from inside fn. Each row is wrapped in one host span ("<bench>/row").
 func benchRows[T any](opt Options, benches []*synth.Bench, fn func(b *synth.Bench) (T, error)) ([]T, error) {
+	if err := checkBudget(opt.Insts); err != nil {
+		return nil, err
+	}
 	return mapCells(opt, len(benches), func(w, i int) (T, error) {
 		sp := spanStart(opt, benches[i].Profile().Name+"/row", w)
 		v, err := fn(benches[i])
@@ -206,6 +209,9 @@ func runCells(opt Options, cells []runCell) ([]core.Result, error) {
 // cell's config, so a local or remote cell runs the mode this sweep
 // resolved, never a worker's environment default.
 func runCellsFull(opt Options, cells []runCell) ([]cellOut, error) {
+	if err := checkBudget(opt.Insts); err != nil {
+		return nil, err
+	}
 	mode := opt.stepMode()
 	cells = slices.Clone(cells)
 	for i := range cells {

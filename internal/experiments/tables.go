@@ -93,19 +93,17 @@ type Table4Row struct {
 
 // Table4Data classifies misses for every selected benchmark on the baseline
 // machine (8K, 5-cycle penalty, depth 4, no prefetch): one flat work-list of
-// each bench's Oracle and Optimistic arms, cells 2i and 2i+1 for benches[i].
+// each bench's Oracle and Optimistic arms, cells 2i and 2i+1 for benches[i],
+// whose recorded miss bitmaps classify.Categorize matches.
 func Table4Data(opt Options) ([]Table4Row, error) {
 	benches, err := buildAll(opt)
 	if err != nil {
 		return nil, err
 	}
-	arms := make([]*classify.Arm, 0, 2*len(benches))
 	cells := make([]runCell, 0, 2*len(benches))
 	for _, b := range benches {
 		for _, pol := range []core.Policy{core.Oracle, core.Optimistic} {
-			cfg, arm := classify.NewArm(baseConfig(core.Oracle), pol)
-			arms = append(arms, arm)
-			cells = append(cells, newCell(b, cfg))
+			cells = append(cells, newCell(b, classify.ArmConfig(baseConfig(core.Oracle), pol)))
 		}
 	}
 	results, err := runCells(opt, cells)
@@ -114,7 +112,7 @@ func Table4Data(opt Options) ([]Table4Row, error) {
 	}
 	rows := make([]Table4Row, len(benches))
 	for i, b := range benches {
-		cat, err := classify.Categorize(arms[2*i], results[2*i], arms[2*i+1], results[2*i+1])
+		cat, err := classify.Categorize(results[2*i], results[2*i+1])
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", b.Profile().Name, err)
 		}

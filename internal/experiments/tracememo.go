@@ -183,9 +183,11 @@ func (r *replayReader) Next() (trace.Record, error) {
 func (r *replayReader) PreValidatedTrace() bool { return r.s.valid }
 
 // traceLimit is the stream length simulateCell feeds an engine with an
-// instruction budget of insts: headroom for the wrong-path consistency
-// checks at the final records, same as a direct walker run.
-func traceLimit(insts int64) int64 { return insts + insts/4 }
+// instruction budget of insts, which checkBudget has accepted.
+func traceLimit(insts int64) int64 {
+	limit, _ := trace.BudgetLimit(insts)
+	return limit
+}
 
 // cellCache is the one reuse path of both executors: the in-process pool
 // builds one per work-list and a sweep worker's JobRunner keeps one for its

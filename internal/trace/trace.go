@@ -211,6 +211,22 @@ func Scan(r Reader) (Stats, error) {
 	}
 }
 
+// BudgetLimit returns the stream limit for a run whose correct-path budget
+// is insts instructions: the budget plus a quarter, headroom for the
+// wrong-path consistency checks at the final records. It fails when insts
+// is not positive or the limit overflows an int64, since no run can honour
+// such a budget.
+func BudgetLimit(insts int64) (int64, error) {
+	if insts <= 0 {
+		return 0, fmt.Errorf("trace: instruction budget %d not positive", insts)
+	}
+	limit := insts + insts/4
+	if limit < insts {
+		return 0, fmt.Errorf("trace: instruction budget %d overflows its stream limit", insts)
+	}
+	return limit, nil
+}
+
 // LimitReader truncates an underlying reader after approximately maxInsts
 // instructions (it never splits a record).
 type LimitReader struct {

@@ -3,6 +3,7 @@ package trace
 import (
 	"errors"
 	"io"
+	"math"
 	"testing"
 
 	"specfetch/internal/isa"
@@ -132,5 +133,28 @@ func TestLimitReader(t *testing.T) {
 	// one in flight.
 	if st.Insts != 40 {
 		t.Errorf("limited insts = %d, want 40", st.Insts)
+	}
+}
+
+// TestBudgetLimit: a budget gets a quarter of headroom, and a budget that
+// is not positive or whose limit overflows an int64 is refused.
+func TestBudgetLimit(t *testing.T) {
+	const fits = math.MaxInt64/5*4 + 2 // its limit is exactly MaxInt64
+	for _, tc := range []struct {
+		insts, want int64
+		ok          bool
+	}{
+		{1, 1, true},
+		{400_000, 500_000, true},
+		{fits, math.MaxInt64, true},
+		{0, 0, false},
+		{-4, 0, false},
+		{fits + 1, 0, false},
+		{math.MaxInt64, 0, false},
+	} {
+		got, err := BudgetLimit(tc.insts)
+		if (err == nil) != tc.ok || got != tc.want {
+			t.Errorf("BudgetLimit(%d) = %d, %v; want %d, ok %v", tc.insts, got, err, tc.want, tc.ok)
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"reflect"
 	"testing"
 
 	"specfetch"
@@ -37,7 +38,7 @@ func TestObservedRunMatchesResult(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if res != base {
+	if !reflect.DeepEqual(res, base) {
 		t.Errorf("probed run diverged from base run:\nprobed %+v\n  base %+v", res, base)
 	}
 

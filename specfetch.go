@@ -320,10 +320,15 @@ func BuildBenchmark(p Profile) (*Bench, error) { return synth.Build(p) }
 // RunBenchmark simulates cfg over a synthetic benchmark for the given
 // correct-path instruction budget, using a fresh baseline predictor. The
 // stream seed selects the dynamic trace; reusing a seed replays the same
-// trace.
+// trace. A budget that is not positive, or whose stream limit overflows, is
+// an error.
 func RunBenchmark(b *Bench, cfg Config, insts int64, streamSeed uint64) (Result, error) {
+	limit, err := trace.BudgetLimit(insts)
+	if err != nil {
+		return Result{}, err
+	}
 	cfg.MaxInsts = insts
-	return core.Run(cfg, b.Image(), b.NewReader(streamSeed, insts+insts/4), NewPredictor())
+	return core.Run(cfg, b.Image(), b.NewReader(streamSeed, limit), NewPredictor())
 }
 
 // MissCategories is the paper's Table 4 classification of I-cache misses
@@ -332,11 +337,16 @@ type MissCategories = classify.Categories
 
 // ClassifyMisses runs Oracle and Optimistic over the same benchmark trace
 // and partitions correct-path misses into Both Miss / Spec Pollute /
-// Spec Prefetch / Wrong Path, plus the traffic ratio.
+// Spec Prefetch / Wrong Path, plus the traffic ratio. The budget is checked
+// as RunBenchmark checks it.
 func ClassifyMisses(b *Bench, cfg Config, insts int64, streamSeed uint64) (MissCategories, error) {
+	limit, err := trace.BudgetLimit(insts)
+	if err != nil {
+		return MissCategories{}, err
+	}
 	cfg.MaxInsts = insts
 	return classify.Run(cfg, b.Image(),
-		func() TraceReader { return b.NewReader(streamSeed, insts+insts/4) },
+		func() TraceReader { return b.NewReader(streamSeed, limit) },
 		func() Predictor { return NewPredictor() })
 }
 

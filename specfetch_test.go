@@ -3,6 +3,8 @@ package specfetch_test
 import (
 	"bytes"
 	"io"
+	"math"
+	"reflect"
 	"testing"
 
 	"specfetch"
@@ -89,7 +91,7 @@ func TestAdaptiveFacade(t *testing.T) {
 		t.Errorf("pinned chooser switched %d times", got.PolicySwitches)
 	}
 	got.Policy = want.Policy // the echoed policy is the one legitimate difference
-	if got != want {
+	if !reflect.DeepEqual(got, want) {
 		t.Errorf("adaptive pinned to resume differs from static resume:\n%+v\n%+v", got, want)
 	}
 
@@ -113,7 +115,7 @@ func TestAdaptiveFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a != b {
+	if !reflect.DeepEqual(a, b) {
 		t.Errorf("adaptive runs with identical choosers differ:\n%+v\n%+v", a, b)
 	}
 }
@@ -142,6 +144,15 @@ func TestClassifyMissesAPI(t *testing.T) {
 	}
 	if cat.Insts < 100_000 || cat.BothMiss < 0 {
 		t.Errorf("categories: %+v", cat)
+	}
+	// A budget no run can honour is an error, not a zero-instruction run.
+	for _, insts := range []int64{0, math.MaxInt64} {
+		if _, err := specfetch.RunBenchmark(bench, specfetch.DefaultConfig(), insts, 1); err == nil {
+			t.Errorf("RunBenchmark accepted the budget %d", insts)
+		}
+		if _, err := specfetch.ClassifyMisses(bench, specfetch.DefaultConfig(), insts, 1); err == nil {
+			t.Errorf("ClassifyMisses accepted the budget %d", insts)
+		}
 	}
 }
 
@@ -184,7 +195,7 @@ func TestDeterministicResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a != b {
+	if !reflect.DeepEqual(a, b) {
 		t.Errorf("results differ:\n%+v\n%+v", a, b)
 	}
 }
