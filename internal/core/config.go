@@ -155,12 +155,14 @@ type Config struct {
 	// distsweep wire (workers rebuild one from AdaptStrategy), and a
 	// Chooser must not serve two concurrent engines. Required when
 	// Policy is Adaptive and the engine is built directly; the experiments
-	// executor constructs one from AdaptStrategy when it is nil.
+	// executor, whose cells may not carry one, constructs it from
+	// AdaptStrategy.
 	Chooser Chooser `json:"-"`
 
 	// Arena, when non-nil, supplies reusable per-run storage (queues, line
 	// buffers, cache arrays) so back-to-back runs allocate nothing in the
-	// steady state. In-process-only, like Probe: it never crosses the
+	// steady state; nil borrows a fresh one for the run. In-process-only,
+	// like Probe: it never crosses the
 	// distsweep wire, and one Arena must not serve two concurrent engines.
 	// Reuse is behaviour-neutral; results are bit-identical either way.
 	Arena *Arena `json:"-"`

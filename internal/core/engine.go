@@ -182,6 +182,9 @@ func NewEngine(cfg Config, img *program.Image, rd trace.Reader, pred bpred.Predi
 	if pred == nil {
 		return nil, errors.New("core: nil predictor")
 	}
+	if cfg.Arena == nil {
+		cfg.Arena = NewArena() // an empty arena allocates everything fresh
+	}
 	e := &Engine{
 		cfg:  cfg,
 		img:  img,
@@ -211,25 +214,8 @@ func NewEngine(cfg Config, img *program.Image, rd trace.Reader, pred bpred.Predi
 	if cfg.MSHRs > 0 {
 		nbuf = cfg.MSHRs
 	}
-	if cfg.Arena != nil {
-		if err := cfg.Arena.acquire(e, nbuf); err != nil {
-			return nil, err
-		}
-	} else {
-		ic, err := cache.New(cfg.ICache)
-		if err != nil {
-			return nil, err
-		}
-		e.ic = ic
-		if cfg.L2 != nil {
-			l2, err := cache.New(*cfg.L2)
-			if err != nil {
-				return nil, err
-			}
-			e.l2 = l2
-		}
-		e.resumeBufs = make([]cache.LineBuffer, nbuf)
-		e.prefBufs = make([]cache.LineBuffer, nbuf)
+	if err := cfg.Arena.acquire(e, nbuf); err != nil {
+		return nil, err
 	}
 	if cfg.Probe != nil {
 		if s, ok := cfg.Probe.(obs.Sampler); ok && cfg.SampleInterval > 0 {
@@ -254,11 +240,7 @@ func NewEngine(cfg Config, img *program.Image, rd trace.Reader, pred bpred.Predi
 		e.wMask = w - 1
 	}
 	if e.fastIssue && cfg.ICache.Assoc == 1 {
-		if cfg.Arena != nil {
-			e.plainMemo = cfg.Arena.takeMemo(e.ic, cfg.FetchWidth)
-		} else {
-			e.plainMemo = make([]plainBulkMemo, 1<<plainMemoBits)
-		}
+		e.plainMemo = cfg.Arena.takeMemo(e.ic, cfg.FetchWidth)
 	}
 	return e, nil
 }
@@ -275,11 +257,9 @@ func Run(cfg Config, img *program.Image, rd trace.Reader, pred bpred.Predictor) 
 
 // Run drives the simulation loop.
 func (e *Engine) Run() (Result, error) {
-	if e.cfg.Arena != nil {
-		// The borrowed storage goes back to the arena (with whatever
-		// capacity this run grew) on every exit path.
-		defer e.cfg.Arena.release(e)
-	}
+	// The borrowed storage goes back to the arena (with whatever capacity
+	// this run grew) on every exit path.
+	defer e.cfg.Arena.release(e)
 	e.loadRecord()
 	clean := true
 	if e.fastIssue {

@@ -6,8 +6,8 @@
 //
 // The package deliberately knows nothing about internal/experiments: it
 // ships JobSpecs and runs them through a pluggable Runner, and the
-// experiments package supplies both the spec conversion (cells → specs) and
-// the Runner (specs → simulate). That keeps the dependency arrow pointing
+// experiments package supplies both the specs (a sweep cell's recipe is its
+// JobSpec) and the Runner (specs → simulate). That keeps the dependency arrow pointing
 // one way — experiments imports distsweep, never the reverse.
 package distsweep
 
@@ -32,8 +32,8 @@ const WireVersion = 1
 // and the fields tagged "-" never cross. Probe, Chooser and Arena are
 // in-process state, and MaxInsts travels as JobSpec.Insts, the same
 // per-sweep instruction budget the in-process executor stamps onto every
-// cell. Cells that carry a probe or a constructed chooser are not
-// serializable and must run in-process; FromConfig enforces that.
+// cell. JobSpec.Validate refuses a config that carries a probe, a
+// constructed chooser or an arena.
 type WireConfig struct {
 	core.Config
 }
@@ -84,10 +84,16 @@ type JobSpec struct {
 }
 
 // Validate rejects specs a worker could not run: bad profiles, bad
-// configs, unknown predictor kinds, budgets that are not positive or whose
+// configs, configs carrying in-process state (a Probe, a Chooser or an
+// Arena), unknown predictor kinds, budgets that are not positive or whose
 // stream limit overflows. Workers validate before running so malformed
-// specs come back as permanent (4xx) errors instead of burning retries.
+// specs come back as permanent (4xx) errors instead of burning retries;
+// the in-process executor validates the same specs before any cell runs,
+// so a spec fails alike in either place.
 func (s JobSpec) Validate() error {
+	if s.Config.Probe != nil || s.Config.Chooser != nil || s.Config.Arena != nil {
+		return fmt.Errorf("distsweep: config carries in-process state (probe, chooser or arena)")
+	}
 	if err := s.Profile.Validate(); err != nil {
 		return err
 	}

@@ -476,6 +476,23 @@ func TestJobSpecValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("strategy on a static-policy spec accepted")
 	}
+
+	// In-process state never rides in a spec, so no cell can hold it.
+	bad = good
+	bad.Config.Probe = obs.NewEventRecorder(16)
+	if err := bad.Validate(); err == nil {
+		t.Error("spec carrying a Probe accepted")
+	}
+	bad = good
+	bad.Config.Arena = core.NewArena()
+	if err := bad.Validate(); err == nil {
+		t.Error("spec carrying an Arena accepted")
+	}
+	bad = adapt
+	bad.Config.Chooser, _ = adaptive.New(adapt.Config.AdaptStrategy, 0)
+	if err := bad.Validate(); err == nil {
+		t.Error("spec carrying a constructed Chooser accepted")
+	}
 }
 
 // TestSelfConsistent: tampering with any audited counter, or with the window

@@ -136,7 +136,7 @@ func AblationBTBCoupling(opt Options) (*texttable.Table, error) {
 		var cells []runCell
 		for _, kind := range bpred.Kinds() {
 			cell := newCell(b, baseConfig(core.Oracle))
-			cell.pred = kind
+			cell.spec.Pred = kind
 			cells = append(cells, cell)
 		}
 		return cells

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"specfetch/internal/adaptive"
 	"specfetch/internal/core"
 	"specfetch/internal/texttable"
 )
@@ -46,14 +45,16 @@ type AdaptiveData struct {
 // same settings. Cells go through the standard executor and shard across
 // the pool and the distsweep fleet; the chooser itself never leaves the
 // worker that runs the cell (it is rebuilt there from the strategy name),
-// which is what keeps remote runs byte-identical to local ones. No
+// which is what keeps remote runs byte-identical to local ones. An unknown
+// strategy fails the spec validation every cell meets before any cell
+// runs, and a negative interval fails before any bench is built. No
 // strategy reads seed; it stays only because perfbench compiles against
 // this signature.
 func AdaptiveStudyData(opt Options, strategy string, seed uint64, interval int64, penalties []int) (*AdaptiveData, error) {
-	if _, err := adaptive.New(strategy, 0); err != nil {
-		return nil, err // fail before burning a sweep on an unknown name
+	interval, penalties, err := resolveOracle(interval, penalties)
+	if err != nil {
+		return nil, err
 	}
-	interval, penalties = resolveOracle(interval, penalties)
 	benches, err := buildAll(opt)
 	if err != nil {
 		return nil, err

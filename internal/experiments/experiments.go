@@ -26,7 +26,9 @@ type Options struct {
 	// AuditSample, when positive, attaches a sampled obs.AuditProbe to every
 	// simulation in the sweep (SampleEvery = AuditSample; 1 audits every
 	// region). Stream violations panic with a cycle-stamped *obs.AuditError,
-	// and each run's final accounting identities are verified.
+	// and each run's final accounting identities are verified. Like Insts
+	// it is written into every cell's JobSpec, so a negative rate fails
+	// that spec's validation before any cell runs, in process or remote.
 	AuditSample int
 	// Progress, if non-nil, receives a one-line message after each completed
 	// simulation. Runs execute on worker goroutines, so it may be called
@@ -43,12 +45,13 @@ type Options struct {
 	// harness in shard_test.go).
 	Spans *obs.SpanTracer
 	// Dispatch, when non-nil, is the coordinator of a sweepworker fleet:
-	// every work-list whose cells are all serializable is dispatched to it
-	// in batches over the distsweep protocol instead of running on the
-	// in-process pool. Work-lists with in-process-only state (probes, or
-	// benches not rebuilt from their profile, which among the builders
-	// only the layout ablation has), and any batch the fleet cannot
-	// complete, run on the local executor.
+	// every work-list whose benches are all rebuilt from their profiles is
+	// dispatched to it in batches over the distsweep protocol instead of
+	// running on the in-process pool. A cell is its JobSpec, so no cell
+	// holds in-process state; work-lists with a bench its profile does not
+	// rebuild (among the builders only the layout ablation's reordered
+	// benches), and any batch the fleet cannot complete, run on the local
+	// executor.
 	// Reduction order is unchanged, so rendered bytes are invariant in
 	// process count exactly as they are in worker count. One coordinator
 	// may serve many builders, so its retry/backoff/eviction state spans
@@ -160,8 +163,9 @@ func buildAll(opt Options) ([]*synth.Bench, error) {
 }
 
 // checkBudget rejects an instruction budget no run can honour: one that is
-// not positive, or whose stream limit overflows. Every builder meets it in
-// runCellsFull or benchRows, the two places a sweep walks streams.
+// not positive, or whose stream limit overflows. benchRows, whose walks are
+// not simulations, meets it here; simulation cells meet the same rule in
+// JobSpec.Validate, which runCellsFull calls on every spec.
 func checkBudget(insts int64) error {
 	if _, err := trace.BudgetLimit(insts); err != nil {
 		return fmt.Errorf("experiments: %w", err)

@@ -31,8 +31,7 @@ func freshJobResult(t *testing.T, spec distsweep.JobSpec) distsweep.JobResult {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cell, opt := specCell(spec, b)
-	res, wins, err := simulateCell(cell, opt, nil, nil)
+	res, wins, err := simulateCell(runCell{b, spec}, Options{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +221,7 @@ func TestPoolReuseAllocs(t *testing.T) {
 	run(cells)() // warm the allocator's size classes
 	first := allocated(run(cells[:1]))
 	all := allocated(run(cells))
-	limit := allocated(func() { runtime.KeepAlive(cache.MustNew(cells[0].cfg.ICache)) })
+	limit := allocated(func() { runtime.KeepAlive(cache.MustNew(cells[0].spec.Config.ICache)) })
 	t.Logf("%d cells allocated %d bytes, the first alone %d; one cache build allocates %d", n, all, first, limit)
 	if all-first >= (n-1)*limit {
 		t.Errorf("%d cells after the first allocated %d bytes, want less than %d cache builds (%d bytes)",

@@ -159,12 +159,16 @@ func (r OracleRow) Switches() int {
 
 // OracleSelectorData runs the study: every selected benchmark under every
 // policy at every swept penalty, seed-locked on the shared stream, windows
-// captured at the given width (0 means DefaultOracleInterval). Cells go
+// captured at the given width (0 means DefaultOracleInterval; a negative
+// width is an error). Cells go
 // through the standard executor, so the study shards across the pool and
 // the distsweep fleet like any other table and renders identical bytes at
 // every worker and process count.
 func OracleSelectorData(opt Options, interval int64, penalties []int) (*OracleData, error) {
-	interval, penalties = resolveOracle(interval, penalties)
+	interval, penalties, err := resolveOracle(interval, penalties)
+	if err != nil {
+		return nil, err
+	}
 	benches, err := buildAll(opt)
 	if err != nil {
 		return nil, err
@@ -189,16 +193,20 @@ func OracleSelectorData(opt Options, interval int64, penalties []int) (*OracleDa
 	return d, nil
 }
 
-// resolveOracle applies the study's defaults: a non-positive interval means
-// DefaultOracleInterval and no penalties mean DefaultOraclePenalties.
-func resolveOracle(interval int64, penalties []int) (int64, []int) {
-	if interval <= 0 {
+// resolveOracle applies the study's defaults: a zero interval means
+// DefaultOracleInterval and no penalties mean DefaultOraclePenalties. A
+// negative interval is an error, not a request for the default.
+func resolveOracle(interval int64, penalties []int) (int64, []int, error) {
+	if interval < 0 {
+		return 0, nil, fmt.Errorf("experiments: negative window interval %d", interval)
+	}
+	if interval == 0 {
 		interval = DefaultOracleInterval
 	}
 	if len(penalties) == 0 {
 		penalties = DefaultOraclePenalties
 	}
-	return interval, penalties
+	return interval, penalties, nil
 }
 
 // oracleCells lists one bench's oracle cells, penalty-major: every policy
@@ -212,7 +220,7 @@ func oracleCells(opt Options, b *synth.Bench, interval int64, penalties []int) [
 			cfg.FlushInterval = opt.FlushInterval
 			cfg.SampleInterval = interval
 			c := newCell(b, cfg)
-			c.capture = true
+			c.spec.CaptureWindows = true
 			cells = append(cells, c)
 		}
 	}
@@ -360,6 +368,12 @@ func ReadOracleJSONL(r io.Reader) (*OracleData, error) {
 		}
 		if l.V != intervalLineVersion {
 			return nil, fmt.Errorf("intervals jsonl line %d: schema v%d, want v%d", line, l.V, intervalLineVersion)
+		}
+		if !l.Policy.IsStatic() {
+			return nil, fmt.Errorf("intervals jsonl line %d: %v is not a static policy", line, l.Policy)
+		}
+		if l.Interval <= 0 {
+			return nil, fmt.Errorf("intervals jsonl line %d: interval %d is not positive", line, l.Interval)
 		}
 		if d.Interval == 0 {
 			d.Interval = l.Interval

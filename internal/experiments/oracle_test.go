@@ -175,9 +175,9 @@ func TestOracleLayerDisabledNeutral(t *testing.T) {
 	sampled := slices.Clone(cells)
 	capturing := slices.Clone(cells)
 	for i := range cells {
-		sampled[i].cfg.SampleInterval = oracleTestInterval
-		capturing[i].cfg.SampleInterval = oracleTestInterval
-		capturing[i].capture = true
+		sampled[i].spec.Config.SampleInterval = oracleTestInterval
+		capturing[i].spec.Config.SampleInterval = oracleTestInterval
+		capturing[i].spec.CaptureWindows = true
 	}
 	for name, cs := range map[string][]runCell{"sampled": sampled, "capturing": capturing} {
 		full, err := runCellsFull(opt, cs)
@@ -207,9 +207,22 @@ func TestOracleLayerDisabledNeutral(t *testing.T) {
 	// Capture without an interval is a loud error, not a silent
 	// no-window sweep.
 	bad := cells[0]
-	bad.capture = true
+	bad.spec.CaptureWindows = true
 	if _, err := runCellsFull(opt, []runCell{bad}); err == nil {
 		t.Error("window capture without SampleInterval accepted")
+	}
+}
+
+// TestStudiesRejectNegativeInterval: only a zero window width means the
+// default; a negative one is an error from both interval studies, not a
+// silent 10000-instruction window.
+func TestStudiesRejectNegativeInterval(t *testing.T) {
+	opt := oracleOpt()
+	if d, err := OracleSelectorData(opt, -5, nil); err == nil {
+		t.Errorf("oracle study accepted interval -5 (window = %d)", d.Interval)
+	}
+	if d, err := AdaptiveStudyData(opt, "phase:6", 0, -5, nil); err == nil {
+		t.Errorf("adaptive study accepted interval -5 (window = %d)", d.Interval)
 	}
 }
 
@@ -249,6 +262,65 @@ func TestReadOracleJSONLRejectsMalformedWindows(t *testing.T) {
 	}
 }
 
+// oracleJSONLine is one well-formed intervals JSONL line: a single
+// 100-instruction window for gcc at 5c under policy pol.
+func oracleJSONLine(pol int, interval int64) string {
+	return fmt.Sprintf(`{"v":1,"bench":"gcc","penalty":5,"policy":%d,"interval":%d,"windows":[`+
+		`{"index":0,"start_insts":0,"end_insts":100,"start_cycle":0,"end_cycle":40,"lost":[%d,0,0,0,0,0],"accesses":3,"misses":1,"bus_transfers":1,"bus_busy":5}]}`+"\n",
+		pol, interval, 10+pol)
+}
+
+// badOracleJSONL lists inputs whose every window is well formed but whose
+// records are not, each with the line the reader must reject.
+func badOracleJSONL() []badJSONL {
+	lines := func(intervals ...int64) string {
+		var b strings.Builder
+		for pol, iv := range intervals {
+			b.WriteString(oracleJSONLine(pol, iv))
+		}
+		return b.String()
+	}
+	valid := lines(2500, 2500, 2500, 2500, 2500)
+	return []badJSONL{
+		{"adaptive policy", valid + oracleJSONLine(5, 2500), 6},
+		{"unknown policy", valid + oracleJSONLine(99, 2500), 6},
+		{"negative interval", lines(-5, -5, -5, -5, -5), 1},
+		{"zero then 2500", lines(0, 2500, 2500, 2500, 2500), 1},
+	}
+}
+
+// badJSONL is one rejected intervals input and the line it fails at.
+type badJSONL struct {
+	name string
+	in   string
+	line int
+}
+
+// TestReadOracleJSONLRejectsBadRecords: a line whose policy is not one of
+// the five static ones (once silently dropped), a non-positive interval
+// (once rendered as "window = -5 insts"), and a first line at interval 0
+// (once skipping the mixed-interval check) are each rejected with the
+// offending line's number.
+func TestReadOracleJSONLRejectsBadRecords(t *testing.T) {
+	var good strings.Builder
+	for pol := 0; pol < 5; pol++ {
+		good.WriteString(oracleJSONLine(pol, 2500))
+	}
+	if _, err := ReadOracleJSONL(strings.NewReader(good.String())); err != nil {
+		t.Fatalf("well-formed input rejected: %v", err)
+	}
+	for _, c := range badOracleJSONL() {
+		d, err := ReadOracleJSONL(strings.NewReader(c.in))
+		if err == nil {
+			t.Errorf("%s: accepted:\n%s", c.name, d.CrossoverTable().String())
+			continue
+		}
+		if want := fmt.Sprintf("line %d:", c.line); !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %q does not name %q", c.name, err, want)
+		}
+	}
+}
+
 // FuzzReadOracleJSONL: the reader never panics, and any input it accepts
 // re-renders — report and JSONL — identically after a JSONL round trip.
 func FuzzReadOracleJSONL(f *testing.F) {
@@ -263,6 +335,9 @@ func FuzzReadOracleJSONL(f *testing.F) {
 	}
 	f.Add(seed.Bytes())
 	f.Add([]byte(malformedOracleJSONL()))
+	for _, c := range badOracleJSONL() {
+		f.Add([]byte(c.in))
+	}
 	render := func(d *OracleData) string {
 		var b bytes.Buffer
 		if err := d.CrossoverTable().Render(&b); err != nil {

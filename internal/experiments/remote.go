@@ -3,57 +3,30 @@ package experiments
 import (
 	"specfetch/internal/distsweep"
 	"specfetch/internal/obs"
-	"specfetch/internal/synth"
 )
 
-// The coordinator half of distributed sweeps. Cells convert to wire
-// JobSpecs, runCells dispatches whole work-lists in batches, and the
-// worker side (JobRunner, used by cmd/sweepworker) turns each spec back
-// into a cell and runs it through the identical cellCache path, so a
-// remote sweep computes cell-for-cell the same results — and therefore
-// renders the same bytes — as an in-process one.
+// The coordinator half of distributed sweeps. A cell's recipe is already
+// its wire JobSpec, so runCells dispatches whole work-lists in batches
+// without converting anything, and the worker side (JobRunner, used by
+// cmd/sweepworker) pairs each spec with its bench and runs it through the
+// identical cellCache path, so a remote sweep computes cell-for-cell the
+// same results — and therefore renders the same bytes — as an in-process
+// one.
 
-// specForCell converts one cell to its wire form. ok is false when the
-// cell carries in-process-only state (a probe) or its bench is not the one
-// its profile rebuilds (the layout ablation's reordered benches), and must
-// run locally.
-func specForCell(opt Options, c runCell) (distsweep.JobSpec, bool) {
-	if !c.bench.FromProfile() {
-		return distsweep.JobSpec{}, false
-	}
-	// The step mode runCellsFull resolved and the sampling interval travel
-	// inside the wire config; window capture travels as a JobSpec flag, so
-	// a capturing cell stays probe-free and serializable.
-	wc, err := distsweep.FromConfig(c.cfg)
-	if err != nil {
-		return distsweep.JobSpec{}, false
-	}
-	return distsweep.JobSpec{
-		Profile:        c.bench.Profile(),
-		Config:         wc,
-		Seed:           c.seed,
-		Insts:          opt.Insts,
-		Pred:           c.pred,
-		AuditSample:    opt.AuditSample,
-		CaptureWindows: c.capture,
-	}, true
-}
-
-// runCellsRemote dispatches a work-list through the coordinator. ok is
-// false (and the caller runs everything in-process) when any cell is not
-// serializable — mixed dispatch would complicate reasoning for no gain,
-// since among the builders only the layout ablation is kept local.
-// Results come back keyed by cell index, so the caller's serial
-// canonical-order reduction is untouched: remote bytes are in-process
-// bytes.
+// runCellsRemote dispatches a work-list of validated cells through the
+// coordinator. ok is false (and the caller runs everything in-process)
+// when any cell's bench is not the one its profile rebuilds (the layout
+// ablation's reordered benches) — mixed dispatch would complicate
+// reasoning for no gain. Results come back keyed by cell index, so the
+// caller's serial canonical-order reduction is untouched: remote bytes are
+// in-process bytes.
 func runCellsRemote(opt Options, cells []runCell) ([]cellOut, bool, error) {
 	specs := make([]distsweep.JobSpec, len(cells))
 	for i, c := range cells {
-		s, ok := specForCell(opt, c)
-		if !ok {
+		if !c.bench.FromProfile() {
 			return nil, false, nil
 		}
-		specs[i] = s
+		specs[i] = c.spec
 	}
 	// Batches the fleet cannot complete run on the in-process pool via the
 	// normal local path (which also reports progress and wraps errors with
@@ -74,7 +47,7 @@ func runCellsRemote(opt Options, cells []runCell) ([]cellOut, bool, error) {
 	onRemote := func(offset int, res []distsweep.JobResult) {
 		for i, r := range res {
 			c := cells[offset+i]
-			opt.observe(c.bench.Profile().Name, c.cfg.Policy, r.Result)
+			opt.observe(c.bench.Profile().Name, c.spec.Config.Policy, r.Result)
 		}
 	}
 	jrs, err := opt.Dispatch.Run(specs, local, onRemote)
@@ -111,15 +84,6 @@ func NewJobRunner(reg *obs.Registry) *JobRunner {
 	return &JobRunner{Metrics: reg}
 }
 
-// specCell is the cell and options a spec runs as on bench b. The wire
-// config carries the step mode and sampling interval the coordinator
-// resolved, and window capture crosses as a spec flag.
-func specCell(spec distsweep.JobSpec, b *synth.Bench) (runCell, Options) {
-	cell := runCell{bench: b, cfg: spec.Config.ToConfig(), seed: spec.Seed, pred: spec.Pred,
-		capture: spec.CaptureWindows}
-	return cell, Options{Insts: spec.Insts, AuditSample: spec.AuditSample}
-}
-
 // Run implements distsweep.Runner. Safe for concurrent batches: each bench
 // is built once and read-only afterwards, exactly as the in-process pool
 // shares it across workers, and the cache never lends one arena to two
@@ -132,9 +96,7 @@ func (r *JobRunner) Run(spec distsweep.JobSpec) (distsweep.JobResult, error) {
 	if err != nil {
 		return distsweep.JobResult{}, err
 	}
-	cell, opt := specCell(spec, b)
-	opt.Metrics, opt.Progress = r.Metrics, r.Progress
-	out, err := r.cache.simulate(cell, opt)
+	out, err := r.cache.simulate(runCell{b, spec}, Options{Metrics: r.Metrics, Progress: r.Progress})
 	if err != nil {
 		return distsweep.JobResult{}, err
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"net/http/httptest"
+	"reflect"
 	"sync/atomic"
 	"testing"
 
@@ -114,41 +115,49 @@ func TestRemoteTable4(t *testing.T) {
 	}
 }
 
-// TestRemoteFallsBackForInProcessState: a sweep whose cells carry a probe
-// cannot be serialized and must silently run in-process even with a fleet
-// configured — asserted by pointing Dispatch at a dead server and checking
-// the sweep still succeeds without dispatch attempts.
+// TestRemoteFallsBackForInProcessState: a sweep whose bench is not the one
+// its profile rebuilds (a reordered layout) must silently run in-process
+// even with a fleet configured — asserted by pointing Dispatch at a dead
+// server and checking the sweep still succeeds, computes what a sweep
+// without a fleet computes, and never contacts the worker.
 func TestRemoteFallsBackForInProcessState(t *testing.T) {
 	dead := httptest.NewServer(nil)
 	dead.Close()
 
-	profs, err := selected(Options{Benchmarks: []string{"gcc"}})
+	p, _ := synth.ProfileByName("gcc")
+	b, err := benchFor(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := synth.Build(profs[0])
+	const insts = 20_000
+	rb, err := synth.ReorderByProfile(b, insts, defaultStreamSeed+1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	probe := obs.NewEventRecorder(16)
-	cfg := baseConfig(core.Oracle)
-	cfg.Probe = probe
+	cells := []runCell{newCell(rb, baseConfig(core.Oracle))}
+	want, err := runCells(Options{Insts: insts, Workers: 1}, cells)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	opt := Options{Insts: 20_000, Workers: 1}
+	opt := Options{Insts: insts, Workers: 1}
 	opt.Dispatch = distsweep.New(distsweep.CoordinatorOptions{
 		Workers:    []string{dead.URL},
 		Retries:    1,
 		EvictAfter: 1,
 	})
-	cells := []runCell{{bench: b, cfg: cfg, seed: defaultStreamSeed}}
-	if _, err := runCells(opt, cells); err != nil {
-		t.Fatalf("probe-carrying sweep failed: %v", err)
+	got, err := runCells(opt, cells)
+	if err != nil {
+		t.Fatalf("reordered-bench sweep failed: %v", err)
 	}
-	if probe.Total() == 0 {
-		t.Error("probe never fired; the cell did not run in-process")
+	if !reflect.DeepEqual(got, want) || got[0].Insts != insts {
+		t.Errorf("reordered-bench sweep with a fleet = %+v, want the in-process %+v", got, want)
 	}
 	if len(opt.Dispatch.Alive()) != 1 {
-		t.Error("dead worker was probed (and evicted) for a non-serializable sweep")
+		t.Error("dead worker was probed (and evicted) for a local-only sweep")
+	}
+	if s := opt.Dispatch.Status(); s.RemoteBatches != 0 || s.LocalBatches != 0 {
+		t.Errorf("remote/local batches = %d/%d, want the coordinator never asked", s.RemoteBatches, s.LocalBatches)
 	}
 }
 

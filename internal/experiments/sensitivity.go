@@ -63,7 +63,7 @@ func SeedSensitivityData(opt Options, seeds int) ([]SeedSensitivityRow, error) {
 		for s := 0; s < seeds; s++ {
 			for _, pol := range pols {
 				c := newCell(b, baseConfig(pol))
-				c.seed = uint64(1000 + s)
+				c.spec.Seed = uint64(1000 + s)
 				cells = append(cells, c)
 			}
 		}

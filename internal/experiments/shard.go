@@ -10,6 +10,7 @@ import (
 	"specfetch/internal/adaptive"
 	"specfetch/internal/bpred"
 	"specfetch/internal/core"
+	"specfetch/internal/distsweep"
 	"specfetch/internal/obs"
 	"specfetch/internal/synth"
 	"specfetch/internal/trace"
@@ -153,29 +154,24 @@ func benchRows[T any](opt Options, benches []*synth.Bench, fn func(b *synth.Benc
 }
 
 // runCell is one independent unit of sweep work: one benchmark simulated
-// under one configuration over one dynamic stream. Like a distsweep.JobSpec
-// it carries its whole recipe; only the budget and the sampled audit come
-// from Options, and they are the same for every cell of a sweep.
+// under one configuration over one dynamic stream. Its recipe is the wire
+// JobSpec itself, so a local cell and a remote one cannot drift apart;
+// bench is the spec's profile already built (or, for the layout ablation,
+// a reordered bench that only runs in process).
 type runCell struct {
 	bench *synth.Bench
-	cfg   core.Config
-	seed  uint64
-	// pred names the predictor kind from bpred.ByName ("" = default
-	// decoupled); a name rather than a constructor so cells stay
-	// serializable for the distributed executor. Used by the
-	// branch-architecture ablation.
-	pred string
-	// capture returns the cell's per-interval window series (obs.WindowRecord)
-	// alongside its Result, the raw material of the interval-analytics
-	// builders. It requires a positive cfg.SampleInterval and crosses the
-	// distsweep wire as JobSpec.CaptureWindows, so capturing sweeps still
-	// dispatch to remote fleets.
-	capture bool
+	spec  distsweep.JobSpec
 }
 
-// newCell builds a cell on the experiments' shared stream seed.
+// newCell builds a cell on the experiments' shared stream seed. Builders
+// then set spec.Pred, spec.Seed or spec.CaptureWindows where they vary;
+// runCellsFull fills in the step mode, budget and audit rate.
 func newCell(b *synth.Bench, cfg core.Config) runCell {
-	return runCell{bench: b, cfg: cfg, seed: defaultStreamSeed}
+	return runCell{bench: b, spec: distsweep.JobSpec{
+		Profile: b.Profile(),
+		Config:  distsweep.WireConfig{Config: cfg},
+		Seed:    defaultStreamSeed,
+	}}
 }
 
 // cellOut pairs one cell's Result with its captured window series (nil
@@ -205,17 +201,22 @@ func runCells(opt Options, cells []runCell) ([]core.Result, error) {
 
 // runCellsFull is runCells keeping each cell's window series alongside its
 // Result — the executor entry point for the interval-analytics builders.
-// It resolves the engine mode once and writes it into a copy of every
-// cell's config, so a local or remote cell runs the mode this sweep
-// resolved, never a worker's environment default.
+// It writes the sweep's engine mode, budget and audit rate into a copy of
+// every cell's spec and validates each spec before any cell runs, so a
+// local or remote cell runs the mode this sweep resolved, never a worker's
+// environment default, and a setting a worker would refuse fails the same
+// way in process.
 func runCellsFull(opt Options, cells []runCell) ([]cellOut, error) {
-	if err := checkBudget(opt.Insts); err != nil {
-		return nil, err
-	}
 	mode := opt.stepMode()
 	cells = slices.Clone(cells)
 	for i := range cells {
-		cells[i].cfg.StepMode = mode
+		s := &cells[i].spec
+		s.Config.StepMode = mode
+		s.Insts = opt.Insts
+		s.AuditSample = opt.AuditSample
+		if err := s.Validate(); err != nil {
+			return nil, err
+		}
 	}
 	if opt.Dispatch != nil {
 		if res, ok, err := runCellsRemote(opt, cells); ok {
@@ -234,16 +235,15 @@ func runCellsFull(opt Options, cells []runCell) ([]cellOut, error) {
 func runCellsLocal(opt Options, cells []runCell) ([]cellOut, error) {
 	var cache cellCache
 	return mapCells(opt, len(cells), func(w, i int) (cellOut, error) {
+		name, pol := cells[i].bench.Profile().Name, cells[i].spec.Config.Policy
 		var sp obs.SpanHandle
 		if opt.Spans != nil {
-			sp = opt.Spans.Start(
-				cells[i].bench.Profile().Name+"/"+cells[i].cfg.Policy.String(), w)
+			sp = opt.Spans.Start(name+"/"+pol.String(), w)
 		}
 		out, err := cache.simulate(cells[i], opt)
 		spanEnd(opt, sp)
 		if err != nil {
-			return cellOut{}, fmt.Errorf("%s/%s: %w",
-				cells[i].bench.Profile().Name, cells[i].cfg.Policy, err)
+			return cellOut{}, fmt.Errorf("%s/%s: %w", name, pol, err)
 		}
 		return out, nil
 	})
@@ -270,66 +270,59 @@ func spanEnd(opt Options, sp obs.SpanHandle) {
 	}
 }
 
-// simulateCell runs one cell in-process with a fresh engine, cache, and
-// predictor, exactly as its config says (step mode included). With
-// Options.AuditSample > 0 it attaches a sampled obs.AuditProbe to the run:
-// stream violations panic (the pool re-surfaces them), and the final
-// accounting identities are verified before the result is accepted.
+// simulateCell runs one validated cell in-process with a fresh engine,
+// cache, and predictor, exactly as its spec says: budget, step mode,
+// predictor, stream seed, window capture and audit rate. With a positive
+// AuditSample it attaches a sampled obs.AuditProbe to the run: stream
+// violations panic (the pool re-surfaces them), and the final accounting
+// identities are verified before the result is accepted. sinks supplies
+// only the progress and metrics sinks the finished run reports to.
 //
 // cellCache.simulate threads the reuses in: rd, when non-nil, is a replay
 // cursor over the cell's memoized stream; arena, when non-nil, donates
 // storage from earlier cells. Both are behaviour-neutral; nil for either
-// walks the stream or allocates fresh storage. With c.capture set the run
-// carries an obs.WindowSeries and the records come back as the second
+// walks the stream or allocates fresh storage. With CaptureWindows set the
+// run carries an obs.WindowSeries and the records come back as the second
 // return; a sample-only series attached alone keeps the engine's bulk
 // path enabled, so capture costs the interpolated samples and nothing else.
-func simulateCell(c runCell, opt Options, rd trace.Reader, arena *core.Arena) (core.Result, []obs.WindowRecord, error) {
-	cfg := c.cfg
-	cfg.MaxInsts = opt.Insts
+func simulateCell(c runCell, sinks Options, rd trace.Reader, arena *core.Arena) (core.Result, []obs.WindowRecord, error) {
+	s := c.spec
+	cfg := s.Config.ToConfig()
+	cfg.MaxInsts = s.Insts
 	cfg.Arena = arena
-	if cfg.Policy == core.Adaptive && cfg.Chooser == nil {
-		// Cells travel chooser-free (the chooser is in-process-only state, so
-		// a cell that carried one could not go to the fleet); the chooser is
-		// built here, just in time, from the serializable strategy name —
-		// the same code path on a pool worker and a remote daemon.
-		ch, cerr := adaptive.New(cfg.AdaptStrategy, 0)
-		if cerr != nil {
-			return core.Result{}, nil, cerr
+	if cfg.Policy == core.Adaptive {
+		// Specs travel chooser-free (the chooser is in-process-only state);
+		// it is built here, just in time, from the serializable strategy
+		// name — the same code path on a pool worker and a remote daemon.
+		ch, err := adaptive.New(cfg.AdaptStrategy, 0)
+		if err != nil {
+			return core.Result{}, nil, err
 		}
 		cfg.Chooser = ch
 	}
+	var probes []obs.Probe
 	var win *obs.WindowSeries
-	if c.capture {
-		if cfg.SampleInterval <= 0 {
-			return core.Result{}, nil, fmt.Errorf("experiments: window capture requires a positive SampleInterval")
-		}
+	if s.CaptureWindows {
 		win = obs.NewWindowSeries()
-		if cfg.Probe != nil {
-			cfg.Probe = obs.Multi(cfg.Probe, win)
-		} else {
-			cfg.Probe = win
-		}
+		probes = append(probes, win)
 	}
 	var aud *obs.AuditProbe
-	if opt.AuditSample > 0 {
+	if s.AuditSample > 0 {
 		aud = obs.NewAuditProbe(obs.AuditOptions{
 			Width:           cfg.FetchWidth,
 			AllowBusOverlap: cfg.PipelinedMemory,
-			SampleEvery:     opt.AuditSample,
+			SampleEvery:     s.AuditSample,
 		})
-		if cfg.Probe != nil {
-			cfg.Probe = obs.Multi(cfg.Probe, aud)
-		} else {
-			cfg.Probe = aud
-		}
+		probes = append(probes, aud)
 	}
-	mk, err := bpred.ByName(c.pred)
+	cfg.Probe = obs.Multi(probes...)
+	mk, err := bpred.ByName(s.Pred)
 	if err != nil {
 		return core.Result{}, nil, err
 	}
 	pred := mk()
 	if rd == nil {
-		rd = trace.NewLimitReader(c.bench.NewWalker(c.seed), traceLimit(opt.Insts))
+		rd = trace.NewLimitReader(c.bench.NewWalker(s.Seed), traceLimit(s.Insts))
 	}
 	res, err := core.Run(cfg, c.bench.Image(), rd, pred)
 	if err != nil {
@@ -340,7 +333,7 @@ func simulateCell(c runCell, opt Options, rd trace.Reader, arena *core.Arena) (c
 			return res, nil, verr
 		}
 	}
-	opt.observe(c.bench.Profile().Name, cfg.Policy, res)
+	sinks.observe(c.bench.Profile().Name, cfg.Policy, res)
 	var wins []obs.WindowRecord
 	if win != nil {
 		wins = win.Records()

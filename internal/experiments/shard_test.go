@@ -300,8 +300,8 @@ func TestWindowCaptureOverhead(t *testing.T) {
 	cells := table6Cells(benches)
 	capture := slices.Clone(cells)
 	for i := range capture {
-		capture[i].cfg.SampleInterval = 10_000
-		capture[i].capture = true
+		capture[i].spec.Config.SampleInterval = 10_000
+		capture[i].spec.CaptureWindows = true
 	}
 	sides := [2][]runCell{cells, capture}
 

@@ -183,7 +183,8 @@ func (r *replayReader) Next() (trace.Record, error) {
 func (r *replayReader) PreValidatedTrace() bool { return r.s.valid }
 
 // traceLimit is the stream length simulateCell feeds an engine with an
-// instruction budget of insts, which checkBudget has accepted.
+// instruction budget of insts, which JobSpec.Validate or checkBudget has
+// accepted.
 func traceLimit(insts int64) int64 {
 	limit, _ := trace.BudgetLimit(insts)
 	return limit
@@ -205,12 +206,12 @@ type cellCache struct {
 	arenas  []*core.Arena
 }
 
-// simulate runs one cell through simulateCell on a replay of its stream and
-// a borrowed arena.
-func (cc *cellCache) simulate(c runCell, opt Options) (cellOut, error) {
-	s, arena := cc.acquire(traceKey{b: c.bench, seed: c.seed, insts: opt.Insts})
+// simulate runs one validated cell through simulateCell on a replay of its
+// stream and a borrowed arena, reporting to sinks.
+func (cc *cellCache) simulate(c runCell, sinks Options) (cellOut, error) {
+	s, arena := cc.acquire(traceKey{b: c.bench, seed: c.spec.Seed, insts: c.spec.Insts})
 	defer cc.release(s, arena)
-	res, wins, err := simulateCell(c, opt, s.reader(), arena)
+	res, wins, err := simulateCell(c, sinks, s.reader(), arena)
 	return cellOut{res: res, windows: wins}, err
 }
 
