@@ -13,7 +13,6 @@ import (
 	"os"
 
 	"specfetch/internal/experiments"
-	"specfetch/internal/synth"
 )
 
 func main() {
@@ -21,28 +20,24 @@ func main() {
 	bench := flag.String("bench", "", "only this benchmark (default: all)")
 	flag.Parse()
 
+	opt := experiments.Options{Insts: *insts}
+	if *bench != "" {
+		opt.Benchmarks = []string{*bench}
+	}
+	rows, err := experiments.Table3Data(opt)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "calibrate: %v\n", err)
+		os.Exit(1)
+	}
 	pf("%-8s %-7s | %7s %7s %5s | %7s %7s | %7s %7s | %7s %7s | %7s %7s | %7s %7s | %8s\n",
 		"bench", "lang", "br%", "paper", "cnd%", "m8K", "paper", "m32K", "paper",
 		"phtB1", "paper", "phtB4", "paper", "btbMF", "paper", "static")
-	for _, p := range synth.Profiles() {
-		if *bench != "" && p.Name != *bench {
-			continue
-		}
-		b, err := synth.Build(p)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "build %s: %v\n", p.Name, err)
-			os.Exit(1)
-		}
-		c, err := experiments.Characterize(b, experiments.Options{Insts: *insts})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "characterize %s: %v\n", p.Name, err)
-			os.Exit(1)
-		}
-		t := synth.PaperTargets[p.Name]
+	for _, r := range rows {
+		t := r.Paper
 		pf("%-8s %-7s | %7.1f %7.1f %5.1f | %7.2f %7.2f | %7.2f %7.2f | %7.2f %7.2f | %7.2f %7.2f | %7.2f %7.2f | %8d\n",
-			c.Name, c.Lang, c.BranchPct, t.BranchPct, c.CondPct, c.Miss8K, t.Miss8K, c.Miss32K, t.Miss32K,
-			c.PHTISPIB1, t.PHTISPIB1, c.PHTISPIB4, t.PHTISPIB4,
-			c.BTBMisfetchISPI, t.BTBMisfetchISPI, c.StaticInsts)
+			r.Name, r.Lang, r.BranchPct, t.BranchPct, r.CondPct, r.Miss8K, t.Miss8K, r.Miss32K, t.Miss32K,
+			r.PHTISPIB1, t.PHTISPIB1, r.PHTISPIB4, t.PHTISPIB4,
+			r.BTBMisfetchISPI, t.BTBMisfetchISPI, r.StaticInsts)
 	}
 }
 

@@ -21,6 +21,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -28,6 +29,9 @@ import (
 	"runtime/pprof"
 
 	"specfetch"
+	"specfetch/internal/distsweep"
+	"specfetch/internal/experiments"
+	"specfetch/internal/trace"
 )
 
 func main() {
@@ -66,38 +70,20 @@ func main() {
 	// the run completes; error paths exit without them, like `go test`.
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fetchsim: cpuprofile: %v\n", err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "fetchsim: cpuprofile: %v\n", err)
-			os.Exit(1)
-		}
+		fail("cpuprofile", err)
+		fail("cpuprofile", pprof.StartCPUProfile(f))
 		defer func() {
 			pprof.StopCPUProfile()
-			if err := f.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "fetchsim: cpuprofile: %v\n", err)
-				os.Exit(1)
-			}
+			fail("cpuprofile", f.Close())
 		}()
 	}
 	if *memProf != "" {
 		defer func() {
 			f, err := os.Create(*memProf)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "fetchsim: memprofile: %v\n", err)
-				os.Exit(1)
-			}
+			fail("memprofile", err)
 			runtime.GC() // up-to-date live-object statistics
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "fetchsim: memprofile: %v\n", err)
-				os.Exit(1)
-			}
-			if err := f.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "fetchsim: memprofile: %v\n", err)
-				os.Exit(1)
-			}
+			fail("memprofile", pprof.WriteHeapProfile(f))
+			fail("memprofile", f.Close())
 		}()
 	}
 
@@ -109,15 +95,9 @@ func main() {
 	}
 
 	pol, err := specfetch.ParsePolicy(*policyStr)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fetchsim: %v\n", err)
-		os.Exit(1)
-	}
+	fail("", err)
 	mode, err := specfetch.ParseStepMode(*stepMode)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fetchsim: %v\n", err)
-		os.Exit(1)
-	}
+	fail("", err)
 
 	cfg := specfetch.DefaultConfig()
 	cfg.Policy = pol
@@ -128,80 +108,71 @@ func main() {
 	cfg.NextLinePrefetch = *prefetch
 	cfg.StepMode = mode
 	cfg.FlushInterval = *flushIv
-	if pol == specfetch.Adaptive {
-		ch, err := specfetch.NewChooser(*strategy)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fetchsim: %v\n", err)
-			os.Exit(1)
-		}
-		cfg.Chooser = ch
+	// An adaptive run takes the chooser flags' values, defaults included;
+	// a static one carries only those given, which the spec then refuses.
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if pol == specfetch.Adaptive || set["strategy"] {
 		cfg.AdaptStrategy = *strategy
+	}
+	if pol == specfetch.Adaptive || set["adapt-interval"] {
 		cfg.AdaptInterval = *adaptIv
 	}
 
-	// Observability: attach a recorder and/or window store only when asked
-	// for, so the default run keeps the nil-probe fast path.
-	var rec *specfetch.EventRecorder
-	var win *specfetch.WindowSeries
-	var probes []specfetch.Probe
-	if *eventsPath != "" || *timelinePath != "" {
-		rec = specfetch.NewEventRecorder(*eventCap)
-		probes = append(probes, rec)
+	// The run is a sweep cell: its recipe is a JobSpec, validated and run
+	// by the sweep's own code, which builds the chooser, the window store
+	// and the auditor from it.
+	spec := distsweep.JobSpec{
+		Config:      distsweep.WireConfig{Config: cfg},
+		Seed:        *seed,
+		Insts:       *insts,
+		AuditSample: *auditSample,
+	}
+	if *audit && spec.AuditSample == 0 {
+		spec.AuditSample = 1
 	}
 	if *timelinePath != "" || *seriesPath != "" {
-		win = specfetch.NewWindowSeries()
-		probes = append(probes, win)
-		cfg.SampleInterval = *interval
+		spec.CaptureWindows = true
+		spec.Config.SampleInterval = *interval
 	}
-	var aud *specfetch.AuditProbe
-	if *audit || *auditSample > 0 {
-		aud = specfetch.NewAuditProbe(specfetch.AuditOptions{
-			Width:           cfg.FetchWidth,
-			AllowBusOverlap: cfg.PipelinedMemory,
-			SampleEvery:     *auditSample,
-		})
-		probes = append(probes, aud)
-		// A streaming violation surfaces as a panic carrying *AuditError;
-		// turn it into a clean diagnostic instead of a stack trace.
-		defer func() {
-			if r := recover(); r != nil {
-				ae, ok := r.(*specfetch.AuditError)
-				if !ok {
-					panic(r)
-				}
-				fmt.Fprintf(os.Stderr, "fetchsim: audit: %v\n", ae)
-				os.Exit(1)
-			}
-		}()
+	// The event recorder rides along only when asked for, so the default
+	// run keeps the nil-probe fast path.
+	var rec *specfetch.EventRecorder
+	var extra specfetch.Probe
+	if *eventsPath != "" || *timelinePath != "" {
+		rec = specfetch.NewEventRecorder(*eventCap)
+		extra = rec
 	}
-	cfg.Probe = specfetch.MultiProbe(probes...)
+	// A streaming audit violation surfaces as a panic carrying *AuditError;
+	// turn it into a clean diagnostic instead of a stack trace.
+	defer func() {
+		r := recover()
+		if ae, ok := r.(*specfetch.AuditError); ok {
+			fail("", ae)
+		} else if r != nil {
+			panic(r)
+		}
+	}()
 
 	var res specfetch.Result
+	var wins []specfetch.WindowRecord
 	benchLabel := ""
 	if *imagePath != "" || *tracePath != "" {
 		if *imagePath == "" || *tracePath == "" {
-			fmt.Fprintln(os.Stderr, "fetchsim: -image and -trace must be given together")
-			os.Exit(1)
+			fail("", errors.New("-image and -trace must be given together"))
 		}
-		res, err = runFromFiles(cfg, *imagePath, *tracePath, *insts)
+		res, wins, err = runFromFiles(spec, *imagePath, *tracePath, extra)
 		benchLabel = fmt.Sprintf("%s + %s", *imagePath, *tracePath)
 	} else {
 		prof, ok := specfetch.ProfileByName(*benchName)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "fetchsim: unknown benchmark %q (try -list)\n", *benchName)
-			os.Exit(1)
+			fail("", fmt.Errorf("unknown benchmark %q (try -list)", *benchName))
 		}
-		var bench *specfetch.Bench
-		bench, err = specfetch.BuildBenchmark(prof)
-		if err == nil {
-			res, err = specfetch.RunBenchmark(bench, cfg, *insts, *seed)
-		}
+		spec.Profile = prof
+		res, wins, err = runBench(spec, extra)
 		benchLabel = fmt.Sprintf("%s (%s)", prof.Name, prof.Lang)
 	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fetchsim: %v\n", err)
-		os.Exit(1)
-	}
+	fail("", err)
 
 	pf("benchmark    %s\n", benchLabel)
 	pf("machine      %d-wide, depth %d, %dB I-cache, %d-cycle miss penalty, prefetch=%v\n",
@@ -226,35 +197,42 @@ func main() {
 	pf("branch events          %d mispredicts, %d misfetches, %d BTB target mispredicts\n",
 		res.Events.PHTMispredicts, res.Events.BTBMisfetches, res.Events.BTBMispredicts)
 
-	if aud != nil {
-		if err := aud.Verify(res.AuditFinal()); err != nil {
-			fmt.Fprintf(os.Stderr, "fetchsim: audit: %v\n", err)
-			os.Exit(1)
-		}
-		if *auditSample > 1 {
-			pf("audit                  ok (sampled 1-in-%d windows; final identities verified exactly)\n", *auditSample)
-		} else {
-			pf("audit                  ok (all accounting identities verified)\n")
-		}
+	switch {
+	case spec.AuditSample > 1:
+		pf("audit                  ok (sampled 1-in-%d windows; final identities verified exactly)\n", spec.AuditSample)
+	case spec.AuditSample == 1:
+		pf("audit                  ok (all accounting identities verified)\n")
 	}
 
-	if err := writeArtifacts(rec, win, *eventsPath, *timelinePath, *seriesPath); err != nil {
-		fmt.Fprintf(os.Stderr, "fetchsim: %v\n", err)
-		os.Exit(1)
+	fail("", writeArtifacts(rec, wins, *eventsPath, *timelinePath, *seriesPath))
+}
+
+// fail, for a non-nil err, reports it and exits 1; what, when set, names
+// the step that failed. An audit violation, streamed or found by the final
+// check, reads as one.
+func fail(what string, err error) {
+	if err == nil {
+		return
 	}
+	if errors.As(err, new(*specfetch.AuditError)) {
+		what = "audit"
+	}
+	if what != "" {
+		err = fmt.Errorf("%s: %w", what, err)
+	}
+	fmt.Fprintf(os.Stderr, "fetchsim: %v\n", err)
+	os.Exit(1)
 }
 
 // pf is a checked Printf: a broken stdout is a hard error, not a silently
 // truncated result block.
 func pf(format string, args ...any) {
-	if _, err := fmt.Printf(format, args...); err != nil {
-		fmt.Fprintf(os.Stderr, "fetchsim: writing output: %v\n", err)
-		os.Exit(1)
-	}
+	_, err := fmt.Printf(format, args...)
+	fail("writing output", err)
 }
 
 // writeArtifacts dumps the requested observability outputs.
-func writeArtifacts(rec *specfetch.EventRecorder, win *specfetch.WindowSeries,
+func writeArtifacts(rec *specfetch.EventRecorder, wins []specfetch.WindowRecord,
 	eventsPath, timelinePath, seriesPath string) error {
 	writeTo := func(path string, fn func(f *os.File) error) error {
 		f, err := os.Create(path)
@@ -279,48 +257,62 @@ func writeArtifacts(rec *specfetch.EventRecorder, win *specfetch.WindowSeries,
 	}
 	if timelinePath != "" {
 		if err := writeTo(timelinePath, func(f *os.File) error {
-			return specfetch.CombinedTrace{Events: rec.Events(), Counters: win.Records()}.Write(f)
+			return specfetch.CombinedTrace{Events: rec.Events(), Counters: wins}.Write(f)
 		}); err != nil {
 			return err
 		}
 		pf("timeline               %s (%d counter windows; open in https://ui.perfetto.dev)\n",
-			timelinePath, win.Len())
+			timelinePath, len(wins))
 	}
 	if seriesPath != "" {
 		asJSON := len(seriesPath) > 5 && seriesPath[len(seriesPath)-5:] == ".json"
 		if err := writeTo(seriesPath, func(f *os.File) error {
 			if asJSON {
-				return specfetch.WriteSeriesJSON(f, win.Records())
+				return specfetch.WriteSeriesJSON(f, wins)
 			}
-			return specfetch.WriteSeriesCSV(f, win.Records())
+			return specfetch.WriteSeriesCSV(f, wins)
 		}); err != nil {
 			return err
 		}
-		pf("series                 %s (%d samples)\n", seriesPath, win.Len())
+		pf("series                 %s (%d samples)\n", seriesPath, len(wins))
 	}
 	return nil
 }
 
-// runFromFiles replays a trace file against a serialized image.
-func runFromFiles(cfg specfetch.Config, imagePath, tracePath string, insts int64) (specfetch.Result, error) {
+// runBench runs spec over its profile's bench and the stream its seed and
+// budget select: the stream a sweep cell of the same spec replays.
+func runBench(spec distsweep.JobSpec, extra specfetch.Probe) (specfetch.Result, []specfetch.WindowRecord, error) {
+	if err := spec.Validate(); err != nil {
+		return specfetch.Result{}, nil, err
+	}
+	b, err := specfetch.BuildBenchmark(spec.Profile)
+	if err != nil {
+		return specfetch.Result{}, nil, err
+	}
+	limit, _ := trace.BudgetLimit(spec.Insts) // Validate accepted the budget
+	return experiments.RunSpec(spec, b.Image(), b.NewReader(spec.Seed, limit), nil, extra)
+}
+
+// runFromFiles replays a trace file against a serialized image. The spec
+// has no profile, and Insts 0 replays the whole file.
+func runFromFiles(spec distsweep.JobSpec, imagePath, tracePath string, extra specfetch.Probe) (specfetch.Result, []specfetch.WindowRecord, error) {
 	imgF, err := os.Open(imagePath)
 	if err != nil {
-		return specfetch.Result{}, err
+		return specfetch.Result{}, nil, err
 	}
 	defer func() { _ = imgF.Close() }() // read side; nothing to lose on close
 	img, err := specfetch.ReadImage(imgF)
 	if err != nil {
-		return specfetch.Result{}, err
+		return specfetch.Result{}, nil, err
 	}
 	trcF, err := os.Open(tracePath)
 	if err != nil {
-		return specfetch.Result{}, err
+		return specfetch.Result{}, nil, err
 	}
 	defer func() { _ = trcF.Close() }() // read side; nothing to lose on close
 	rd, err := specfetch.OpenTrace(trcF)
 	if err != nil {
-		return specfetch.Result{}, err
+		return specfetch.Result{}, nil, err
 	}
-	cfg.MaxInsts = insts
-	return specfetch.Run(cfg, img, rd, specfetch.NewPredictor())
+	return experiments.RunSpec(spec, img, rd, nil, extra)
 }

@@ -2,24 +2,63 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
+
+	"specfetch"
+	"specfetch/internal/distsweep"
+	"specfetch/internal/experiments"
+	"specfetch/internal/trace"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // TestMain doubles as the fetchsim executable: with the helper env var set,
 // the test binary runs the real command on its arguments instead of the
-// test suite, so the golden test below drives the production flag path.
+// test suite, so the tests below drive the production flag path.
 func TestMain(m *testing.M) {
 	if os.Getenv("FETCHSIM_HELPER") == "1" {
 		main()
 		os.Exit(0)
 	}
 	os.Exit(m.Run())
+}
+
+// fetchsim runs the command on args in dir and returns its stdout and
+// stderr; err is non-nil when it exits non-zero.
+func fetchsim(t *testing.T, dir string, args ...string) (stdout, stderr string, err error) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "FETCHSIM_HELPER=1")
+	cmd.Dir = dir
+	var out, errOut bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	err = cmd.Run()
+	return out.String(), errOut.String(), err
+}
+
+// checkGolden compares got with testdata/name, rewriting it under -update.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run `go test -update` to regenerate)", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("output diverged from %s (rerun with -update if intended)\ngot:\n%s", path, got)
+	}
 }
 
 // TestSeriesGolden pins the bytes of the -series CSV and JSON output for
@@ -40,29 +79,165 @@ func TestSeriesGolden(t *testing.T) {
 		for _, ext := range []string{".csv", ".json"} {
 			t.Run(c.name+ext, func(t *testing.T) {
 				out := filepath.Join(t.TempDir(), "series"+ext)
-				cmd := exec.Command(os.Args[0], append(c.args, "-series", out)...)
-				cmd.Env = append(os.Environ(), "FETCHSIM_HELPER=1")
-				if msg, err := cmd.CombinedOutput(); err != nil {
+				if _, msg, err := fetchsim(t, ".", append(c.args, "-series", out)...); err != nil {
 					t.Fatalf("fetchsim %v: %v\n%s", c.args, err, msg)
 				}
 				got, err := os.ReadFile(out)
 				if err != nil {
 					t.Fatal(err)
 				}
-				path := filepath.Join("testdata", "series_"+c.name+ext)
-				if *update {
-					if err := os.WriteFile(path, got, 0o644); err != nil {
-						t.Fatal(err)
-					}
-				}
-				want, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatalf("%v (run `go test -run SeriesGolden -update` to regenerate)", err)
-				}
-				if !bytes.Equal(got, want) {
-					t.Errorf("series output diverged from %s (rerun with -update if intended)", path)
-				}
+				checkGolden(t, "series_"+c.name+ext, got)
 			})
+		}
+	}
+}
+
+// writeGCCTrace writes into dir the files `tracegen -bench gcc -insts
+// 300000 -imageout gcc.img -o gcc.trc` writes: gcc's image and its
+// stream on seed 1, fetchsim's default seed.
+func writeGCCTrace(t *testing.T, dir string) {
+	t.Helper()
+	b, err := specfetch.BuildBenchmark(specfetch.GCC())
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := trace.Collect(b.NewReader(1, 300_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var img, trc bytes.Buffer
+	if err := specfetch.WriteImage(&img, b.Image()); err != nil {
+		t.Fatal(err)
+	}
+	w := specfetch.NewBinaryTraceWriter(&trc)
+	for _, r := range recs {
+		if err := w.Write(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{"gcc.img": img.Bytes(), "gcc.trc": trc.Bytes()} {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestStdoutGolden pins the printed report of a static, an adaptive and
+// an audited run, and of a trace-file replay cut at a budget and run to
+// the file's end (-insts 0).
+func TestStdoutGolden(t *testing.T) {
+	dir := t.TempDir()
+	writeGCCTrace(t, dir)
+	for _, c := range []struct {
+		name string
+		args []string
+	}{
+		{"static", []string{"-bench", "gcc", "-policy", "resume", "-insts", "100000"}},
+		{"adaptive", []string{"-bench", "porky", "-policy", "adaptive", "-strategy", "phase:6",
+			"-adapt-interval", "2500", "-flush", "15000", "-penalty", "20", "-insts", "400000"}},
+		{"audited", []string{"-bench", "groff", "-policy", "pessimistic", "-prefetch", "-penalty", "20",
+			"-insts", "100000", "-audit"}},
+		{"file", []string{"-image", "gcc.img", "-trace", "gcc.trc", "-insts", "200000",
+			"-policy", "pessimistic", "-audit"}},
+		{"file_whole", []string{"-image", "gcc.img", "-trace", "gcc.trc", "-insts", "0", "-policy", "resume"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			out, msg, err := fetchsim(t, dir, c.args...)
+			if err != nil {
+				t.Fatalf("fetchsim %v: %v\n%s", c.args, err, msg)
+			}
+			checkGolden(t, "stdout_"+c.name+".txt", []byte(out))
+		})
+	}
+}
+
+// TestReplayMatchesBench: a trace file of gcc's stream replayed against
+// gcc's image prints the report of the -bench run, below the line naming
+// the input.
+func TestReplayMatchesBench(t *testing.T) {
+	dir := t.TempDir()
+	writeGCCTrace(t, dir)
+	run := []string{"-insts", "200000", "-policy", "pessimistic", "-audit"}
+	body := func(args ...string) string {
+		out, msg, err := fetchsim(t, dir, append(args, run...)...)
+		if err != nil {
+			t.Fatalf("fetchsim %v: %v\n%s", args, err, msg)
+		}
+		first, rest, _ := strings.Cut(out, "\n")
+		if !strings.HasPrefix(first, "benchmark ") {
+			t.Fatalf("report starts %q, want the benchmark line", first)
+		}
+		return rest
+	}
+	file, bench := body("-image", "gcc.img", "-trace", "gcc.trc"), body("-bench", "gcc")
+	if file != bench {
+		t.Errorf("replay report differs from the -bench run\nreplay:\n%s\nbench:\n%s", file, bench)
+	}
+}
+
+// TestRejectsBadSpecs: settings a sweep cell's spec refuses make fetchsim
+// exit non-zero with the spec's error, not run without them.
+func TestRejectsBadSpecs(t *testing.T) {
+	dir := t.TempDir()
+	writeGCCTrace(t, dir)
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-audit-sample", "-3"}, "negative audit sample -3"},
+		{[]string{"-policy", "resume", "-strategy", "phase:6"}, "non-adaptive policy resume"},
+		{[]string{"-policy", "resume", "-adapt-interval", "5000"}, "non-adaptive policy resume"},
+		{[]string{"-series", "s.csv", "-interval", "0"}, "requires a positive sample_interval"},
+		{[]string{"-image", "gcc.img", "-trace", "gcc.trc", "-audit-sample", "-3"}, "negative audit sample -3"},
+		{[]string{"-image", "gcc.img", "-trace", "gcc.trc", "-policy", "oracle", "-strategy", "phase:6"},
+			"non-adaptive policy oracle"},
+	} {
+		args := append([]string{"-bench", "gcc", "-insts", "20000"}, c.args...)
+		out, msg, err := fetchsim(t, dir, args...)
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) {
+			t.Errorf("fetchsim %v: err %v, want a non-zero exit\n%s", c.args, err, out)
+			continue
+		}
+		if !strings.Contains(msg, c.want) {
+			t.Errorf("fetchsim %v: stderr %q, want it to mention %q", c.args, msg, c.want)
+		}
+	}
+}
+
+// TestBenchPathMatchesJobRunner: fetchsim's -bench path returns, for the
+// same spec, exactly what a sweep worker returns.
+func TestBenchPathMatchesJobRunner(t *testing.T) {
+	static := distsweep.JobSpec{Profile: specfetch.GCC(), Seed: 1, Insts: 50_000, AuditSample: 4}
+	static.Config.Config = specfetch.DefaultConfig()
+	static.Config.Policy = specfetch.Resume
+	static.Config.RecordMisses = true
+
+	adapt := distsweep.JobSpec{Profile: specfetch.Porky(), Seed: 7, Insts: 50_000, CaptureWindows: true}
+	adapt.Config.Config = specfetch.DefaultConfig()
+	adapt.Config.Policy = specfetch.Adaptive
+	adapt.Config.AdaptStrategy = "phase:6"
+	adapt.Config.AdaptInterval = 2500
+	adapt.Config.FlushInterval = 15000
+	adapt.Config.SampleInterval = 3000
+
+	for _, spec := range []distsweep.JobSpec{static, adapt} {
+		res, wins, err := runBench(spec, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jr, err := experiments.NewJobRunner(nil).Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res, jr.Result) {
+			t.Errorf("%s/%v: fetchsim result %+v\nworker result %+v", spec.Profile.Name, spec.Config.Policy, res, jr.Result)
+		}
+		if !reflect.DeepEqual(wins, jr.WindowSeries) {
+			t.Errorf("%s/%v: fetchsim and the worker cut different window series", spec.Profile.Name, spec.Config.Policy)
 		}
 	}
 }

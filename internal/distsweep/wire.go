@@ -83,19 +83,32 @@ type JobSpec struct {
 	CaptureWindows bool          `json:"capture_windows,omitempty"`
 }
 
-// Validate rejects specs a worker could not run: bad profiles, bad
-// configs, configs carrying in-process state (a Probe, a Chooser or an
-// Arena), unknown predictor kinds, budgets that are not positive or whose
-// stream limit overflows. Workers validate before running so malformed
-// specs come back as permanent (4xx) errors instead of burning retries;
-// the in-process executor validates the same specs before any cell runs,
-// so a spec fails alike in either place.
+// Validate rejects specs a worker could not run: bad profiles, budgets
+// that are not positive or whose stream limit overflows, and everything
+// ValidateRun rejects. Workers validate before running so malformed specs
+// come back as permanent (4xx) errors instead of burning retries; the
+// in-process executor validates the same specs before any cell runs, so a
+// spec fails alike in either place.
 func (s JobSpec) Validate() error {
-	if s.Config.Probe != nil || s.Config.Chooser != nil || s.Config.Arena != nil {
-		return fmt.Errorf("distsweep: config carries in-process state (probe, chooser or arena)")
-	}
 	if err := s.Profile.Validate(); err != nil {
 		return err
+	}
+	if _, err := trace.BudgetLimit(s.Insts); err != nil {
+		return fmt.Errorf("distsweep: %w", err)
+	}
+	return s.ValidateRun()
+}
+
+// ValidateRun is Validate without the profile and the stream-limit rule:
+// what a spec must meet to run over an image and stream not built from its
+// profile, such as a trace file replayed to its end with Insts 0. It
+// rejects bad configs, in-process state (a Probe, a Chooser or an Arena),
+// unknown predictor kinds or strategies, a negative audit rate, window
+// capture without a sample interval, and adaptive settings on a static
+// policy.
+func (s JobSpec) ValidateRun() error {
+	if s.Config.Probe != nil || s.Config.Chooser != nil || s.Config.Arena != nil {
+		return fmt.Errorf("distsweep: config carries in-process state (probe, chooser or arena)")
 	}
 	cfg := s.Config.ToConfig()
 	cfg.MaxInsts = s.Insts
@@ -104,9 +117,6 @@ func (s JobSpec) Validate() error {
 	}
 	if _, err := bpred.ByName(s.Pred); err != nil {
 		return err
-	}
-	if _, err := trace.BudgetLimit(s.Insts); err != nil {
-		return fmt.Errorf("distsweep: %w", err)
 	}
 	if s.AuditSample < 0 {
 		return fmt.Errorf("distsweep: negative audit sample %d", s.AuditSample)
@@ -120,9 +130,9 @@ func (s JobSpec) Validate() error {
 		if _, err := adaptive.New(s.Config.AdaptStrategy, 0); err != nil {
 			return err
 		}
-	} else if s.Config.AdaptStrategy != "" {
-		return fmt.Errorf("distsweep: adapt_strategy %q on non-adaptive policy %v",
-			s.Config.AdaptStrategy, s.Config.Policy)
+	} else if s.Config.AdaptStrategy != "" || s.Config.AdaptInterval != 0 {
+		return fmt.Errorf("distsweep: adaptive settings on non-adaptive policy %v (adapt_strategy %q, adapt_interval %d)",
+			s.Config.Policy, s.Config.AdaptStrategy, s.Config.AdaptInterval)
 	}
 	return nil
 }

@@ -476,6 +476,33 @@ func TestJobSpecValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("strategy on a static-policy spec accepted")
 	}
+	bad = good
+	bad.Config.AdaptInterval = 2500 // on a non-adaptive policy
+	if err := bad.Validate(); err == nil {
+		t.Error("adapt interval on a static-policy spec accepted")
+	}
+
+	// ValidateRun drops only the profile and the stream-limit rule: a
+	// spec replaying a file to its end has neither.
+	file := good
+	file.Profile = synth.Profile{}
+	file.Insts = 0
+	if err := file.ValidateRun(); err != nil {
+		t.Errorf("profile-less whole-stream spec rejected by ValidateRun: %v", err)
+	}
+	if err := file.Validate(); err == nil {
+		t.Error("profile-less whole-stream spec accepted by Validate")
+	}
+	bad = file
+	bad.AuditSample = -3
+	if err := bad.ValidateRun(); err == nil {
+		t.Error("ValidateRun accepted a negative audit sample")
+	}
+	bad = file
+	bad.Insts = -1
+	if err := bad.ValidateRun(); err == nil {
+		t.Error("ValidateRun accepted a negative budget")
+	}
 
 	// In-process state never rides in a spec, so no cell can hold it.
 	bad = good

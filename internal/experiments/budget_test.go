@@ -26,7 +26,7 @@ func builderOf[T any](name string, fn func(Options) (T, error)) budgetBuilder {
 // table of zeros. A builder that accepts one stops the test at once, since
 // an unchecked overflowing budget may walk its stream without end.
 func TestBuildersRejectImpossibleBudgets(t *testing.T) {
-	builders := allBuilders(t)
+	builders := allBuilders()
 	// math.MaxInt64/5*4 + 3 is the smallest budget whose limit overflows.
 	for _, insts := range []int64{0, -1, math.MaxInt64, math.MaxInt64/5*4 + 3} {
 		opt := Options{Insts: insts, Benchmarks: []string{"gcc"}, Workers: 1}
@@ -54,10 +54,7 @@ func TestBuildersRejectNegativeAuditSample(t *testing.T) {
 	local := Options{Insts: 20_000, Benchmarks: []string{"gcc"}, Workers: 1, AuditSample: -3}
 	remote := local
 	remote.Dispatch = distsweep.New(distsweep.CoordinatorOptions{Workers: []string{srv.URL}})
-	for _, bb := range allBuilders(t) {
-		if bb.name == "table 2" {
-			continue // it scans streams but simulates none, so it audits nothing
-		}
+	for _, bb := range allBuilders() {
 		if bb.build(local) == nil {
 			t.Errorf("%s accepted audit sample -3 in process", bb.name)
 		}
@@ -71,21 +68,14 @@ func TestBuildersRejectNegativeAuditSample(t *testing.T) {
 	}
 }
 
-// allBuilders lists every builder that walks streams, on gcc.
-func allBuilders(t *testing.T) []budgetBuilder {
-	t.Helper()
-	p, _ := synth.ProfileByName("gcc")
-	b, err := benchFor(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+// allBuilders lists every builder that walks streams.
+func allBuilders() []budgetBuilder {
 	builders := []budgetBuilder{
 		builderOf("table 2", Table2), builderOf("table 3", Table3), builderOf("table 4", Table4),
 		builderOf("table 5", Table5), builderOf("table 6", Table6), builderOf("table 7", Table7),
 		builderOf("figure 1", Figure1), builderOf("figure 2", Figure2),
 		builderOf("figure 3", Figure3), builderOf("figure 4", Figure4),
 		builderOf("modern", ModernStudy),
-		{"characterize", func(o Options) error { _, err := Characterize(b, o); return err }},
 		{"latency sweep", func(o Options) error { _, err := LatencySweep(o, nil); return err }},
 		{"oracle", func(o Options) error { _, err := OracleSelectorData(o, 0, nil); return err }},
 		{"adaptive", func(o Options) error { _, err := AdaptiveStudyData(o, "phase:6", 0, 0, nil); return err }},

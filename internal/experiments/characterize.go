@@ -67,15 +67,27 @@ func characterizeCells(benches []*synth.Bench) []runCell {
 	return cells
 }
 
-// characterizeMany measures every benchmark over one flat work-list plus a
-// per-bench trace scan, then reduces the results in bench order.
-func characterizeMany(benches []*synth.Bench, opt Options) ([]Characterization, error) {
+// Table3Row holds one benchmark's characteristics beside the paper's.
+type Table3Row struct {
+	Characterization
+	Paper synth.PaperStats
+}
+
+// Table3Data measures every selected benchmark's Table 2/3
+// characteristics over one flat work-list plus a per-bench trace scan,
+// then reduces the results in bench order. cmd/calibrate prints these
+// rows; Table 3 renders them.
+func Table3Data(opt Options) ([]Table3Row, error) {
+	benches, err := buildAll(opt)
+	if err != nil {
+		return nil, err
+	}
 	results, err := runCells(opt, characterizeCells(benches))
 	if err != nil {
 		return nil, err
 	}
 	scans, err := benchRows(opt, benches, func(b *synth.Bench) (trace.Stats, error) {
-		st, err := trace.Scan(trace.NewLimitReader(b.NewWalker(defaultStreamSeed), opt.Insts))
+		st, err := trace.Scan(b.NewReader(defaultStreamSeed, opt.Insts))
 		if err != nil {
 			return st, fmt.Errorf("scanning %s: %w", b.Profile().Name, err)
 		}
@@ -85,7 +97,7 @@ func characterizeMany(benches []*synth.Bench, opt Options) ([]Characterization, 
 		return nil, err
 	}
 
-	out := make([]Characterization, len(benches))
+	out := make([]Table3Row, len(benches))
 	for i, b := range benches {
 		c := Characterization{
 			Name:        b.Profile().Name,
@@ -104,16 +116,7 @@ func characterizeMany(benches []*synth.Bench, opt Options) ([]Characterization, 
 		c.BTBMispredictISPI = res8.BTBMispredictISPI()
 		c.Miss32K = res32.MissRatioPct()
 		c.PHTISPIB1 = resB1.PHTMispredictISPI()
-		out[i] = c
+		out[i] = Table3Row{Characterization: c, Paper: synth.PaperTargets[c.Name]}
 	}
 	return out, nil
-}
-
-// Characterize measures a benchmark over the options' instruction budget.
-func Characterize(b *synth.Bench, opt Options) (Characterization, error) {
-	cs, err := characterizeMany([]*synth.Bench{b}, opt)
-	if err != nil {
-		return Characterization{}, err
-	}
-	return cs[0], nil
 }

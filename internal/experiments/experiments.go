@@ -162,13 +162,17 @@ func buildAll(opt Options) ([]*synth.Bench, error) {
 	})
 }
 
-// checkBudget rejects an instruction budget no run can honour: one that is
-// not positive, or whose stream limit overflows. benchRows, whose walks are
-// not simulations, meets it here; simulation cells meet the same rule in
-// JobSpec.Validate, which runCellsFull calls on every spec.
-func checkBudget(insts int64) error {
-	if _, err := trace.BudgetLimit(insts); err != nil {
+// check rejects options no run can honour: an instruction budget that is
+// not positive or whose stream limit overflows, and a negative audit rate.
+// benchRows, whose walks are not simulations, meets it here, so a builder
+// that runs no cell (Table 2) refuses them too; simulation cells meet the
+// same rules in JobSpec.Validate, which runCellsFull calls on every spec.
+func (opt Options) check() error {
+	if _, err := trace.BudgetLimit(opt.Insts); err != nil {
 		return fmt.Errorf("experiments: %w", err)
+	}
+	if opt.AuditSample < 0 {
+		return fmt.Errorf("experiments: negative audit sample %d", opt.AuditSample)
 	}
 	return nil
 }

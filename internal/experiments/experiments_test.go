@@ -253,17 +253,19 @@ func TestLongLatencyShape(t *testing.T) {
 	}
 }
 
+// TestCharacterize: one benchmark's Table 3 row, the row calibrate
+// prints, carries its name, its measured statistics and the paper's.
 func TestCharacterize(t *testing.T) {
-	profs, _ := selected(Options{Benchmarks: []string{"li"}})
-	b, err := synth.Build(profs[0])
+	rows, err := Table3Data(Options{Insts: 100_000, Benchmarks: []string{"li"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Characterize(b, Options{Insts: 100_000})
-	if err != nil {
-		t.Fatal(err)
+	if len(rows) != 1 {
+		t.Fatalf("rows = %d, want 1", len(rows))
 	}
-	if c.Name != "li" || c.BranchPct <= 0 || c.Miss8K <= 0 || c.StaticInsts <= 0 {
+	c := rows[0]
+	if c.Name != "li" || c.BranchPct <= 0 || c.Miss8K <= 0 || c.StaticInsts <= 0 ||
+		c.Paper != synth.PaperTargets["li"] {
 		t.Errorf("characterization: %+v", c)
 	}
 }

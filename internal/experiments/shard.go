@@ -12,6 +12,7 @@ import (
 	"specfetch/internal/core"
 	"specfetch/internal/distsweep"
 	"specfetch/internal/obs"
+	"specfetch/internal/program"
 	"specfetch/internal/synth"
 	"specfetch/internal/trace"
 )
@@ -139,10 +140,10 @@ func mapCells[T any](opt Options, n int, fn func(worker, i int) (T, error)) ([]T
 // benchRows evaluates fn once per benchmark on the pool, preserving bench
 // order: the per-bench work that is not a simulation (trace scans, the
 // layout ablation's profiling walks), which walks opt.Insts instructions
-// once checkBudget accepts them. Simulations go through runCells, never
+// once Options.check accepts them. Simulations go through runCells, never
 // from inside fn. Each row is wrapped in one host span ("<bench>/row").
 func benchRows[T any](opt Options, benches []*synth.Bench, fn func(b *synth.Bench) (T, error)) ([]T, error) {
-	if err := checkBudget(opt.Insts); err != nil {
+	if err := opt.check(); err != nil {
 		return nil, err
 	}
 	return mapCells(opt, len(benches), func(w, i int) (T, error) {
@@ -270,61 +271,72 @@ func spanEnd(opt Options, sp obs.SpanHandle) {
 	}
 }
 
-// simulateCell runs one validated cell in-process with a fresh engine,
-// cache, and predictor, exactly as its spec says: budget, step mode,
-// predictor, stream seed, window capture and audit rate. With a positive
-// AuditSample it attaches a sampled obs.AuditProbe to the run: stream
-// violations panic (the pool re-surfaces them), and the final accounting
-// identities are verified before the result is accepted. sinks supplies
-// only the progress and metrics sinks the finished run reports to.
+// simulateCell runs one validated cell in-process through RunSpec and
+// reports the finished run to sinks, the progress and metrics sinks.
 //
 // cellCache.simulate threads the reuses in: rd, when non-nil, is a replay
 // cursor over the cell's memoized stream; arena, when non-nil, donates
 // storage from earlier cells. Both are behaviour-neutral; nil for either
-// walks the stream or allocates fresh storage. With CaptureWindows set the
-// run carries an obs.WindowSeries and the records come back as the second
-// return; a sample-only series attached alone keeps the engine's bulk
-// path enabled, so capture costs the interpolated samples and nothing else.
+// walks the stream or allocates fresh storage.
 func simulateCell(c runCell, sinks Options, rd trace.Reader, arena *core.Arena) (core.Result, []obs.WindowRecord, error) {
-	s := c.spec
-	cfg := s.Config.ToConfig()
-	cfg.MaxInsts = s.Insts
+	if rd == nil {
+		rd = c.bench.NewReader(c.spec.Seed, traceLimit(c.spec.Insts))
+	}
+	res, wins, err := RunSpec(c.spec, c.bench.Image(), rd, arena, nil)
+	if err != nil {
+		return res, nil, err
+	}
+	sinks.observe(c.bench.Profile().Name, c.spec.Config.Policy, res)
+	return res, wins, nil
+}
+
+// RunSpec runs spec over img and rd with a fresh engine, cache and
+// predictor: the one run path of a sweep cell, on the pool and on a sweep
+// worker, and of a fetchsim run. It refuses a spec ValidateRun rejects;
+// the profile and the stream limit are the caller's, who picked img and
+// rd. It builds the in-process state from the spec: an adaptive run's
+// chooser from its strategy name; with CaptureWindows a sample-only
+// obs.WindowSeries, whose records come back as the second return and
+// which keeps the engine's bulk path enabled; with a positive AuditSample
+// a sampled obs.AuditProbe, whose stream violations panic with an
+// *obs.AuditError and whose final identities are verified before the
+// result returns. extra, when non-nil, is one more probe attached first,
+// such as fetchsim's event recorder; arena, when non-nil, donates storage.
+func RunSpec(spec distsweep.JobSpec, img *program.Image, rd trace.Reader, arena *core.Arena, extra obs.Probe) (core.Result, []obs.WindowRecord, error) {
+	if err := spec.ValidateRun(); err != nil {
+		return core.Result{}, nil, err
+	}
+	cfg := spec.Config.ToConfig()
+	cfg.MaxInsts = spec.Insts
 	cfg.Arena = arena
 	if cfg.Policy == core.Adaptive {
-		// Specs travel chooser-free (the chooser is in-process-only state);
-		// it is built here, just in time, from the serializable strategy
-		// name — the same code path on a pool worker and a remote daemon.
 		ch, err := adaptive.New(cfg.AdaptStrategy, 0)
 		if err != nil {
 			return core.Result{}, nil, err
 		}
 		cfg.Chooser = ch
 	}
-	var probes []obs.Probe
+	probes := []obs.Probe{extra}
 	var win *obs.WindowSeries
-	if s.CaptureWindows {
+	if spec.CaptureWindows {
 		win = obs.NewWindowSeries()
 		probes = append(probes, win)
 	}
 	var aud *obs.AuditProbe
-	if s.AuditSample > 0 {
+	if spec.AuditSample > 0 {
 		aud = obs.NewAuditProbe(obs.AuditOptions{
 			Width:           cfg.FetchWidth,
 			AllowBusOverlap: cfg.PipelinedMemory,
-			SampleEvery:     s.AuditSample,
+			SampleEvery:     spec.AuditSample,
 		})
 		probes = append(probes, aud)
 	}
 	cfg.Probe = obs.Multi(probes...)
-	mk, err := bpred.ByName(s.Pred)
+	mk, err := bpred.ByName(spec.Pred)
 	if err != nil {
 		return core.Result{}, nil, err
 	}
-	pred := mk()
-	if rd == nil {
-		rd = trace.NewLimitReader(c.bench.NewWalker(s.Seed), traceLimit(s.Insts))
-	}
-	res, err := core.Run(cfg, c.bench.Image(), rd, pred)
+	res, err := core.Run(cfg, img, rd, mk())
 	if err != nil {
 		return res, nil, err
 	}
@@ -333,7 +345,6 @@ func simulateCell(c runCell, sinks Options, rd trace.Reader, arena *core.Arena) 
 			return res, nil, verr
 		}
 	}
-	sinks.observe(c.bench.Profile().Name, cfg.Policy, res)
 	var wins []obs.WindowRecord
 	if win != nil {
 		wins = win.Records()

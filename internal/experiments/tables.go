@@ -34,29 +34,6 @@ func Table2(opt Options) (*texttable.Table, error) {
 	return t, nil
 }
 
-// Table3Row holds one benchmark's characteristics for tests.
-type Table3Row struct {
-	Characterization
-	Paper synth.PaperStats
-}
-
-// Table3Data measures every selected benchmark's Table 3 characteristics.
-func Table3Data(opt Options) ([]Table3Row, error) {
-	benches, err := buildAll(opt)
-	if err != nil {
-		return nil, err
-	}
-	chars, err := characterizeMany(benches, opt)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]Table3Row, len(chars))
-	for i, c := range chars {
-		rows[i] = Table3Row{Characterization: c, Paper: synth.PaperTargets[c.Name]}
-	}
-	return rows, nil
-}
-
 // Table3 reproduces the cache and branch-architecture characteristics table.
 func Table3(opt Options) (*texttable.Table, error) {
 	rows, err := Table3Data(opt)

@@ -183,7 +183,7 @@ func (r *replayReader) Next() (trace.Record, error) {
 func (r *replayReader) PreValidatedTrace() bool { return r.s.valid }
 
 // traceLimit is the stream length simulateCell feeds an engine with an
-// instruction budget of insts, which JobSpec.Validate or checkBudget has
+// instruction budget of insts, which JobSpec.Validate or Options.check has
 // accepted.
 func traceLimit(insts int64) int64 {
 	limit, _ := trace.BudgetLimit(insts)

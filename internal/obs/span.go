@@ -14,7 +14,7 @@ import (
 // simulation cell, or one bench's non-simulation work) in a span recording
 // its wall time, the worker that ran it, and the heap allocations it
 // performed; paperbench counts the spans per builder for its stderr
-// summary, and WriteHostTrace renders them as a workers-×-cells Perfetto
+// summary, and CombinedTrace renders them as a workers-×-cells Perfetto
 // timeline.
 //
 // All clock reads go through internal/hosttime (the determinism analyzer's

@@ -81,29 +81,6 @@ func (e *traceEmitter) close() error {
 	return e.bw.Flush()
 }
 
-// WriteChromeTrace renders a recorded event stream as Chrome trace-event
-// JSON with one track per resource (fetch unit, bus, resume buffer,
-// prefetch buffer, branches) plus an "issued" counter series from
-// fetch_cycle events. Load the output in https://ui.perfetto.dev or
-// chrome://tracing; overlapping spans make wrong-path fills and
-// Resume-policy redirects directly visible.
-//
-// Events may carry future timestamps and need not be sorted; the viewers
-// sort by ts. Span pairing (bus acquire/release, wrong-path miss/fill)
-// tolerates pairs truncated by the recorder's ring buffer.
-func WriteChromeTrace(w io.Writer, events []Event) error {
-	return WriteCombinedTrace(w, events, nil)
-}
-
-// WriteHostTrace renders completed host spans as Chrome trace-event JSON:
-// one "host" process with one track per pool worker, each span a slice of
-// that worker's time labelled with the work unit and its allocation count.
-// Loaded next to a machine timeline (or written into one file with
-// WriteCombinedTrace), a whole sweep renders as workers × cells.
-func WriteHostTrace(w io.Writer, spans []HostSpan) error {
-	return WriteCombinedTrace(w, nil, spans)
-}
-
 // ProcessSpans is one remote process's worth of host spans for a fleet
 // trace: the coordinator collects per-cell span timings from each worker
 // daemon over the wire, re-anchors them onto its own hosttime axis, and
@@ -124,7 +101,17 @@ type ProcessSpans struct {
 // counters both — are simulated cycles mapped to microseconds; host and
 // fleet timestamps are real microseconds on the coordinator's span-tracer
 // axis. The machine and the host share a file, not a clock.
+//
+// Load the output in https://ui.perfetto.dev or chrome://tracing;
+// overlapping machine spans make wrong-path fills and Resume-policy
+// redirects directly visible. Events may carry future timestamps and need
+// not be sorted; the viewers sort by ts. Span pairing (bus
+// acquire/release, wrong-path miss/fill) tolerates pairs truncated by the
+// recorder's ring buffer.
 type CombinedTrace struct {
+	// Events renders as one track per resource (fetch unit, bus, resume
+	// buffer, prefetch buffer, branches) plus an "issued" counter series
+	// from fetch_cycle events.
 	Events []Event
 	// Counters renders each WindowRecord as Perfetto counter samples at the
 	// window's closing cycle: ISPI, miss rate, bus occupancy, and one

@@ -48,7 +48,7 @@ func goldenEvents() []Event {
 
 func TestChromeTraceGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, goldenEvents()); err != nil {
+	if err := (CombinedTrace{Events: goldenEvents()}).Write(&buf); err != nil {
 		t.Fatal(err)
 	}
 
@@ -86,7 +86,7 @@ func goldenSpans() []HostSpan {
 
 func TestHostTraceGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteHostTrace(&buf, goldenSpans()); err != nil {
+	if err := (CombinedTrace{Spans: goldenSpans()}).Write(&buf); err != nil {
 		t.Fatal(err)
 	}
 
@@ -315,7 +315,7 @@ func TestCounterTracksWellFormed(t *testing.T) {
 // on, independent of the exact golden bytes.
 func TestChromeTraceWellFormed(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, goldenEvents()); err != nil {
+	if err := (CombinedTrace{Events: goldenEvents()}).Write(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {

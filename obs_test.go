@@ -63,7 +63,7 @@ func TestObservedRunMatchesResult(t *testing.T) {
 
 	// The timeline export must be well-formed trace-event JSON.
 	var buf bytes.Buffer
-	if err := specfetch.WriteChromeTrace(&buf, rec.Events()); err != nil {
+	if err := (specfetch.CombinedTrace{Events: rec.Events()}).Write(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {

@@ -250,25 +250,9 @@ type WindowRecord = obs.WindowRecord
 // every part in order.
 func MultiProbe(ps ...Probe) Probe { return obs.Multi(ps...) }
 
-// AuditProbe is the runtime invariant auditor: attached to a run it
-// re-derives the paper's accounting identities from the event stream,
-// panicking with a cycle-stamped *AuditError on any streaming
-// inconsistency; Verify cross-checks the final totals against the Result.
-type AuditProbe = obs.AuditProbe
-
-// AuditError is a cycle-stamped accounting-invariant violation.
+// AuditError is a cycle-stamped accounting-invariant violation, which the
+// runtime invariant auditor (obs.AuditProbe) panics with or returns.
 type AuditError = obs.AuditError
-
-// AuditOptions configures an AuditProbe (fetch width, pipelined-memory bus
-// overlap).
-type AuditOptions = obs.AuditOptions
-
-// NewAuditProbe builds a runtime invariant auditor for one run.
-func NewAuditProbe(opt AuditOptions) *AuditProbe { return obs.NewAuditProbe(opt) }
-
-// WriteChromeTrace renders recorded events as Chrome trace-event JSON,
-// loadable in https://ui.perfetto.dev or chrome://tracing.
-func WriteChromeTrace(w io.Writer, events []Event) error { return obs.WriteChromeTrace(w, events) }
 
 // CombinedTrace is the full Perfetto trace bundle: machine events, interval
 // counter tracks (per-window ISPI, miss rate, bus occupancy, stall
