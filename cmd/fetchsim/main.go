@@ -65,6 +65,13 @@ func main() {
 		memProf      = flag.String("memprofile", "", "write a heap profile to this file on successful exit")
 	)
 	flag.Parse()
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	set["events"], set["timeline"], set["series"] = *eventsPath != "", *timelinePath != "", *seriesPath != ""
+	if err := checkFlags(set); err != nil {
+		fmt.Fprintf(os.Stderr, "fetchsim: %v\n", err)
+		os.Exit(2)
+	}
 
 	// Host-side profiling of the simulator itself. Profiles are written when
 	// the run completes; error paths exit without them, like `go test`.
@@ -110,8 +117,6 @@ func main() {
 	cfg.FlushInterval = *flushIv
 	// An adaptive run takes the chooser flags' values, defaults included;
 	// a static one carries only those given, which the spec then refuses.
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	if pol == specfetch.Adaptive || set["strategy"] {
 		cfg.AdaptStrategy = *strategy
 	}
@@ -140,6 +145,9 @@ func main() {
 	var rec *specfetch.EventRecorder
 	var extra specfetch.Probe
 	if *eventsPath != "" || *timelinePath != "" {
+		if *eventCap < 1 {
+			fail("", fmt.Errorf("-event-cap %d: the event ring needs a capacity of at least 1", *eventCap))
+		}
 		rec = specfetch.NewEventRecorder(*eventCap)
 		extra = rec
 	}
@@ -205,6 +213,24 @@ func main() {
 	}
 
 	fail("", writeArtifacts(rec, wins, *eventsPath, *timelinePath, *seriesPath))
+}
+
+// checkFlags rejects a command line that sets a flag the run never reads.
+// set names the flags in effect: those flag.Visit reports, with the
+// output paths present only when non-empty.
+func checkFlags(set map[string]bool) error {
+	for _, f := range []struct {
+		name, needs string
+		read        bool
+	}{
+		{"interval", "-series or -timeline", set["series"] || set["timeline"]},
+		{"event-cap", "-events or -timeline", set["events"] || set["timeline"]},
+	} {
+		if set[f.name] && !f.read {
+			return fmt.Errorf("-%s is only read with %s", f.name, f.needs)
+		}
+	}
+	return nil
 }
 
 // fail, for a non-nil err, reports it and exits 1; what, when set, names

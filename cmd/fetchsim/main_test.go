@@ -178,28 +178,37 @@ func TestReplayMatchesBench(t *testing.T) {
 	}
 }
 
-// TestRejectsBadSpecs: settings a sweep cell's spec refuses make fetchsim
-// exit non-zero with the spec's error, not run without them.
+// TestRejectsBadSpecs: settings a sweep cell's spec refuses, and an event
+// ring below one slot, make fetchsim exit 1 with the error, not run
+// without them; an observability flag without the output that reads it
+// is a usage error (exit 2).
 func TestRejectsBadSpecs(t *testing.T) {
 	dir := t.TempDir()
 	writeGCCTrace(t, dir)
 	for _, c := range []struct {
 		args []string
+		code int
 		want string
 	}{
-		{[]string{"-audit-sample", "-3"}, "negative audit sample -3"},
-		{[]string{"-policy", "resume", "-strategy", "phase:6"}, "non-adaptive policy resume"},
-		{[]string{"-policy", "resume", "-adapt-interval", "5000"}, "non-adaptive policy resume"},
-		{[]string{"-series", "s.csv", "-interval", "0"}, "requires a positive sample_interval"},
-		{[]string{"-image", "gcc.img", "-trace", "gcc.trc", "-audit-sample", "-3"}, "negative audit sample -3"},
+		{[]string{"-audit-sample", "-3"}, 1, "negative audit sample -3"},
+		{[]string{"-policy", "resume", "-strategy", "phase:6"}, 1, "non-adaptive policy resume"},
+		{[]string{"-policy", "resume", "-adapt-interval", "5000"}, 1, "non-adaptive policy resume"},
+		{[]string{"-series", "s.csv", "-interval", "0"}, 1, "requires a positive sample_interval"},
+		{[]string{"-image", "gcc.img", "-trace", "gcc.trc", "-audit-sample", "-3"}, 1, "negative audit sample -3"},
 		{[]string{"-image", "gcc.img", "-trace", "gcc.trc", "-policy", "oracle", "-strategy", "phase:6"},
-			"non-adaptive policy oracle"},
+			1, "non-adaptive policy oracle"},
+		{[]string{"-events", "e.jsonl", "-event-cap", "0"}, 1, "-event-cap 0"},
+		{[]string{"-timeline", "t.json", "-event-cap", "-5"}, 1, "-event-cap -5"},
+		{[]string{"-interval", "-5"}, 2, "-interval is only read with -series or -timeline"},
+		{[]string{"-events", "e.jsonl", "-interval", "5000"}, 2, "-interval is only read with"},
+		{[]string{"-event-cap", "-5"}, 2, "-event-cap is only read with -events or -timeline"},
+		{[]string{"-series", "s.csv", "-event-cap", "64"}, 2, "-event-cap is only read with"},
 	} {
 		args := append([]string{"-bench", "gcc", "-insts", "20000"}, c.args...)
 		out, msg, err := fetchsim(t, dir, args...)
 		var exit *exec.ExitError
-		if !errors.As(err, &exit) {
-			t.Errorf("fetchsim %v: err %v, want a non-zero exit\n%s", c.args, err, out)
+		if !errors.As(err, &exit) || exit.ExitCode() != c.code {
+			t.Errorf("fetchsim %v: err %v, want exit %d\n%s", c.args, err, c.code, out)
 			continue
 		}
 		if !strings.Contains(msg, c.want) {

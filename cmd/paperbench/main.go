@@ -1,5 +1,9 @@
 // Command paperbench regenerates every table and figure of the paper's
-// evaluation section over the synthetic benchmark suite.
+// evaluation section over the synthetic benchmark suite. Each run renders
+// one selection: -all (the paper's tables and figures), -table, -figure,
+// -ablation, -sweep or -modern pick artifacts from the experiments
+// catalogue; -sensitivity, -oracle and -adaptive run the studies that take
+// parameters. -csv prints any table or figure as CSV.
 //
 // Sweeps run as a work-list of independent simulation cells on a bounded
 // worker pool (-workers, default GOMAXPROCS) with a deterministic reduction:
@@ -19,8 +23,8 @@
 // completed have been printed.
 //
 // Every run also traces host-side spans (one per simulation cell, plus one
-// per bench for the work that is not a simulation: the Table 2/3 trace
-// scans and the layout ablation's profiling walks) and prints a
+// per bench for the work that is not a simulation: the Table 2 trace scan
+// and the layout ablation's profiling walks) and prints a
 // per-builder summary — cells, wall time, cells/sec — to stderr;
 // -host-trace dumps the raw spans, with their per-span allocation counts,
 // as a Chrome trace (workers x cells).
@@ -28,7 +32,8 @@
 // with it on or off. Host-side performance is measured by perfbench/.
 //
 // A flag that the selected run would never read (say -intervals-out
-// without -oracle) is a usage error, not silently ignored.
+// without -oracle), or a second run selector, is a usage error, not
+// silently ignored.
 //
 // Usage:
 //
@@ -63,7 +68,6 @@ import (
 	"specfetch/internal/experiments"
 	"specfetch/internal/hosttime"
 	"specfetch/internal/obs"
-	"specfetch/internal/texttable"
 )
 
 func main() {
@@ -83,7 +87,7 @@ func main() {
 		all      = flag.Bool("all", false, "regenerate every table and figure")
 		insts    = flag.Int64("insts", 2_000_000, "instructions to simulate per benchmark")
 		bench    = flag.String("bench", "", "comma-separated benchmark subset (default: all 13)")
-		csv      = flag.Bool("csv", false, "emit tables as CSV instead of aligned text")
+		csv      = flag.Bool("csv", false, "emit tables and figures as CSV instead of aligned text")
 		quiet    = flag.Bool("quiet", false, "suppress per-simulation progress and the host-side summary on stderr")
 		metrics  = flag.String("metrics-addr", "", "serve Prometheus text metrics on this address at /metrics, with pprof under /debug/pprof/ (e.g. :9090)")
 		workers  = flag.Int("workers", 0, "simulation cells to run concurrently (0 = GOMAXPROCS, 1 = serial); output is byte-identical at every setting")
@@ -97,9 +101,16 @@ func main() {
 	flag.Parse()
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	set["oracle"], set["adaptive"] = *oracle, *adaptive
-	if err := checkFlags(set); err != nil {
+	set["all"], set["table"], set["figure"], set["ablation"], set["sensitivity"] =
+		*all, *table != 0, *figure != 0, *ablation != "", *seeds != 0
+	set["sweep"], set["modern"], set["oracle"], set["adaptive"] = *sweep, *modern, *oracle, *adaptive
+	sel, err := checkFlags(set)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "paperbench: %v\n", err)
+		os.Exit(2)
+	}
+	if sel == "" {
+		flag.Usage()
 		os.Exit(2)
 	}
 
@@ -196,11 +207,6 @@ func main() {
 		opt.Dispatch = coord
 	}
 
-	if !*all && *table == 0 && *figure == 0 && *ablation == "" && *seeds == 0 && !*sweep && !*modern && !*oracle && !*adaptive {
-		flag.Usage()
-		exit(2)
-	}
-
 	if *metrics != "" {
 		ln, err := net.Listen("tcp", *metrics)
 		if err != nil {
@@ -267,73 +273,37 @@ func main() {
 		builders = append(builders, builderTime{name, spans.Len() - lo, wall})
 	}
 
-	newline := func() {
+	// emit renders one table or figure to stdout, as CSV under -csv.
+	emit := func(r experiments.Renderer) {
+		if *csv {
+			run(r.RenderCSV(os.Stdout))
+		} else {
+			run(r.Render(os.Stdout))
+		}
 		_, err := fmt.Println()
 		run(err)
 	}
-	emitTable := func(name string, fn func(experiments.Options) (*texttable.Table, error)) {
-		var t *texttable.Table
-		collect(name, func() (err error) {
-			t, err = fn(opt)
-			return err
-		})
-		if *csv {
-			run(t.RenderCSV(os.Stdout))
-		} else {
-			run(t.Render(os.Stdout))
-		}
-		newline()
-	}
-	emitFigure := func(name string, fn func(experiments.Options) (*texttable.StackedBars, error)) {
-		var f *texttable.StackedBars
-		collect(name, func() (err error) {
-			f, err = fn(opt)
-			return err
-		})
-		run(f.Render(os.Stdout))
-		newline()
-	}
 
-	tables := map[int]func(experiments.Options) (*texttable.Table, error){
-		2: experiments.Table2, 3: experiments.Table3, 4: experiments.Table4,
-		5: experiments.Table5, 6: experiments.Table6, 7: experiments.Table7,
-	}
-	figures := map[int]func(experiments.Options) (*texttable.StackedBars, error){
-		1: experiments.Figure1, 2: experiments.Figure2,
-		3: experiments.Figure3, 4: experiments.Figure4,
-	}
-
-	switch {
-	case *adaptive:
+	var arts []experiments.Artifact
+	switch sel {
+	case "adaptive":
 		opt.FlushInterval = *flushIv
 		var d *experiments.AdaptiveData
 		collect("adaptive study", func() (err error) {
 			d, err = experiments.AdaptiveStudyData(opt, *strategy, 0, *interval, nil)
 			return err
 		})
-		tbl := d.CrossoverTable()
-		if *csv {
-			run(tbl.RenderCSV(os.Stdout))
-		} else {
-			run(tbl.Render(os.Stdout))
-		}
-		newline()
+		emit(d.CrossoverTable())
 		_, err := fmt.Print(d.WinnerMap())
 		run(err)
-	case *oracle:
+	case "oracle":
 		opt.FlushInterval = *flushIv
 		var d *experiments.OracleData
 		collect("oracle selector", func() (err error) {
 			d, err = experiments.OracleSelectorData(opt, *interval, nil)
 			return err
 		})
-		tbl := d.CrossoverTable()
-		if *csv {
-			run(tbl.RenderCSV(os.Stdout))
-		} else {
-			run(tbl.Render(os.Stdout))
-		}
-		newline()
+		emit(d.CrossoverTable())
 		_, err := fmt.Print(d.WinnerMap())
 		run(err)
 		if *intsOut != "" {
@@ -349,42 +319,34 @@ func main() {
 			}
 			fmt.Fprintf(os.Stderr, "paperbench: wrote interval JSONL to %s\n", *intsOut)
 		}
-	case *modern:
-		emitTable("modern study", experiments.ModernStudy)
-	case *sweep:
-		emitTable("latency sweep", func(o experiments.Options) (*texttable.Table, error) {
-			return experiments.LatencySweep(o, nil)
-		})
-	case *seeds > 0:
-		emitTable(fmt.Sprintf("seed sensitivity (%d seeds)", *seeds),
-			func(o experiments.Options) (*texttable.Table, error) {
+	case "sensitivity":
+		arts = []experiments.Artifact{{
+			Name: fmt.Sprintf("seed sensitivity (%d seeds)", *seeds),
+			Build: func(o experiments.Options) (experiments.Renderer, error) {
 				return experiments.SeedSensitivity(o, *seeds)
-			})
-	case *all:
-		for n := 2; n <= 7; n++ {
-			emitTable(fmt.Sprintf("table %d", n), tables[n])
+			},
+		}}
+	default:
+		name := map[string]string{
+			"table": fmt.Sprintf("table %d", *table), "figure": fmt.Sprintf("figure %d", *figure),
+			"ablation": "ablation " + *ablation, "sweep": "latency sweep", "modern": "modern study",
+		}[sel]
+		for _, a := range experiments.Catalogue() {
+			if a.Name == name || (sel == "all" && a.Paper) {
+				arts = append(arts, a)
+			}
 		}
-		for n := 1; n <= 4; n++ {
-			emitFigure(fmt.Sprintf("figure %d", n), figures[n])
+		if len(arts) == 0 {
+			run(fmt.Errorf("no %s (see -help)", name))
 		}
-	case *ablation != "":
-		fn, ok := experiments.Ablations()[*ablation]
-		if !ok {
-			run(fmt.Errorf("no ablation %q", *ablation))
-		}
-		emitTable("ablation "+*ablation, fn)
-	case *table != 0:
-		fn, ok := tables[*table]
-		if !ok {
-			run(fmt.Errorf("no table %d (paper has tables 2-7)", *table))
-		}
-		emitTable(fmt.Sprintf("table %d", *table), fn)
-	case *figure != 0:
-		fn, ok := figures[*figure]
-		if !ok {
-			run(fmt.Errorf("no figure %d (paper has figures 1-4)", *figure))
-		}
-		emitFigure(fmt.Sprintf("figure %d", *figure), fn)
+	}
+	for _, a := range arts {
+		var r experiments.Renderer
+		collect(a.Name, func() (err error) {
+			r, err = a.Build(opt)
+			return err
+		})
+		emit(r)
 	}
 
 	if !*quiet {
@@ -424,28 +386,42 @@ func main() {
 
 // ablationUsage is the -ablation help, naming every ablation there is.
 func ablationUsage() string {
-	return "run an ablation: " + strings.Join(experiments.AblationNames(), "|")
+	var names []string
+	for _, a := range experiments.Catalogue() {
+		if name, ok := strings.CutPrefix(a.Name, "ablation "); ok {
+			names = append(names, name)
+		}
+	}
+	return "run an ablation: " + strings.Join(names, "|")
 }
 
-// checkFlags rejects a command line that sets a flag the selected run
-// never reads. set names the flags in effect: those flag.Visit reports,
-// with -oracle and -adaptive present only when on.
-// -adaptive runs ahead of -oracle, as main's dispatch orders them.
-func checkFlags(set map[string]bool) error {
-	adaptive := set["adaptive"]
-	oracle := set["oracle"] && !adaptive
+// checkFlags returns the one run selector set names, or "" for none, and
+// rejects a command line that sets a second selector or a flag the
+// selected run never reads. set names the flags in effect: those
+// flag.Visit reports, with each selector present only when it selects.
+func checkFlags(set map[string]bool) (string, error) {
+	sel := ""
+	for _, s := range []string{"all", "table", "figure", "ablation", "sensitivity", "sweep", "modern", "oracle", "adaptive"} {
+		if !set[s] {
+			continue
+		}
+		if sel != "" {
+			return "", fmt.Errorf("-%s selects a second run beside -%s; give one", s, sel)
+		}
+		sel = s
+	}
 	for _, f := range []struct {
 		name, needs string
 		read        bool
 	}{
-		{"strategy", "-adaptive", adaptive},
-		{"flush-interval", "-oracle or -adaptive", oracle || adaptive},
-		{"interval", "-oracle or -adaptive", oracle || adaptive},
-		{"intervals-out", "-oracle", oracle},
+		{"strategy", "-adaptive", sel == "adaptive"},
+		{"flush-interval", "-oracle or -adaptive", sel == "oracle" || sel == "adaptive"},
+		{"interval", "-oracle or -adaptive", sel == "oracle" || sel == "adaptive"},
+		{"intervals-out", "-oracle", sel == "oracle"},
 	} {
 		if set[f.name] && !f.read {
-			return fmt.Errorf("-%s is only read with %s", f.name, f.needs)
+			return "", fmt.Errorf("-%s is only read with %s", f.name, f.needs)
 		}
 	}
-	return nil
+	return sel, nil
 }

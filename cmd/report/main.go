@@ -1,15 +1,16 @@
 // Command report regenerates the complete reproduction in one shot and
-// emits a self-contained Markdown report: every table, every figure, the
-// latency sweep, the modern-footprint study, and all ablations, each under
-// its own heading with the machine configuration recorded. Useful for
-// archiving one artifact per run. The report holds no timestamps, so the
-// same budget regenerates the same bytes; the generation time and wall
-// time go to stderr.
+// emits a self-contained Markdown report: every artifact of the catalogue
+// (the paper's tables and figures, the latency sweep, the modern-footprint
+// study and every ablation), each under its own heading with the machine
+// configuration recorded. Useful for archiving one artifact per run. The
+// report holds no timestamps, so the same budget regenerates the same
+// bytes; the generation time and wall time go to stderr. A builder that
+// fails stops the report with exit status 1.
 //
 // Usage:
 //
 //	report -insts 2000000 -o report.md
-//	report -quick -o -            # small budget, stdout
+//	report -insts 200000 -o -     # small budget, stdout
 package main
 
 import (
@@ -20,19 +21,14 @@ import (
 	"time"
 
 	"specfetch/internal/experiments"
-	"specfetch/internal/texttable"
 )
 
 func main() {
 	insts := flag.Int64("insts", 2_000_000, "instructions to simulate per benchmark")
-	quickFlag := flag.Bool("quick", false, "small-budget run (200k instructions)")
 	out := flag.String("o", "-", "output path ('-' = stdout)")
 	flag.Parse()
 
 	opt := experiments.Options{Insts: *insts}
-	if *quickFlag {
-		opt.Insts = 200_000
-	}
 
 	var w io.Writer = os.Stdout
 	closeOut := func() error { return nil }
@@ -56,60 +52,14 @@ func main() {
 	pf("Lee, Baer, Calder, Grunwald: *Instruction Cache Fetch Policies for\nSpeculative Execution*, ISCA 1995.\n\n")
 	pf("- instruction budget: %d per benchmark\n\n", opt.Insts)
 
-	section := func(title string, render func() (fmt.Stringer, error)) {
-		pf("## %s\n\n```\n", title)
-		art, err := render()
+	for _, a := range experiments.Catalogue() {
+		art, err := a.Build(opt)
 		if err != nil {
-			pf("ERROR: %v\n", err)
-		} else {
-			pf("%s", art.String())
+			fail(fmt.Errorf("%s: %w", a.Name, err))
 		}
+		pf("## %s\n\n```\n", a.Heading)
+		fail(art.Render(w))
 		pf("```\n\n")
-	}
-
-	tables := []struct {
-		title string
-		fn    func(experiments.Options) (*texttable.Table, error)
-	}{
-		{"Table 2 — benchmark inventory", experiments.Table2},
-		{"Table 3 — cache and branch characteristics", experiments.Table3},
-		{"Table 4 — miss classification", experiments.Table4},
-		{"Table 5 — speculation depth", experiments.Table5},
-		{"Table 6 — cache size", experiments.Table6},
-		{"Table 7 — prefetch memory traffic", experiments.Table7},
-	}
-	for _, tb := range tables {
-		tb := tb
-		section(tb.title, func() (fmt.Stringer, error) { return tb.fn(opt) })
-	}
-
-	figures := []struct {
-		title string
-		fn    func(experiments.Options) (*texttable.StackedBars, error)
-	}{
-		{"Figure 1 — baseline penalty breakdown", experiments.Figure1},
-		{"Figure 2 — long miss latency", experiments.Figure2},
-		{"Figure 3 — next-line prefetching", experiments.Figure3},
-		{"Figure 4 — prefetching at long latency", experiments.Figure4},
-	}
-	for _, fg := range figures {
-		fg := fg
-		section(fg.title, func() (fmt.Stringer, error) { return fg.fn(opt) })
-	}
-
-	section("Latency sweep and crossover", func() (fmt.Stringer, error) {
-		return experiments.LatencySweep(opt, nil)
-	})
-	section("Modern-footprint study", func() (fmt.Stringer, error) {
-		return experiments.ModernStudy(opt)
-	})
-
-	ablations := experiments.Ablations()
-	for _, name := range experiments.AblationNames() {
-		name := name
-		section("Ablation — "+name, func() (fmt.Stringer, error) {
-			return ablations[name](opt)
-		})
 	}
 
 	fail(closeOut())

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 
 	"specfetch/internal/bpred"
 	"specfetch/internal/cache"
@@ -364,31 +363,4 @@ func AblationContextSwitch(opt Options) (*texttable.Table, error) {
 	t := texttable.New("Ablation: context-switch flushing (Resume vs Pessimistic ISPI at flush intervals)",
 		"Program", "Res inf", "Pess inf", "Res 100k", "Pess 100k", "Res 20k", "Pess 20k")
 	return renderRows(t, opt, benches, configCells(cfgs), ispis)
-}
-
-// Ablations maps names to runners (used by cmd/paperbench -ablation).
-func Ablations() map[string]func(Options) (*texttable.Table, error) {
-	return map[string]func(Options) (*texttable.Table, error){
-		"prefetch":      AblationPrefetch,
-		"btb":           AblationBTBCoupling,
-		"assoc":         AblationAssociativity,
-		"width":         AblationFetchWidth,
-		"pipelined-mem": AblationPipelinedMemory,
-		"ras":           AblationRAS,
-		"victim":        AblationVictimCache,
-		"mshr":          AblationMSHR,
-		"layout":        AblationCodeLayout,
-		"ctxswitch":     AblationContextSwitch,
-		"l2":            AblationL2,
-	}
-}
-
-// AblationNames returns the names Ablations maps, sorted.
-func AblationNames() []string {
-	var names []string
-	for name := range Ablations() {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }

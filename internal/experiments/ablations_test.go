@@ -58,12 +58,24 @@ func TestAblationPipelinedMemory(t *testing.T) {
 	}
 }
 
+// TestAblationsRegistry: the catalogue lists every ablation, by name, in
+// sorted order, after the other artifacts.
 func TestAblationsRegistry(t *testing.T) {
-	reg := Ablations()
-	for _, name := range []string{"prefetch", "btb", "assoc", "width", "pipelined-mem"} {
-		if reg[name] == nil {
-			t.Errorf("ablation %q missing from registry", name)
+	want := []string{"assoc", "btb", "ctxswitch", "l2", "layout", "mshr",
+		"pipelined-mem", "prefetch", "ras", "victim", "width"}
+	var got []string
+	for _, a := range Catalogue() {
+		if name, ok := strings.CutPrefix(a.Name, "ablation "); ok {
+			got = append(got, name)
+			if a.Heading != "Ablation — "+name || a.Paper {
+				t.Errorf("%s: heading %q, paper %v", a.Name, a.Heading, a.Paper)
+			}
+		} else if got != nil {
+			t.Errorf("%s listed after the ablations", a.Name)
 		}
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("catalogue ablations %v, want %v", got, want)
 	}
 }
 

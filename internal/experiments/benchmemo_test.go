@@ -130,19 +130,11 @@ func TestBenchMemoUnmutatedByBuilders(t *testing.T) {
 	}
 	want := imageGoldenDigests(t)
 	opt := quick()
-	for _, run := range []func(Options) (any, error){
-		func(o Options) (any, error) { return Table2(o) },
-		func(o Options) (any, error) { return Table3(o) },
-		func(o Options) (any, error) { return Table4(o) },
-		func(o Options) (any, error) { return Table5(o) },
-		func(o Options) (any, error) { return Table6(o) },
-		func(o Options) (any, error) { return Table7(o) },
-		func(o Options) (any, error) { return Figure1(o) },
-		func(o Options) (any, error) { return Figure2(o) },
-		func(o Options) (any, error) { return Figure3(o) },
-		func(o Options) (any, error) { return Figure4(o) },
-	} {
-		if _, err := run(opt); err != nil {
+	for _, a := range Catalogue() {
+		if !a.Paper {
+			continue
+		}
+		if _, err := a.Build(opt); err != nil {
 			t.Fatal(err)
 		}
 	}

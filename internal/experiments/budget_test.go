@@ -68,23 +68,18 @@ func TestBuildersRejectNegativeAuditSample(t *testing.T) {
 	}
 }
 
-// allBuilders lists every builder that walks streams.
+// allBuilders lists every builder that walks streams: the catalogue's
+// artifacts and the three studies that take parameters.
 func allBuilders() []budgetBuilder {
-	builders := []budgetBuilder{
-		builderOf("table 2", Table2), builderOf("table 3", Table3), builderOf("table 4", Table4),
-		builderOf("table 5", Table5), builderOf("table 6", Table6), builderOf("table 7", Table7),
-		builderOf("figure 1", Figure1), builderOf("figure 2", Figure2),
-		builderOf("figure 3", Figure3), builderOf("figure 4", Figure4),
-		builderOf("modern", ModernStudy),
-		{"latency sweep", func(o Options) error { _, err := LatencySweep(o, nil); return err }},
-		{"oracle", func(o Options) error { _, err := OracleSelectorData(o, 0, nil); return err }},
-		{"adaptive", func(o Options) error { _, err := AdaptiveStudyData(o, "phase:6", 0, 0, nil); return err }},
-		{"sensitivity", func(o Options) error { _, err := SeedSensitivity(o, 2); return err }},
+	var builders []budgetBuilder
+	for _, a := range Catalogue() {
+		builders = append(builders, builderOf(a.Name, a.Build))
 	}
-	for _, name := range AblationNames() {
-		builders = append(builders, builderOf("ablation "+name, Ablations()[name]))
-	}
-	return builders
+	return append(builders,
+		budgetBuilder{"oracle", func(o Options) error { _, err := OracleSelectorData(o, 0, nil); return err }},
+		budgetBuilder{"adaptive", func(o Options) error { _, err := AdaptiveStudyData(o, "phase:6", 0, 0, nil); return err }},
+		budgetBuilder{"sensitivity", func(o Options) error { _, err := SeedSensitivity(o, 2); return err }},
+	)
 }
 
 // TestJobRunnerRejectsImpossibleBudgets: a worker refuses a spec whose

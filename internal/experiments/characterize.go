@@ -1,16 +1,13 @@
 // Package experiments contains one runner per table and figure of the
-// paper's evaluation section, plus the benchmark characterization used to
-// calibrate the synthetic workloads.
+// paper's evaluation section, plus the benchmark characterization that
+// Table 3 renders beside the paper's values.
 package experiments
 
 import (
-	"fmt"
-
 	"specfetch/internal/cache"
 	"specfetch/internal/core"
 	"specfetch/internal/isa"
 	"specfetch/internal/synth"
-	"specfetch/internal/trace"
 )
 
 // cacheConfig builds the paper's direct-mapped cache of the given size.
@@ -29,15 +26,11 @@ func baseConfig(pol core.Policy) core.Config {
 // benchmark, as the paper replays one trace per program.
 const defaultStreamSeed = 0x5eed
 
-// Characterization reports the Table 2/3 statistics of one (synthetic)
+// Characterization reports the Table 3 statistics of one (synthetic)
 // benchmark, in the paper's units.
 type Characterization struct {
 	Name string
 	Lang synth.Lang
-	// BranchPct is the dynamic branch percentage (Table 2).
-	BranchPct float64
-	// CondPct is the dynamic conditional-branch percentage.
-	CondPct float64
 	// Miss8K / Miss32K are right-path miss percentages per instruction on
 	// the paper's two cache sizes (Table 3).
 	Miss8K, Miss32K float64
@@ -45,8 +38,6 @@ type Characterization struct {
 	PHTISPIB1, PHTISPIB4 float64
 	// BTBMisfetchISPI / BTBMispredictISPI at depth 4.
 	BTBMisfetchISPI, BTBMispredictISPI float64
-	// StaticInsts is the code footprint in instructions.
-	StaticInsts int
 }
 
 // characterizeCells flattens the characterization's three simulations per
@@ -73,10 +64,8 @@ type Table3Row struct {
 	Paper synth.PaperStats
 }
 
-// Table3Data measures every selected benchmark's Table 2/3
-// characteristics over one flat work-list plus a per-bench trace scan,
-// then reduces the results in bench order. cmd/calibrate prints these
-// rows; Table 3 renders them.
+// Table3Data measures every selected benchmark's Table 3 characteristics
+// over one flat work-list, then reduces the results in bench order.
 func Table3Data(opt Options) ([]Table3Row, error) {
 	benches, err := buildAll(opt)
 	if err != nil {
@@ -86,29 +75,9 @@ func Table3Data(opt Options) ([]Table3Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	scans, err := benchRows(opt, benches, func(b *synth.Bench) (trace.Stats, error) {
-		st, err := trace.Scan(b.NewReader(defaultStreamSeed, opt.Insts))
-		if err != nil {
-			return st, fmt.Errorf("scanning %s: %w", b.Profile().Name, err)
-		}
-		return st, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
 	out := make([]Table3Row, len(benches))
 	for i, b := range benches {
-		c := Characterization{
-			Name:        b.Profile().Name,
-			Lang:        b.Profile().Lang,
-			StaticInsts: b.Image().NumInsts(),
-		}
-		st := scans[i]
-		c.BranchPct = 100 * st.BranchFrac()
-		if st.Insts > 0 {
-			c.CondPct = 100 * float64(st.Conditionals) / float64(st.Insts)
-		}
+		c := Characterization{Name: b.Profile().Name, Lang: b.Profile().Lang}
 		res8, res32, resB1 := results[3*i], results[3*i+1], results[3*i+2]
 		c.Miss8K = res8.MissRatioPct()
 		c.PHTISPIB4 = res8.PHTMispredictISPI()

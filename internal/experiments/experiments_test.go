@@ -9,6 +9,7 @@ import (
 	"specfetch/internal/metrics"
 	"specfetch/internal/obs"
 	"specfetch/internal/synth"
+	"specfetch/internal/trace"
 )
 
 // quick gives every experiment a fast test configuration.
@@ -253,8 +254,8 @@ func TestLongLatencyShape(t *testing.T) {
 	}
 }
 
-// TestCharacterize: one benchmark's Table 3 row, the row calibrate
-// prints, carries its name, its measured statistics and the paper's.
+// TestCharacterize: one benchmark's Table 3 row carries its name, its
+// measured statistics and the paper's.
 func TestCharacterize(t *testing.T) {
 	rows, err := Table3Data(Options{Insts: 100_000, Benchmarks: []string{"li"}})
 	if err != nil {
@@ -264,7 +265,7 @@ func TestCharacterize(t *testing.T) {
 		t.Fatalf("rows = %d, want 1", len(rows))
 	}
 	c := rows[0]
-	if c.Name != "li" || c.BranchPct <= 0 || c.Miss8K <= 0 || c.StaticInsts <= 0 ||
+	if c.Name != "li" || c.Lang != synth.C || c.Miss8K <= 0 || c.Miss32K <= 0 || c.PHTISPIB4 <= 0 ||
 		c.Paper != synth.PaperTargets["li"] {
 		t.Errorf("characterization: %+v", c)
 	}
@@ -378,11 +379,19 @@ func TestMissRateRankCorrelation(t *testing.T) {
 	if rho := spearman(ours, paper); rho < 0.75 {
 		t.Errorf("8K miss-rate rank correlation %.3f below 0.75", rho)
 	}
-	// And the branch fractions correlate too.
+	// And the branch fractions Table 2 scans correlate too.
 	ours, paper = nil, nil
-	for _, r := range rows {
-		ours = append(ours, r.BranchPct)
-		paper = append(paper, r.Paper.BranchPct)
+	benches, err := buildAll(Options{Insts: 400_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range benches {
+		st, err := trace.Scan(b.NewReader(defaultStreamSeed, 400_000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ours = append(ours, 100*st.BranchFrac())
+		paper = append(paper, synth.PaperTargets[b.Profile().Name].BranchPct)
 	}
 	if rho := spearman(ours, paper); rho < 0.85 {
 		t.Errorf("branch%% rank correlation %.3f below 0.85", rho)

@@ -55,12 +55,18 @@ func TestTable6Figure1GoldenPinned(t *testing.T) {
 func TestAblationsTable4GoldenPinned(t *testing.T) {
 	opt := Options{Insts: 30_000, Benchmarks: []string{"doduc", "gcc", "groff"}, Workers: 1}
 	var sb strings.Builder
-	for _, name := range AblationNames() {
-		tab, err := Ablations()[name](opt)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+	for _, a := range Catalogue() {
+		if !strings.HasPrefix(a.Name, "ablation ") {
+			continue
 		}
-		sb.WriteString(tab.String() + "\n")
+		tab, err := a.Build(opt)
+		if err != nil {
+			t.Fatalf("%s: %v", a.Name, err)
+		}
+		if err := tab.Render(&sb); err != nil {
+			t.Fatal(err)
+		}
+		sb.WriteString("\n")
 	}
 	tab4, err := Table4(opt)
 	if err != nil {

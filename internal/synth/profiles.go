@@ -2,8 +2,9 @@ package synth
 
 // The 13 stock profiles imitate the paper's Table 2 benchmarks. Parameters
 // were calibrated against the paper's Table 3 characteristics (branch
-// fraction, 8K/32K miss rates, PHT/BTB penalty ordering) using
-// cmd/calibrate; see EXPERIMENTS.md for achieved-vs-paper numbers.
+// fraction, 8K/32K miss rates, PHT/BTB penalty ordering), which
+// paperbench -table 2 and -table 3 print beside the paper's values; see
+// EXPERIMENTS.md for achieved-vs-paper numbers.
 //
 // Calibration notes (why the knobs look the way they do):
 //   - Branch outcome streams must be low entropy (strong biases, agreeing

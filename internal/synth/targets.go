@@ -1,8 +1,8 @@
 package synth
 
 // PaperStats records what the paper measured for a benchmark (Tables 2/3),
-// used by the calibration harness and EXPERIMENTS.md to compare our
-// synthetic stand-ins against the originals.
+// which Tables 2 and 3 and EXPERIMENTS.md print beside our synthetic
+// stand-ins' values.
 type PaperStats struct {
 	// BranchPct is Table 2's "% Branches" (dynamic branches per instruction).
 	BranchPct float64
