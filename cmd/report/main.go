@@ -5,7 +5,7 @@
 // configuration recorded. Useful for archiving one artifact per run. The
 // report holds no timestamps, so the same budget regenerates the same
 // bytes; the generation time and wall time go to stderr. A builder that
-// fails stops the report with exit status 1.
+// fails stops the report with exit status 1 and writes no report.
 //
 // Usage:
 //
@@ -14,9 +14,9 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"time"
 
@@ -30,20 +30,11 @@ func main() {
 
 	opt := experiments.Options{Insts: *insts}
 
-	var w io.Writer = os.Stdout
-	closeOut := func() error { return nil }
-	if *out != "-" {
-		f, err := os.Create(*out)
-		fail(err)
-		closeOut = f.Close
-		w = f
-	}
-
-	// pf is a checked Fprintf: a write failure (full disk, broken pipe) must
-	// not yield a silently truncated report.
+	// The whole document is built before any output is opened, so a failed
+	// run writes no partial report and leaves an existing -o file as it was.
+	var doc bytes.Buffer
 	pf := func(format string, args ...any) {
-		_, err := fmt.Fprintf(w, format, args...)
-		fail(err)
+		_, _ = fmt.Fprintf(&doc, format, args...) // a bytes.Buffer write cannot fail
 	}
 
 	start := time.Now()
@@ -58,11 +49,16 @@ func main() {
 			fail(fmt.Errorf("%s: %w", a.Name, err))
 		}
 		pf("## %s\n\n```\n", a.Heading)
-		fail(art.Render(w))
+		fail(art.Render(&doc))
 		pf("```\n\n")
 	}
 
-	fail(closeOut())
+	if *out == "-" {
+		_, err := os.Stdout.Write(doc.Bytes())
+		fail(err)
+	} else {
+		fail(os.WriteFile(*out, doc.Bytes(), 0o666))
+	}
 	fmt.Fprintf(os.Stderr, "report: generated in %s\n", time.Since(start).Round(time.Second))
 }
 

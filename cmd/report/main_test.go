@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -49,6 +50,30 @@ func TestBuilderErrorFailsTheReport(t *testing.T) {
 	}
 	if !strings.Contains(msg, "report: table 2: ") || !strings.Contains(msg, "budget 0") {
 		t.Errorf("stderr %q does not name the failing builder and its error", msg)
+	}
+}
+
+// TestBuilderErrorWritesNoFile: a failed run with -o creates no file and
+// leaves an existing one as it was, so a half-built report never stands
+// in for a complete one.
+func TestBuilderErrorWritesNoFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "r.md")
+	if _, _, code := report(t, "-insts", "0", "-o", path); code != 1 {
+		t.Fatalf("exit %d, want 1", code)
+	}
+	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("failed run left %s behind (stat: %v)", path, err)
+	}
+
+	const old = "an earlier report\n"
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, code := report(t, "-insts", "0", "-o", path); code != 1 {
+		t.Fatalf("exit %d, want 1", code)
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != old {
+		t.Errorf("failed run changed %s: %q, %v; want %q", path, got, err, old)
 	}
 }
 

@@ -2,27 +2,25 @@
 // the module: determinism (no wall clock / global rand / map-ordered
 // output in simulator packages), probeguard (nil-guarded probe hooks),
 // enumswitch (exhaustive switches over module enums), errcheck (no
-// discarded errors in codecs and CLI I/O), sweeplint (structured logging
-// in the distributed-sweep layer), and unitcheck (cycle and issue-slot
-// quantities never mix or revert to raw integers without an explicit
-// conversion). It is a hard-fail CI gate.
+// discarded errors in codecs and CLI I/O), sweeplint (the distributed-sweep
+// layer reports through registry counters or its injected stderr writer,
+// never ad-hoc stderr prints or the global log package), and unitcheck
+// (cycle and issue-slot quantities never mix or revert to raw integers
+// without an explicit conversion). It is a hard-fail CI gate.
 //
-// Packages are linted as a build-tag matrix: once under the default tag
-// set and once more per custom build tag found in their files, so code
-// gated behind //go:build tags is analyzed too. Findings are merged and
-// deduplicated across the variants.
+// Packages are loaded once, under the default build environment: a file
+// gated behind a //go:build constraint is linted only when the default
+// environment builds it (the !race half of a race test pair, not the race
+// half).
 //
 // Usage:
 //
 //	simlint ./...                      # whole module (testdata skipped)
 //	simlint ./internal/core            # one package
 //	simlint -only determinism ./...    # a subset of analyzers
-//	simlint -json ./...                # machine-readable findings for CI
 //	simlint -list                      # describe the analyzers
 //
-// With -json, findings are written to stdout as one JSON array of
-// {file, line, col, analyzer, message} objects (the empty array when
-// clean), so CI can annotate them; exit status is unchanged.
+// Findings print one per line as file:line:col: [analyzer] message.
 //
 // Exit status: 0 clean, 1 findings, 2 usage or load failure.
 package main
@@ -38,7 +36,6 @@ import (
 func main() {
 	only := flag.String("only", "", "comma-separated analyzer subset (default: all)")
 	list := flag.Bool("list", false, "list the analyzers and exit")
-	jsonOut := flag.Bool("json", false, "emit findings as a JSON array (file/line/col/analyzer/message)")
 	flag.Parse()
 
 	if *list {
@@ -68,34 +65,25 @@ func main() {
 		os.Exit(2)
 	}
 
-	variants, err := analysis.LoadMatrix(cwd, patterns)
+	pkgs, err := analysis.Load(cwd, patterns)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "simlint: %v\n", err)
 		os.Exit(2)
 	}
 	loadOK := true
-	for _, v := range variants {
-		for _, pkg := range v.Pkgs {
-			for _, terr := range pkg.TypeErrors {
-				fmt.Fprintf(os.Stderr, "simlint: %s (%s): %v\n", pkg.PkgPath, v.Label(), terr)
-				loadOK = false
-			}
+	for _, pkg := range pkgs {
+		for _, terr := range pkg.TypeErrors {
+			fmt.Fprintf(os.Stderr, "simlint: %s: %v\n", pkg.PkgPath, terr)
+			loadOK = false
 		}
 	}
 	if !loadOK {
 		os.Exit(2)
 	}
 
-	diags := analysis.RunMatrix(variants, analyzers)
-	if *jsonOut {
-		if err := analysis.WriteJSON(os.Stdout, diags, cwd); err != nil {
-			fmt.Fprintf(os.Stderr, "simlint: stdout: %v\n", err)
-			os.Exit(2)
-		}
-	} else {
-		for _, d := range diags {
-			emit(d.String(cwd))
-		}
+	diags := analysis.Run(pkgs, analyzers)
+	for _, d := range diags {
+		emit(d.String(cwd))
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(os.Stderr, "simlint: %d finding(s)\n", len(diags))

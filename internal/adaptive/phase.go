@@ -207,7 +207,7 @@ func (p *Phase) Decide(w core.AdaptWindow) core.Policy {
 	idx := int64(w.Index)
 	pos := idx % p.period
 	active := p.armIndex(w.Active)
-	c := w.LostPerInst()
+	c := w.ISPI()
 
 	// Score the window relative to its position's running mean into the
 	// current block; the first visit to a position has no baseline and

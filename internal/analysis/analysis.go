@@ -155,12 +155,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 			a.Run(&Pass{Analyzer: a, Pkg: pkg, diags: &diags})
 		}
 	}
-	sortDiagnostics(diags)
-	return diags
-}
-
-// sortDiagnostics orders findings by position, then analyzer name.
-func sortDiagnostics(diags []Diagnostic) {
+	// Order by position, then analyzer name.
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
 		if a.Pos.Filename != b.Pos.Filename {
@@ -174,6 +169,7 @@ func sortDiagnostics(diags []Diagnostic) {
 		}
 		return a.Analyzer < b.Analyzer
 	})
+	return diags
 }
 
 // inspectWithStack walks every file, calling visit with the full ancestor

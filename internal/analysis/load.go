@@ -48,26 +48,13 @@ type Package struct {
 // imports are served from the toolchain's compiled export data (via
 // `go list -export`), which requires no network access.
 //
-// Files carrying build constraints (//go:build or legacy // +build lines)
-// are included only when the constraint is satisfied by the default
-// environment (GOOS, GOARCH, gc, matching go1.N releases) — the same file
-// set `go build` would compile. LoadWithTags enables extra tags, and
-// LoadMatrix lints every tag-gated file by loading once per discovered
-// custom tag.
+// Files carrying a //go:build constraint are included only when the
+// default environment (GOOS, GOARCH, gc, matching go1.N releases)
+// satisfies it — the same file set `go build` would compile.
 func Load(dir string, patterns []string) ([]*Package, error) {
-	return LoadWithTags(dir, patterns, nil)
-}
-
-// LoadWithTags is Load with extra build tags enabled, as `go build -tags`
-// would: files whose build constraint needs one of the tags are included.
-func LoadWithTags(dir string, patterns []string, tags []string) ([]*Package, error) {
 	absDir, err := filepath.Abs(dir)
 	if err != nil {
 		return nil, err
-	}
-	extra := map[string]bool{}
-	for _, t := range tags {
-		extra[t] = true
 	}
 	modRoot, modPath, err := findModule(absDir)
 	if err != nil {
@@ -86,7 +73,6 @@ func LoadWithTags(dir string, patterns []string, tags []string) ([]*Package, err
 		fset:    token.NewFileSet(),
 		modRoot: modRoot,
 		modPath: modPath,
-		tags:    extra,
 		units:   map[string]*Package{},
 		parsed:  map[string]bool{},
 		loading: map[string]bool{},
@@ -136,10 +122,6 @@ type loader struct {
 	fset    *token.FileSet
 	modRoot string
 	modPath string
-	// tags holds the extra build tags enabled for this load (beyond the
-	// default environment); files whose constraint they do not satisfy are
-	// skipped exactly as `go build` would skip them.
-	tags map[string]bool
 	// units memoizes parsed/checked module packages by import path;
 	// external test packages are filed under "<pkg>_test".
 	units map[string]*Package
@@ -266,7 +248,7 @@ func (ld *loader) parseUnits(dir, path string) (pkg, xtest *Package, err error) 
 		if err != nil {
 			return nil, nil, err
 		}
-		if !constraintSatisfied(f, ld.tags) {
+		if !constraintSatisfied(f) {
 			continue
 		}
 		if strings.HasSuffix(f.Name.Name, "_test") {

@@ -1,31 +1,22 @@
 package analysis
 
 import (
-	"fmt"
 	"go/ast"
 	"go/build/constraint"
-	"go/parser"
-	"go/token"
-	"os"
-	"path/filepath"
 	"runtime"
-	"sort"
 	"strings"
 )
 
-// The tag matrix. A file gated behind a custom build tag (//go:build
-// slowclock) is invisible to a default load, so a single-pass linter would
-// never see the code `go test -tags slowclock` compiles. LoadMatrix closes
-// that gap: it loads the selected packages once under the default tag set
-// and once more per custom tag discovered in their files, and RunMatrix
-// merges the analyzer findings across the variants, deduplicated — a
-// finding in an always-built file shows up once, not once per variant.
+// The loader's file filter. A file whose build constraint the default
+// environment does not satisfy is skipped exactly as `go build` skips it,
+// so a tag-gated file (the race half of a race/!race test pair) is linted
+// only when the default environment builds it.
 
-// fileConstraint extracts a file's build constraint from the comments
-// preceding its package clause: a //go:build line wins; otherwise legacy
-// // +build lines are AND-ed. Returns nil when the file is unconstrained.
+// fileConstraint extracts a file's //go:build constraint from the comments
+// preceding its package clause. Returns nil when the file is
+// unconstrained. gofmt writes a //go:build line beside any legacy
+// // +build lines, and that line takes precedence, so only it is read.
 func fileConstraint(f *ast.File) constraint.Expr {
-	var plus constraint.Expr
 	for _, cg := range f.Comments {
 		if cg.Pos() >= f.Package {
 			break
@@ -35,22 +26,10 @@ func fileConstraint(f *ast.File) constraint.Expr {
 				if e, err := constraint.Parse(c.Text); err == nil {
 					return e
 				}
-				continue
-			}
-			if constraint.IsPlusBuild(c.Text) {
-				e, err := constraint.Parse(c.Text)
-				if err != nil {
-					continue
-				}
-				if plus == nil {
-					plus = e
-				} else {
-					plus = &constraint.AndExpr{X: plus, Y: e}
-				}
 			}
 		}
 	}
-	return plus
+	return nil
 }
 
 // unixGOOS mirrors the "unix" build tag's OS set (the members relevant to
@@ -61,35 +40,8 @@ var unixGOOS = map[string]bool{
 	"netbsd": true, "openbsd": true, "solaris": true,
 }
 
-// knownGOOS / knownGOARCH are the platform tag names the matrix must never
-// treat as custom tags: loading the module with "windows" enabled on linux
-// would stand up file sets no real build uses.
-var knownGOOS = map[string]bool{
-	"aix": true, "android": true, "darwin": true, "dragonfly": true,
-	"freebsd": true, "illumos": true, "ios": true, "js": true,
-	"linux": true, "netbsd": true, "openbsd": true, "plan9": true,
-	"solaris": true, "wasip1": true, "windows": true,
-}
-var knownGOARCH = map[string]bool{
-	"386": true, "amd64": true, "arm": true, "arm64": true,
-	"loong64": true, "mips": true, "mips64": true, "mips64le": true,
-	"mipsle": true, "ppc64": true, "ppc64le": true, "riscv64": true,
-	"s390x": true, "wasm": true,
-}
-
-// reservedTags are non-platform tags with toolchain-defined meaning; they
-// are evaluated, never matrixed over.
-var reservedTags = map[string]bool{
-	"gc": true, "gccgo": true, "cgo": true, "unix": true,
-	"race": true, "msan": true, "asan": true, "purego": true,
-}
-
-// tagSatisfied evaluates one build tag against the default environment
-// plus the load's extra tag set.
-func tagSatisfied(tag string, extra map[string]bool) bool {
-	if extra[tag] {
-		return true
-	}
+// tagSatisfied evaluates one build tag against the default environment.
+func tagSatisfied(tag string) bool {
 	switch tag {
 	case runtime.GOOS, runtime.GOARCH, "gc":
 		return true
@@ -104,145 +56,8 @@ func tagSatisfied(tag string, extra map[string]bool) bool {
 }
 
 // constraintSatisfied reports whether f's build constraint (if any) holds
-// under the default environment plus extra tags.
-func constraintSatisfied(f *ast.File, extra map[string]bool) bool {
+// under the default environment.
+func constraintSatisfied(f *ast.File) bool {
 	e := fileConstraint(f)
-	if e == nil {
-		return true
-	}
-	return e.Eval(func(tag string) bool { return tagSatisfied(tag, extra) })
-}
-
-// customTag reports whether a tag found in a constraint should become a
-// matrix dimension: anything that is not a platform name, a reserved
-// toolchain tag, or a release tag.
-func customTag(tag string) bool {
-	return !knownGOOS[tag] && !knownGOARCH[tag] && !reservedTags[tag] &&
-		!strings.HasPrefix(tag, "go1.")
-}
-
-// collectExprTags accumulates every tag name mentioned in a constraint.
-func collectExprTags(e constraint.Expr, out map[string]bool) {
-	switch x := e.(type) {
-	case *constraint.TagExpr:
-		out[x.Tag] = true
-	case *constraint.NotExpr:
-		collectExprTags(x.X, out)
-	case *constraint.AndExpr:
-		collectExprTags(x.X, out)
-		collectExprTags(x.Y, out)
-	case *constraint.OrExpr:
-		collectExprTags(x.X, out)
-		collectExprTags(x.Y, out)
-	}
-}
-
-// CollectBuildTags scans the packages selected by patterns (without
-// type-checking them) and returns the sorted custom build tags their file
-// constraints mention. Platform, toolchain, and release tags are excluded;
-// the result is the set of extra dimensions a lint matrix must cover.
-func CollectBuildTags(dir string, patterns []string) ([]string, error) {
-	absDir, err := filepath.Abs(dir)
-	if err != nil {
-		return nil, err
-	}
-	dirs, err := expandPatterns(absDir, patterns)
-	if err != nil {
-		return nil, err
-	}
-	fset := token.NewFileSet()
-	tags := map[string]bool{}
-	for _, d := range dirs {
-		entries, err := os.ReadDir(d)
-		if err != nil {
-			return nil, err
-		}
-		for _, e := range entries {
-			name := e.Name()
-			if e.IsDir() || !strings.HasSuffix(name, ".go") ||
-				strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
-				continue
-			}
-			// Header-only parse: constraints must precede the package
-			// clause, so the bodies are never needed.
-			f, err := parser.ParseFile(fset, filepath.Join(d, name), nil,
-				parser.PackageClauseOnly|parser.ParseComments)
-			if err != nil {
-				continue // the full load will surface the syntax error
-			}
-			if e := fileConstraint(f); e != nil {
-				collectExprTags(e, tags)
-			}
-		}
-	}
-	var out []string
-	for t := range tags {
-		if customTag(t) {
-			out = append(out, t)
-		}
-	}
-	sort.Strings(out)
-	return out, nil
-}
-
-// TagVariant is one load of the lint matrix: the extra build tags enabled
-// (nil for the default load) and the packages stood up under them.
-type TagVariant struct {
-	Tags []string
-	Pkgs []*Package
-}
-
-// Label renders the variant for diagnostics ("default" or "tags=slowclock").
-func (v TagVariant) Label() string {
-	if len(v.Tags) == 0 {
-		return "default"
-	}
-	return "tags=" + strings.Join(v.Tags, ",")
-}
-
-// LoadMatrix loads the packages selected by patterns under the default tag
-// set, plus one additional load per custom build tag found in their files,
-// so every tag-gated file is parsed and type-checked by at least one
-// variant. Tags are enabled one at a time: pairwise tag interactions are
-// assumed not to hide files (true for the gating idiom this module uses).
-func LoadMatrix(dir string, patterns []string) ([]TagVariant, error) {
-	base, err := Load(dir, patterns)
-	if err != nil {
-		return nil, err
-	}
-	variants := []TagVariant{{Pkgs: base}}
-	tags, err := CollectBuildTags(dir, patterns)
-	if err != nil {
-		return nil, err
-	}
-	for _, tag := range tags {
-		pkgs, err := LoadWithTags(dir, patterns, []string{tag})
-		if err != nil {
-			return nil, fmt.Errorf("loading with -tags %s: %w", tag, err)
-		}
-		variants = append(variants, TagVariant{Tags: []string{tag}, Pkgs: pkgs})
-	}
-	return variants, nil
-}
-
-// RunMatrix applies the analyzers to every variant and merges the
-// findings: deduplicated by position, analyzer, and message (an
-// always-built file is analyzed once per variant but reported once),
-// sorted by position.
-func RunMatrix(variants []TagVariant, analyzers []*Analyzer) []Diagnostic {
-	seen := map[string]bool{}
-	var out []Diagnostic
-	for _, v := range variants {
-		for _, d := range Run(v.Pkgs, analyzers) {
-			key := fmt.Sprintf("%s:%d:%d\x00%s\x00%s",
-				d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			out = append(out, d)
-		}
-	}
-	sortDiagnostics(out)
-	return out
+	return e == nil || e.Eval(tagSatisfied)
 }

@@ -5,10 +5,6 @@ import (
 	"go/build/constraint"
 	"go/parser"
 	"go/token"
-	"os"
-	"path/filepath"
-	"reflect"
-	"strings"
 	"testing"
 )
 
@@ -22,137 +18,22 @@ func parseHeader(t *testing.T, src string) *ast.File {
 	return f
 }
 
-// TestTagMatrixFixture proves the matrix closes the tag-gated blind spot:
-// the default load of the tagmatrix fixture never parses slow.go, the
-// slowclock variant does, and the merged findings contain both the
-// tag-gated wall-clock read and — exactly once — the finding in the
-// always-built file.
-func TestTagMatrixFixture(t *testing.T) {
-	dir := filepath.Join("testdata", "src", "tagmatrix")
-
-	base, err := Load(".", []string{dir})
-	if err != nil {
-		t.Fatalf("default load: %v", err)
-	}
-	for _, d := range Run(base, []*Analyzer{Determinism}) {
-		if filepath.Base(d.Pos.Filename) == "slow.go" {
-			t.Fatalf("default load saw the tag-gated file: %s", d.String(""))
-		}
-	}
-
-	tags, err := CollectBuildTags(".", []string{dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(tags, []string{"slowclock"}) {
-		t.Fatalf("CollectBuildTags = %v, want [slowclock]", tags)
-	}
-
-	variants, err := LoadMatrix(".", []string{dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(variants) != 2 {
-		t.Fatalf("matrix has %d variants, want 2 (default + slowclock)", len(variants))
-	}
-	if got := variants[1].Label(); got != "tags=slowclock" {
-		t.Errorf("variant label = %q, want tags=slowclock", got)
-	}
-	for _, v := range variants {
-		for _, pkg := range v.Pkgs {
-			if len(pkg.TypeErrors) != 0 {
-				t.Fatalf("%s (%s): fixture does not type-check: %v", pkg.PkgPath, v.Label(), pkg.TypeErrors)
-			}
-		}
-	}
-
-	diags := RunMatrix(variants, []*Analyzer{Determinism})
-	var rolls, stamps int
-	for _, d := range diags {
-		switch filepath.Base(d.Pos.Filename) {
-		case "tagmatrix.go":
-			rolls++
-		case "slow.go":
-			stamps++
-		}
-	}
-	if rolls != 1 {
-		t.Errorf("always-built finding reported %d times, want exactly 1 (dedup)", rolls)
-	}
-	if stamps != 1 {
-		t.Errorf("tag-gated finding reported %d times, want 1 (matrix variant)", stamps)
-	}
-
-	absDir, err := filepath.Abs(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	for _, d := range diags {
-		sb.WriteString(d.String(absDir))
-		sb.WriteByte('\n')
-	}
-	got := sb.String()
-	golden := filepath.Join(dir, "tagmatrix.golden")
-	if *update {
-		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("missing golden file (run with -update): %v", err)
-	}
-	if got != string(want) {
-		t.Errorf("diagnostics diverge from %s:\n--- got ---\n%s--- want ---\n%s", golden, got, want)
-	}
-}
-
 // TestTagSatisfied pins the default-environment tag semantics the loader's
 // file filter is built on.
 func TestTagSatisfied(t *testing.T) {
 	cases := []struct {
-		tag   string
-		extra map[string]bool
-		want  bool
+		tag  string
+		want bool
 	}{
-		{"linux", nil, true},      // runtime.GOOS in CI and dev here
-		{"windows", nil, false},   // foreign platform
-		{"gc", nil, true},         // this toolchain
-		{"go1.2", nil, true},      // release tags all satisfied
-		{"slowclock", nil, false}, // custom tag off by default
-		{"slowclock", map[string]bool{"slowclock": true}, true},
+		{"linux", true},      // runtime.GOOS in CI and dev here
+		{"windows", false},   // foreign platform
+		{"gc", true},         // this toolchain
+		{"go1.2", true},      // release tags all satisfied
+		{"slowclock", false}, // custom tag off by default
 	}
 	for _, c := range cases {
-		if got := tagSatisfied(c.tag, c.extra); got != c.want {
-			t.Errorf("tagSatisfied(%q, %v) = %v, want %v", c.tag, c.extra, got, c.want)
-		}
-	}
-}
-
-// TestFileConstraintLegacy: multiple legacy // +build lines AND together.
-func TestFileConstraintLegacy(t *testing.T) {
-	src := "// +build linux darwin\n// +build slowclock\n\npackage p\n"
-	f := parseHeader(t, src)
-	e := fileConstraint(f)
-	if e == nil {
-		t.Fatal("no constraint extracted from +build lines")
-	}
-	sat := func(extra map[string]bool) bool {
-		return e.Eval(func(tag string) bool { return tagSatisfied(tag, extra) })
-	}
-	if sat(nil) {
-		t.Error("constraint satisfied without the slowclock tag")
-	}
-	if !sat(map[string]bool{"slowclock": true}) {
-		t.Error("constraint unsatisfied with the slowclock tag enabled")
-	}
-	tags := map[string]bool{}
-	collectExprTags(e, tags)
-	for _, want := range []string{"linux", "darwin", "slowclock"} {
-		if !tags[want] {
-			t.Errorf("collectExprTags missed %q (got %v)", want, tags)
+		if got := tagSatisfied(c.tag); got != c.want {
+			t.Errorf("tagSatisfied(%q) = %v, want %v", c.tag, got, c.want)
 		}
 	}
 }

@@ -226,21 +226,17 @@ func (c *ICache) Probe(line uint64) bool {
 	return c.find(line) != nil || c.victimFind(line) >= 0
 }
 
-// ProbeArray reports residency in the cache array alone — no victim-buffer
-// consultation, no LRU or counter side effects. The skip-ahead engine uses
-// it to test whether a run of consecutive fetches would all hit trivially: a
-// victim-buffer hit has side effects (the swap back into the array), so such
-// lines must go through Access instead.
-func (c *ICache) ProbeArray(line uint64) bool { return c.find(line) != nil }
-
-// WayHandle is an opaque reference to the array way holding a line. A
-// ProbeWay/TouchWay pair costs one tag lookup where ProbeArray followed by
-// Touch costs two; handles stay valid only until the next Fill, invalidation,
-// or Reset, so callers must not hold them across such calls.
+// WayHandle is an opaque reference to the array way holding a line. Handles
+// stay valid only until the next Fill, invalidation, or Reset, so callers
+// must not hold them across such calls.
 type WayHandle *way
 
-// ProbeWay is ProbeArray returning the way itself (nil when the line is not
-// in the array), for callers that will touch the line after probing it.
+// ProbeWay returns the array way holding line, or nil when the line is not
+// in the array. It consults no victim buffer and has no LRU or counter side
+// effects. The skip-ahead engine uses it to test whether a run of
+// consecutive fetches would all hit trivially (a victim-buffer hit swaps the
+// line back into the array, so such lines must go through Access instead),
+// then touches the way with TouchWay: one tag lookup for both.
 func (c *ICache) ProbeWay(line uint64) WayHandle { return WayHandle(c.find(line)) }
 
 // TouchWay applies n consecutive demand hits to a previously probed way:
@@ -264,33 +260,13 @@ func (c *ICache) Epoch() uint64 { return c.epoch }
 // LRU clock advance by n and nothing else changes. The touched ways' recency
 // is deliberately left stale, which is only sound for a direct-mapped cache
 // (Assoc == 1), where victim selection never consults recency; callers on
-// associative geometries must use TouchWay/Touch instead.
+// associative geometries must use TouchWay instead.
 func (c *ICache) BulkHits(n int) {
 	if n <= 0 {
 		return
 	}
 	c.Accesses += uint64(n)
 	c.clock += uint64(n)
-}
-
-// Touch applies n consecutive demand hits to a line resident in the array:
-// exactly the state change n Access(line) calls would make when every one
-// hits (Accesses += n, LRU clock += n, the way's recency set to the final
-// clock — intermediate clock values are unobservable because no other access
-// interleaves). It reports false, changing nothing, when the line is not in
-// the array; the caller must then fall back to per-access simulation.
-func (c *ICache) Touch(line uint64, n int) bool {
-	w := c.find(line)
-	if w == nil {
-		return false
-	}
-	if n <= 0 {
-		return true
-	}
-	c.Accesses += uint64(n)
-	c.clock += uint64(n)
-	w.lru = c.clock
-	return true
 }
 
 // Fill installs line, evicting the set's LRU way if needed (into the victim

@@ -35,10 +35,6 @@ type AdaptWindow struct {
 	Active Policy
 }
 
-// LostPerInst returns the window's issue slots lost per instruction — the
-// per-window ISPI the choosers rank policies by.
-func (w AdaptWindow) LostPerInst() float64 { return w.ISPI() }
-
 // Chooser is the pluggable selection strategy behind the Adaptive policy.
 // Implementations live in internal/adaptive (core defines only the
 // interface, so the dependency arrow stays adaptive → core).

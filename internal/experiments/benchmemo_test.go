@@ -120,6 +120,22 @@ func TestBenchMemoKeyedByWholeProfile(t *testing.T) {
 	}
 }
 
+// TestModernStudyUsesBenchMemo: the modern-footprint study takes its
+// web, db and search benches from the memo, like every other builder, so
+// after it runs each modern profile has a built memo entry.
+func TestModernStudyUsesBenchMemo(t *testing.T) {
+	if _, err := ModernStudy(Options{Insts: 2_000, Workers: 2}); err != nil {
+		t.Fatal(err)
+	}
+	benchMemo.mu.Lock()
+	defer benchMemo.mu.Unlock()
+	for _, p := range synth.ModernProfiles() {
+		if e := benchMemo.m[p]; e == nil || e.bench == nil {
+			t.Errorf("%s: the study ran without a memoized bench", p.Name)
+		}
+	}
+}
+
 // TestBenchMemoUnmutatedByBuilders: after every table and figure builder
 // has run at QuickOptions on the shared benches, each memoized bench of a
 // paper profile still writes the image TestImageGolden pins, so no

@@ -114,10 +114,6 @@ func (opt Options) observe(bench string, pol core.Policy, res core.Result) {
 	}
 }
 
-// DefaultOptions runs all benchmarks at a budget that gives stable numbers
-// in a few seconds per table.
-func DefaultOptions() Options { return Options{Insts: 2_000_000} }
-
 // QuickOptions is used by tests: fewer instructions, representative subset.
 func QuickOptions() Options {
 	return Options{Insts: 300_000, Benchmarks: []string{"doduc", "gcc", "groff"}}

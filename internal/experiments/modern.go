@@ -18,7 +18,7 @@ import (
 func ModernStudy(opt Options) (*texttable.Table, error) {
 	profiles := synth.ModernProfiles()
 	benches, err := mapCells(opt, len(profiles), func(_, i int) (*synth.Bench, error) {
-		return synth.Build(profiles[i])
+		return benchFor(profiles[i])
 	})
 	if err != nil {
 		return nil, err

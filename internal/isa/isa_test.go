@@ -83,20 +83,11 @@ func TestLineGeometry(t *testing.T) {
 	if g.Line(0x1000) != 0x80 {
 		t.Errorf("Line(0x1000) = %d", g.Line(0x1000))
 	}
-	if g.LineAddr(0x101c) != 0x1000 {
-		t.Errorf("LineAddr = %s", g.LineAddr(0x101c))
-	}
-	if g.NextLineAddr(0x101c) != 0x1020 {
-		t.Errorf("NextLineAddr = %s", g.NextLineAddr(0x101c))
-	}
 	if g.InstsLeftInLine(0x1000) != 8 {
 		t.Errorf("InstsLeftInLine(start) = %d", g.InstsLeftInLine(0x1000))
 	}
 	if g.InstsLeftInLine(0x101c) != 1 {
 		t.Errorf("InstsLeftInLine(last) = %d", g.InstsLeftInLine(0x101c))
-	}
-	if !g.SameLine(0x1000, 0x101c) || g.SameLine(0x1000, 0x1020) {
-		t.Error("SameLine misbehaves")
 	}
 }
 
@@ -104,12 +95,11 @@ func TestLineGeometry(t *testing.T) {
 func TestLineGeomProperties(t *testing.T) {
 	g := MustLineGeom(32)
 	prop := func(raw uint32) bool {
-		a := Addr(raw &^ 3) // aligned
-		la := g.LineAddr(a)
+		a := Addr(raw &^ 3)                         // aligned
+		la := Addr(g.Line(a) * uint64(g.LineBytes)) // its line's first byte
 		return la <= a &&
 			uint64(a)-uint64(la) < uint64(g.LineBytes) &&
-			g.NextLineAddr(a) == la+Addr(g.LineBytes) &&
-			g.Line(la) == g.Line(a) &&
+			g.Line(la+Addr(g.LineBytes)) == g.Line(a)+1 &&
 			g.InstsLeftInLine(a) >= 1 &&
 			g.InstsLeftInLine(a) <= g.InstPerLine()
 	}
