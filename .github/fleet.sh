@@ -16,3 +16,16 @@ start_worker() {
     sleep 0.2
   done
 }
+
+# wait_jobs PORT N polls the worker on 127.0.0.1:PORT until its /healthz
+# reports at least N finished jobs (up to 2000 polls 0.01 s apart) and
+# fails if it never does. A worker runs a batch's jobs one at a time, so
+# a worker that has finished its first job is mid-batch.
+wait_jobs() {
+  for _ in $(seq 1 2000); do
+    n=$(curl -sf "http://127.0.0.1:$1/healthz" | jq .jobs_done) || n=0
+    [ "$n" -ge "$2" ] && return 0
+    sleep 0.01
+  done
+  return 1
+}

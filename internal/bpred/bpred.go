@@ -134,12 +134,11 @@ type btbEntry struct {
 // replacement. Following the paper, only taken branches are inserted, and
 // insertion happens speculatively at decode (wrong-path decodes included).
 type BTB struct {
-	sets          [][]btbEntry
-	nsets         uint64
-	setMask       uint64
-	tagShift      uint
-	clock         uint64
-	lookups, hits uint64
+	sets     [][]btbEntry
+	nsets    uint64
+	setMask  uint64
+	tagShift uint
+	clock    uint64
 }
 
 // NewBTB builds the buffer.
@@ -172,13 +171,11 @@ func (b *BTB) setTag(pc isa.Addr) (uint64, uint64) {
 // Lookup returns the stored target for the branch at pc, if present.
 func (b *BTB) Lookup(pc isa.Addr) (isa.Addr, bool) {
 	set, tag := b.setTag(pc)
-	b.lookups++
 	for i := range b.sets[set] {
 		e := &b.sets[set][i]
 		if e.valid && e.tag == tag {
 			b.clock++
 			e.lru = b.clock
-			b.hits++
 			return e.target, true
 		}
 	}
@@ -206,12 +203,4 @@ func (b *BTB) Insert(pc, target isa.Addr) {
 		}
 	}
 	b.sets[set][victim] = btbEntry{valid: true, tag: tag, target: target, lru: b.clock}
-}
-
-// HitRate returns the fraction of lookups that hit (for tools/tests).
-func (b *BTB) HitRate() float64 {
-	if b.lookups == 0 {
-		return 0
-	}
-	return float64(b.hits) / float64(b.lookups)
 }

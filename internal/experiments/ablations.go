@@ -6,6 +6,7 @@ import (
 	"specfetch/internal/bpred"
 	"specfetch/internal/cache"
 	"specfetch/internal/core"
+	"specfetch/internal/distsweep"
 	"specfetch/internal/synth"
 	"specfetch/internal/texttable"
 )
@@ -14,10 +15,10 @@ import (
 // paper's §2/§6 alternatives: prefetch scheme, BTB coupling, cache
 // associativity, fetch width, and a pipelined memory interface.
 //
-// Each ablation is one bench-major work-list of bench x variant cells, run
-// through runCells like every other sweep; a row's derived values (a
-// traffic ratio against the row's first variant, an L2 hit rate) are
-// reductions over finished results, so no cell depends on another.
+// Each ablation is one sweep of variant cells per bench, like every other
+// builder, rendered one table row per bench by renderRows; a row's derived
+// values (a traffic ratio against the row's first variant, an L2 hit rate)
+// are reductions over finished results, so no cell depends on another.
 
 // PrefetchScheme names one prefetch configuration for the ablation.
 type PrefetchScheme struct {
@@ -39,25 +40,23 @@ func PrefetchSchemes() []PrefetchScheme {
 	}
 }
 
-// renderRows simulates cellsOf(i, benches[i]) for every bench as one
-// bench-major work-list and adds one row per bench to t: the bench name,
-// then row applied to that bench's results in cellsOf order.
-func renderRows(t *texttable.Table, opt Options, benches []*synth.Bench,
-	cellsOf func(i int, b *synth.Bench) []runCell, row func(res []core.Result) []any) (*texttable.Table, error) {
-	var cells []runCell
-	ends := make([]int, len(benches))
-	for i, b := range benches {
-		cells = append(cells, cellsOf(i, b)...)
-		ends[i] = len(cells)
-	}
-	results, err := runCells(opt, cells)
+// renderRows runs sweep over the selected benches and adds one row per
+// bench to t: the bench name, then row applied to that bench's results in
+// cellsOf order.
+func renderRows(t *texttable.Table, opt Options,
+	cellsOf func(i int, b *synth.Bench) []runCell, row func(outs []distsweep.JobResult) []any) (*texttable.Table, error) {
+	benches, err := buildAll(opt)
 	if err != nil {
 		return nil, err
 	}
-	start := 0
-	for i, b := range benches {
-		t.AddRowF(2, append([]any{b.Profile().Name}, row(results[start:ends[i]])...)...)
-		start = ends[i]
+	rows, err := sweep(opt, benches, cellsOf, func(_ int, b *synth.Bench, outs []distsweep.JobResult) ([]any, error) {
+		return append([]any{b.Profile().Name}, row(outs)...), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, r := range rows {
+		t.AddRowF(2, r...)
 	}
 	return t, nil
 }
@@ -75,29 +74,25 @@ func configCells(cfgs []core.Config) func(int, *synth.Bench) []runCell {
 }
 
 // ispis lists each result's total ISPI.
-func ispis(res []core.Result) []any {
-	out := make([]any, len(res))
-	for i, r := range res {
-		out[i] = r.TotalISPI()
+func ispis(outs []distsweep.JobResult) []any {
+	out := make([]any, len(outs))
+	for i, o := range outs {
+		out[i] = o.Result.TotalISPI()
 	}
 	return out
 }
 
 // ispiAndMiss lists each result's total ISPI and right-path miss %.
-func ispiAndMiss(res []core.Result) []any {
+func ispiAndMiss(outs []distsweep.JobResult) []any {
 	var out []any
-	for _, r := range res {
-		out = append(out, r.TotalISPI(), r.MissRatioPct())
+	for _, o := range outs {
+		out = append(out, o.Result.TotalISPI(), o.Result.MissRatioPct())
 	}
 	return out
 }
 
 // AblationPrefetch compares prefetch schemes under the Resume policy.
 func AblationPrefetch(opt Options) (*texttable.Table, error) {
-	benches, err := buildAll(opt)
-	if err != nil {
-		return nil, err
-	}
 	headers := []string{"Program"}
 	var cfgs []core.Config
 	for _, s := range PrefetchSchemes() {
@@ -107,16 +102,16 @@ func AblationPrefetch(opt Options) (*texttable.Table, error) {
 		cfgs = append(cfgs, cfg)
 	}
 	t := texttable.New("Ablation: prefetch scheme (Resume policy, 8K, 5-cycle penalty)", headers...)
-	return renderRows(t, opt, benches, configCells(cfgs), func(res []core.Result) []any {
+	return renderRows(t, opt, configCells(cfgs), func(outs []distsweep.JobResult) []any {
 		// Traffic is relative to the first scheme (no prefetching).
-		baseTraffic := float64(res[0].Traffic.Total())
+		baseTraffic := float64(outs[0].Result.Traffic.Total())
 		var cells []any
-		for _, r := range res {
+		for _, o := range outs {
 			ratio := 0.0
 			if baseTraffic > 0 {
-				ratio = float64(r.Traffic.Total()) / baseTraffic
+				ratio = float64(o.Result.Traffic.Total()) / baseTraffic
 			}
-			cells = append(cells, r.TotalISPI(), ratio)
+			cells = append(cells, o.Result.TotalISPI(), ratio)
 		}
 		return cells
 	})
@@ -125,13 +120,9 @@ func AblationPrefetch(opt Options) (*texttable.Table, error) {
 // AblationBTBCoupling compares the paper's decoupled branch architecture
 // against a Pentium-style coupled BTB and a static not-taken predictor.
 func AblationBTBCoupling(opt Options) (*texttable.Table, error) {
-	benches, err := buildAll(opt)
-	if err != nil {
-		return nil, err
-	}
 	t := texttable.New("Ablation: branch architecture (Oracle policy ISPI; decoupled gshare is the paper's baseline)",
 		"Program", "Decoupled", "Local PAg", "Coupled", "Static")
-	return renderRows(t, opt, benches, func(_ int, b *synth.Bench) []runCell {
+	return renderRows(t, opt, func(_ int, b *synth.Bench) []runCell {
 		var cells []runCell
 		for _, kind := range bpred.Kinds() {
 			cell := newCell(b, baseConfig(core.Oracle))
@@ -145,10 +136,6 @@ func AblationBTBCoupling(opt Options) (*texttable.Table, error) {
 // AblationAssociativity compares direct-mapped (the paper) against 2- and
 // 4-way caches of the same capacity.
 func AblationAssociativity(opt Options) (*texttable.Table, error) {
-	benches, err := buildAll(opt)
-	if err != nil {
-		return nil, err
-	}
 	var cfgs []core.Config
 	for _, assoc := range []int{1, 2, 4} {
 		cfg := baseConfig(core.Resume)
@@ -157,15 +144,11 @@ func AblationAssociativity(opt Options) (*texttable.Table, error) {
 	}
 	t := texttable.New("Ablation: 8K cache associativity (Resume policy ISPI / right-path miss %)",
 		"Program", "DM", "DM miss%", "2-way", "2w miss%", "4-way", "4w miss%")
-	return renderRows(t, opt, benches, configCells(cfgs), ispiAndMiss)
+	return renderRows(t, opt, configCells(cfgs), ispiAndMiss)
 }
 
 // AblationFetchWidth sweeps the superscalar width (the paper fixes 4).
 func AblationFetchWidth(opt Options) (*texttable.Table, error) {
-	benches, err := buildAll(opt)
-	if err != nil {
-		return nil, err
-	}
 	var cfgs []core.Config
 	for _, w := range []int{2, 4, 8} {
 		cfg := baseConfig(core.Resume)
@@ -174,10 +157,10 @@ func AblationFetchWidth(opt Options) (*texttable.Table, error) {
 	}
 	t := texttable.New("Ablation: fetch width (Resume policy, IPC)",
 		"Program", "2-wide", "4-wide", "8-wide")
-	return renderRows(t, opt, benches, configCells(cfgs), func(res []core.Result) []any {
+	return renderRows(t, opt, configCells(cfgs), func(outs []distsweep.JobResult) []any {
 		var cells []any
-		for _, r := range res {
-			cells = append(cells, r.IPC())
+		for _, o := range outs {
+			cells = append(cells, o.Result.IPC())
 		}
 		return cells
 	})
@@ -187,10 +170,6 @@ func AblationFetchWidth(opt Options) (*texttable.Table, error) {
 // aggressive policies at the long miss latency — the paper's "pipelining
 // miss requests" future work.
 func AblationPipelinedMemory(opt Options) (*texttable.Table, error) {
-	benches, err := buildAll(opt)
-	if err != nil {
-		return nil, err
-	}
 	var cfgs []core.Config
 	for _, pol := range []core.Policy{core.Resume, core.Pessimistic} {
 		for _, pipe := range []bool{false, true} {
@@ -203,16 +182,12 @@ func AblationPipelinedMemory(opt Options) (*texttable.Table, error) {
 	}
 	t := texttable.New("Ablation: pipelined memory interface (20-cycle penalty, prefetch on; ISPI)",
 		"Program", "Resume", "Resume+pipe", "Pess", "Pess+pipe")
-	return renderRows(t, opt, benches, configCells(cfgs), ispis)
+	return renderRows(t, opt, configCells(cfgs), ispis)
 }
 
 // AblationRAS compares the paper's BTB-only return prediction against
 // return-address stacks of increasing depth.
 func AblationRAS(opt Options) (*texttable.Table, error) {
-	benches, err := buildAll(opt)
-	if err != nil {
-		return nil, err
-	}
 	var cfgs []core.Config
 	for _, depth := range []int{0, 8, 32} {
 		cfg := baseConfig(core.Oracle)
@@ -221,9 +196,10 @@ func AblationRAS(opt Options) (*texttable.Table, error) {
 	}
 	t := texttable.New("Ablation: return-address stack (Oracle policy; ISPI / BTB target mispredicts per 100k insts)",
 		"Program", "no RAS", "mispred", "RAS-8", "mispred", "RAS-32", "mispred")
-	return renderRows(t, opt, benches, configCells(cfgs), func(res []core.Result) []any {
+	return renderRows(t, opt, configCells(cfgs), func(outs []distsweep.JobResult) []any {
 		var cells []any
-		for _, r := range res {
+		for _, o := range outs {
+			r := o.Result
 			per100k := 0.0
 			if r.Insts > 0 {
 				per100k = 100_000 * float64(r.Events.BTBMispredicts) / float64(r.Insts)
@@ -237,10 +213,6 @@ func AblationRAS(opt Options) (*texttable.Table, error) {
 // AblationVictimCache measures what a small fully associative victim buffer
 // buys the paper's direct-mapped cache.
 func AblationVictimCache(opt Options) (*texttable.Table, error) {
-	benches, err := buildAll(opt)
-	if err != nil {
-		return nil, err
-	}
 	var cfgs []core.Config
 	for _, lines := range []int{0, 4, 16} {
 		cfg := baseConfig(core.Resume)
@@ -249,16 +221,12 @@ func AblationVictimCache(opt Options) (*texttable.Table, error) {
 	}
 	t := texttable.New("Ablation: victim buffer on the 8K direct-mapped cache (Resume policy; ISPI / right-path miss %)",
 		"Program", "none", "miss%", "4 lines", "miss%", "16 lines", "miss%")
-	return renderRows(t, opt, benches, configCells(cfgs), ispiAndMiss)
+	return renderRows(t, opt, configCells(cfgs), ispiAndMiss)
 }
 
 // AblationMSHR compares the paper's single resume/prefetch buffers against
 // multi-entry MSHR files, with and without a pipelined memory interface.
 func AblationMSHR(opt Options) (*texttable.Table, error) {
-	benches, err := buildAll(opt)
-	if err != nil {
-		return nil, err
-	}
 	var cfgs []core.Config
 	for _, v := range []struct {
 		mshrs int
@@ -273,7 +241,7 @@ func AblationMSHR(opt Options) (*texttable.Table, error) {
 	}
 	t := texttable.New("Ablation: non-blocking fill tracking (Resume, 20-cycle penalty, prefetch on; ISPI)",
 		"Program", "1 buf", "4 MSHR", "4 MSHR+pipe")
-	return renderRows(t, opt, benches, configCells(cfgs), ispis)
+	return renderRows(t, opt, configCells(cfgs), ispis)
 }
 
 // AblationCodeLayout evaluates profile-guided function reordering — the
@@ -300,7 +268,9 @@ func AblationCodeLayout(opt Options) (*texttable.Table, error) {
 	}
 	t := texttable.New("Ablation: profile-guided code layout (Resume policy, 8K; ISPI / right-path miss %)",
 		"Program", "original", "miss%", "reordered", "miss%")
-	return renderRows(t, opt, benches, func(i int, b *synth.Bench) []runCell {
+	// renderRows selects the same benches in the same order, so
+	// reordered[i] is bench i reordered.
+	return renderRows(t, opt, func(i int, b *synth.Bench) []runCell {
 		return []runCell{newCell(b, baseConfig(core.Resume)), newCell(reordered[i], baseConfig(core.Resume))}
 	}, ispiAndMiss)
 }
@@ -311,10 +281,6 @@ func AblationCodeLayout(opt Options) (*texttable.Table, error) {
 // caches"), which should restore the aggressive policies' advantage even at
 // a long memory latency.
 func AblationL2(opt Options) (*texttable.Table, error) {
-	benches, err := buildAll(opt)
-	if err != nil {
-		return nil, err
-	}
 	l2 := cache.Config{SizeBytes: 64 * 1024, LineBytes: 32, Assoc: 4}
 	var cfgs []core.Config
 	for _, withL2 := range []bool{false, true} {
@@ -331,15 +297,15 @@ func AblationL2(opt Options) (*texttable.Table, error) {
 	}
 	t := texttable.New("Ablation: on-chip L2 (20-cycle memory, 5-cycle L2 hits; ISPI and L2 hit rate)",
 		"Program", "Opt noL2", "Pess noL2", "Opt +L2", "Pess +L2", "L2 hit%")
-	return renderRows(t, opt, benches, configCells(cfgs), func(res []core.Result) []any {
+	return renderRows(t, opt, configCells(cfgs), func(outs []distsweep.JobResult) []any {
 		// The hit rate is the last L2 run's that reached the L2 at all.
 		var hitPct float64
-		for _, r := range res[2:] {
-			if n := r.Traffic.L2Hits + r.Traffic.L2Misses; n > 0 {
-				hitPct = 100 * float64(r.Traffic.L2Hits) / float64(n)
+		for _, o := range outs[2:] {
+			if n := o.Result.Traffic.L2Hits + o.Result.Traffic.L2Misses; n > 0 {
+				hitPct = 100 * float64(o.Result.Traffic.L2Hits) / float64(n)
 			}
 		}
-		return append(ispis(res), hitPct)
+		return append(ispis(outs), hitPct)
 	})
 }
 
@@ -348,10 +314,6 @@ func AblationL2(opt Options) (*texttable.Table, error) {
 // flush-induced cold misses are ordinary right-path misses, so the
 // conservative policies' force_resolve tax grows with switch rate.
 func AblationContextSwitch(opt Options) (*texttable.Table, error) {
-	benches, err := buildAll(opt)
-	if err != nil {
-		return nil, err
-	}
 	var cfgs []core.Config
 	for _, iv := range []int64{0, 100_000, 20_000} {
 		for _, pol := range []core.Policy{core.Resume, core.Pessimistic} {
@@ -362,5 +324,5 @@ func AblationContextSwitch(opt Options) (*texttable.Table, error) {
 	}
 	t := texttable.New("Ablation: context-switch flushing (Resume vs Pessimistic ISPI at flush intervals)",
 		"Program", "Res inf", "Pess inf", "Res 100k", "Pess 100k", "Res 20k", "Pess 20k")
-	return renderRows(t, opt, benches, configCells(cfgs), ispis)
+	return renderRows(t, opt, configCells(cfgs), ispis)
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 
 	"specfetch/internal/core"
+	"specfetch/internal/distsweep"
+	"specfetch/internal/synth"
 	"specfetch/internal/texttable"
 )
 
@@ -59,9 +61,13 @@ func AdaptiveStudyData(opt Options, strategy string, seed uint64, interval int64
 	if err != nil {
 		return nil, err
 	}
-	var cells []runCell
-	for _, b := range benches {
-		cells = append(cells, oracleCells(opt, b, interval, penalties)...)
+	arm := len(penalties) * len(core.Policies()) // oracle cells per bench
+	type armRows struct {
+		oracle   []OracleRow
+		adaptive []AdaptiveRow
+	}
+	rows, err := sweep(opt, benches, func(_ int, b *synth.Bench) []runCell {
+		cells := oracleCells(opt, b, interval, penalties)
 		for _, pen := range penalties {
 			cfg := baseConfig(core.Adaptive)
 			cfg.MissPenalty = pen
@@ -70,31 +76,32 @@ func AdaptiveStudyData(opt Options, strategy string, seed uint64, interval int64
 			cfg.AdaptInterval = interval
 			cells = append(cells, newCell(b, cfg))
 		}
-	}
-	full, err := runCellsFull(opt, cells)
-	if err != nil {
-		return nil, err
-	}
-	oracle := &OracleData{Interval: interval, Penalties: penalties}
-	d := &AdaptiveData{Strategy: strategy, Interval: interval, Oracle: oracle}
-	arm := len(penalties) * len(core.Policies()) // oracle cells per bench
-	per := arm + len(penalties)
-	for i, b := range benches {
-		outs := full[i*per : (i+1)*per]
-		rows, err := oracleRows(b, penalties, outs[:arm])
+		return cells
+	}, func(_ int, b *synth.Bench, outs []distsweep.JobResult) (armRows, error) {
+		or, err := oracleRows(b, penalties, outs[:arm])
 		if err != nil {
-			return nil, err
+			return armRows{}, err
 		}
-		oracle.Rows = append(oracle.Rows, rows...)
+		r := armRows{oracle: or}
 		for j, pen := range penalties {
-			res := outs[arm+j].res
-			d.Rows = append(d.Rows, AdaptiveRow{
+			res := outs[arm+j].Result
+			r.adaptive = append(r.adaptive, AdaptiveRow{
 				Bench:    b.Profile().Name,
 				Penalty:  pen,
 				ISPI:     res.TotalISPI(),
 				Switches: res.PolicySwitches,
 			})
 		}
+		return r, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	oracle := &OracleData{Interval: interval, Penalties: penalties}
+	d := &AdaptiveData{Strategy: strategy, Interval: interval, Oracle: oracle}
+	for _, r := range rows {
+		oracle.Rows = append(oracle.Rows, r.oracle...)
+		d.Rows = append(d.Rows, r.adaptive...)
 	}
 	return d, nil
 }

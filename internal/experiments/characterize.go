@@ -6,6 +6,7 @@ package experiments
 import (
 	"specfetch/internal/cache"
 	"specfetch/internal/core"
+	"specfetch/internal/distsweep"
 	"specfetch/internal/isa"
 	"specfetch/internal/synth"
 )
@@ -40,24 +41,6 @@ type Characterization struct {
 	BTBMisfetchISPI, BTBMispredictISPI float64
 }
 
-// characterizeCells flattens the characterization's three simulations per
-// benchmark (8K baseline, 32K cache, depth-1 speculation) into one work-list,
-// bench-major so cell 3i..3i+2 belong to benches[i].
-func characterizeCells(benches []*synth.Bench) []runCell {
-	cells := make([]runCell, 0, 3*len(benches))
-	for _, b := range benches {
-		cfg32 := baseConfig(core.Oracle)
-		cfg32.ICache = cacheConfig(32 * 1024)
-		cfgB1 := baseConfig(core.Oracle)
-		cfgB1.MaxUnresolved = 1
-		cells = append(cells,
-			newCell(b, baseConfig(core.Oracle)),
-			newCell(b, cfg32),
-			newCell(b, cfgB1))
-	}
-	return cells
-}
-
 // Table3Row holds one benchmark's characteristics beside the paper's.
 type Table3Row struct {
 	Characterization
@@ -65,27 +48,31 @@ type Table3Row struct {
 }
 
 // Table3Data measures every selected benchmark's Table 3 characteristics
-// over one flat work-list, then reduces the results in bench order.
+// from three cells per bench: the 8K baseline, the 32K cache and depth-1
+// speculation.
 func Table3Data(opt Options) ([]Table3Row, error) {
 	benches, err := buildAll(opt)
 	if err != nil {
 		return nil, err
 	}
-	results, err := runCells(opt, characterizeCells(benches))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Table3Row, len(benches))
-	for i, b := range benches {
-		c := Characterization{Name: b.Profile().Name, Lang: b.Profile().Lang}
-		res8, res32, resB1 := results[3*i], results[3*i+1], results[3*i+2]
-		c.Miss8K = res8.MissRatioPct()
-		c.PHTISPIB4 = res8.PHTMispredictISPI()
-		c.BTBMisfetchISPI = res8.BTBMisfetchISPI()
-		c.BTBMispredictISPI = res8.BTBMispredictISPI()
-		c.Miss32K = res32.MissRatioPct()
-		c.PHTISPIB1 = resB1.PHTMispredictISPI()
-		out[i] = Table3Row{Characterization: c, Paper: synth.PaperTargets[c.Name]}
-	}
-	return out, nil
+	return sweep(opt, benches, func(_ int, b *synth.Bench) []runCell {
+		cfg32 := baseConfig(core.Oracle)
+		cfg32.ICache = cacheConfig(32 * 1024)
+		cfgB1 := baseConfig(core.Oracle)
+		cfgB1.MaxUnresolved = 1
+		return []runCell{newCell(b, baseConfig(core.Oracle)), newCell(b, cfg32), newCell(b, cfgB1)}
+	}, func(_ int, b *synth.Bench, outs []distsweep.JobResult) (Table3Row, error) {
+		res8, res32, resB1 := outs[0].Result, outs[1].Result, outs[2].Result
+		c := Characterization{
+			Name:              b.Profile().Name,
+			Lang:              b.Profile().Lang,
+			Miss8K:            res8.MissRatioPct(),
+			Miss32K:           res32.MissRatioPct(),
+			PHTISPIB1:         resB1.PHTMispredictISPI(),
+			PHTISPIB4:         res8.PHTMispredictISPI(),
+			BTBMisfetchISPI:   res8.BTBMisfetchISPI(),
+			BTBMispredictISPI: res8.BTBMispredictISPI(),
+		}
+		return Table3Row{Characterization: c, Paper: synth.PaperTargets[c.Name]}, nil
+	})
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 
 	"specfetch/internal/core"
+	"specfetch/internal/distsweep"
+	"specfetch/internal/synth"
 	"specfetch/internal/texttable"
 )
 
@@ -27,7 +29,8 @@ var DefaultSweepPenalties = []int{3, 5, 8, 12, 16, 20, 28, 40}
 
 // LatencySweepData sweeps the I-cache miss penalty for every policy and
 // locates the aggressive-vs-conservative crossover the paper's summary is
-// built around ("the policy of choice depends on the latency").
+// built around ("the policy of choice depends on the latency"): penalty x
+// policy cells per bench.
 func LatencySweepData(opt Options, penalties []int) ([]LatencySweepRow, error) {
 	if len(penalties) == 0 {
 		penalties = DefaultSweepPenalties
@@ -36,10 +39,9 @@ func LatencySweepData(opt Options, penalties []int) ([]LatencySweepRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	// One flat work-list of bench x penalty x policy cells.
 	pols := core.Policies()
-	var cells []runCell
-	for _, b := range benches {
+	return sweep(opt, benches, func(_ int, b *synth.Bench) []runCell {
+		var cells []runCell
 		for _, pen := range penalties {
 			for _, pol := range pols {
 				cfg := baseConfig(pol)
@@ -47,29 +49,18 @@ func LatencySweepData(opt Options, penalties []int) ([]LatencySweepRow, error) {
 				cells = append(cells, newCell(b, cfg))
 			}
 		}
-	}
-	results, err := runCells(opt, cells)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]LatencySweepRow, len(benches))
-	i := 0
-	for bi, b := range benches {
+		return cells
+	}, func(_ int, b *synth.Bench, outs []distsweep.JobResult) (LatencySweepRow, error) {
 		row := LatencySweepRow{Bench: b.Profile().Name}
-		for _, pen := range penalties {
-			pt := LatencyPoint{Penalty: pen, ISPI: map[core.Policy]float64{}}
-			for _, pol := range pols {
-				pt.ISPI[pol] = results[i].TotalISPI()
-				i++
-			}
+		for k, pen := range penalties {
+			pt := LatencyPoint{Penalty: pen, ISPI: policyISPI(pols, outs[k*len(pols):])}
 			row.Points = append(row.Points, pt)
 			if row.Crossover == 0 && pt.ISPI[core.Pessimistic] < pt.ISPI[core.Optimistic] {
 				row.Crossover = pen
 			}
 		}
-		rows[bi] = row
-	}
-	return rows, nil
+		return row, nil
+	})
 }
 
 // LatencySweep renders the sweep with the crossover column.

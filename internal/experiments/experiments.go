@@ -207,15 +207,3 @@ func benchFor(p synth.Profile) (*synth.Bench, error) {
 	e.once.Do(func() { e.bench, e.err = synth.Build(p) })
 	return e.bench, e.err
 }
-
-// mean computes the arithmetic mean the paper's "Average" rows use.
-func mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}

@@ -1,7 +1,10 @@
 package experiments
 
 import (
+	"slices"
+
 	"specfetch/internal/core"
+	"specfetch/internal/distsweep"
 	"specfetch/internal/metrics"
 	"specfetch/internal/synth"
 	"specfetch/internal/texttable"
@@ -31,44 +34,38 @@ func FigureData(opt Options, missPenalty int, policies []core.Policy, prefetch [
 	if err != nil {
 		return nil, err
 	}
-	type job struct {
-		bench *synth.Bench
-		pol   core.Policy
-		pref  bool
-	}
-	var jobs []job
-	var cells []runCell
-	for _, b := range benches {
+	rows, err := sweep(opt, benches, func(_ int, b *synth.Bench) []runCell {
+		var cells []runCell
 		for _, pol := range policies {
 			for _, pref := range prefetch {
 				cfg := baseConfig(pol)
 				cfg.MissPenalty = missPenalty
 				cfg.NextLinePrefetch = pref
-				jobs = append(jobs, job{bench: b, pol: pol, pref: pref})
 				cells = append(cells, newCell(b, cfg))
 			}
 		}
-	}
-	results, err := runCells(opt, cells)
+		return cells
+	}, func(_ int, b *synth.Bench, outs []distsweep.JobResult) ([]Breakdown, error) {
+		bars := make([]Breakdown, len(outs))
+		for k, o := range outs {
+			bd := Breakdown{
+				Bench:      b.Profile().Name,
+				Policy:     policies[k/len(prefetch)],
+				Prefetch:   prefetch[k%len(prefetch)],
+				Components: map[metrics.Component]float64{},
+				Total:      o.Result.TotalISPI(),
+			}
+			for _, c := range metrics.Components() {
+				bd.Components[c] = o.Result.ISPI(c)
+			}
+			bars[k] = bd
+		}
+		return bars, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	bars := make([]Breakdown, len(jobs))
-	for i, j := range jobs {
-		res := results[i]
-		bd := Breakdown{
-			Bench:      j.bench.Profile().Name,
-			Policy:     j.pol,
-			Prefetch:   j.pref,
-			Components: map[metrics.Component]float64{},
-			Total:      res.TotalISPI(),
-		}
-		for _, c := range metrics.Components() {
-			bd.Components[c] = res.ISPI(c)
-		}
-		bars[i] = bd
-	}
-	return bars, nil
+	return slices.Concat(rows...), nil
 }
 
 // renderFigure converts breakdowns into the stacked-bar rendering.

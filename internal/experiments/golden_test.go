@@ -48,8 +48,8 @@ func TestTable6Figure1GoldenPinned(t *testing.T) {
 }
 
 // TestAblationsTable4GoldenPinned pins the rendered bytes of every ablation,
-// of Table 4 and of the seed-sensitivity table, the builders that share
-// their executor with the rest of the sweep only through runCells.
+// of Table 4 and of the seed-sensitivity table, the builders the Table 6 +
+// Figure 1 golden does not render.
 // Regenerate with -update only for a change that is meant to alter these
 // outputs.
 func TestAblationsTable4GoldenPinned(t *testing.T) {

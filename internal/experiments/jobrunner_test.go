@@ -31,11 +31,11 @@ func freshJobResult(t *testing.T, spec distsweep.JobSpec) distsweep.JobResult {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, wins, err := simulateCell(runCell{b, spec}, Options{}, nil, nil)
+	out, err := simulateCell(runCell{b, spec}, Options{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return distsweep.JobResult{Result: res, Audit: res.AuditFinal(), WindowSeries: wins}
+	return out
 }
 
 // workerSequence is a spec sequence that switches profile, seed and
@@ -213,7 +213,7 @@ func TestPoolReuseAllocs(t *testing.T) {
 	}
 	run := func(cs []runCell) func() {
 		return func() {
-			if _, err := runCells(opt, cs); err != nil {
+			if _, err := runCellsFull(opt, cs); err != nil {
 				t.Fatal(err)
 			}
 		}

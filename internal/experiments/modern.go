@@ -2,10 +2,10 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
-	"specfetch/internal/cache"
 	"specfetch/internal/core"
-	"specfetch/internal/isa"
+	"specfetch/internal/distsweep"
 	"specfetch/internal/synth"
 	"specfetch/internal/texttable"
 )
@@ -13,8 +13,8 @@ import (
 // ModernStudy asks whether the paper's 1995 conclusions survive
 // datacenter-scale instruction footprints: it runs the five policies over
 // the modern workload stand-ins (web/db/search, footprints ~10-20× SPEC92's)
-// across cache sizes, at both the low and high miss penalty, as one flat
-// work-list of bench x cache x penalty x policy cells.
+// across cache sizes, at both the low and high miss penalty: cache x
+// penalty x policy cells per bench.
 func ModernStudy(opt Options) (*texttable.Table, error) {
 	profiles := synth.ModernProfiles()
 	benches, err := mapCells(opt, len(profiles), func(_, i int) (*synth.Bench, error) {
@@ -28,53 +28,48 @@ func ModernStudy(opt Options) (*texttable.Table, error) {
 	penalties := []int{5, 20}
 	pols := core.Policies()
 
-	var cells []runCell
-	for _, b := range benches {
+	rows, err := sweep(opt, benches, func(_ int, b *synth.Bench) []runCell {
+		var cells []runCell
 		for _, cs := range cacheSizes {
 			for _, pen := range penalties {
 				for _, pol := range pols {
 					cfg := baseConfig(pol)
-					cfg.ICache = cache.Config{SizeBytes: cs, LineBytes: isa.DefaultLineBytes, Assoc: 1}
+					cfg.ICache = cacheConfig(cs)
 					cfg.MissPenalty = pen
 					cells = append(cells, newCell(b, cfg))
 				}
 			}
 		}
-	}
-	results, err := runCells(opt, cells)
+		return cells
+	}, func(_ int, b *synth.Bench, outs []distsweep.JobResult) ([][]any, error) {
+		var rows [][]any
+		for _, cs := range cacheSizes {
+			for _, pen := range penalties {
+				grp := outs[len(rows)*len(pols):]
+				ispi := policyISPI(pols, grp)
+				verdict := "aggressive"
+				if ispi[core.Pessimistic] < ispi[core.Optimistic] {
+					verdict = "conservative"
+				}
+				row := []any{b.Profile().Name, b.Image().SizeBytes() / 1024,
+					fmt.Sprintf("%dK", cs/1024), fmt.Sprintf("%dc", pen)}
+				for _, pol := range pols {
+					row = append(row, ispi[pol])
+				}
+				// pols[0] is Oracle, whose miss ratio the row reports.
+				rows = append(rows, append(row, grp[0].Result.MissRatioPct(), verdict))
+			}
+		}
+		return rows, nil
+	})
 	if err != nil {
 		return nil, err
 	}
 
 	t := texttable.New("Modern-footprint study: does the 1995 verdict hold at datacenter scale? (total ISPI)",
 		"Program", "KB", "cache", "penalty", "Oracle", "Opt", "Res", "Pess", "Dec", "miss%", "verdict")
-	i := 0
-	for _, b := range benches {
-		for _, cs := range cacheSizes {
-			for _, pen := range penalties {
-				byPol := map[core.Policy]core.Result{}
-				for _, pol := range pols {
-					byPol[pol] = results[i]
-					i++
-				}
-				verdict := "aggressive"
-				if byPol[core.Pessimistic].TotalISPI() < byPol[core.Optimistic].TotalISPI() {
-					verdict = "conservative"
-				}
-				t.AddRowF(2,
-					b.Profile().Name,
-					b.Image().SizeBytes()/1024,
-					fmt.Sprintf("%dK", cs/1024),
-					fmt.Sprintf("%dc", pen),
-					byPol[core.Oracle].TotalISPI(),
-					byPol[core.Optimistic].TotalISPI(),
-					byPol[core.Resume].TotalISPI(),
-					byPol[core.Pessimistic].TotalISPI(),
-					byPol[core.Decode].TotalISPI(),
-					byPol[core.Oracle].MissRatioPct(),
-					verdict)
-			}
-		}
+	for _, r := range slices.Concat(rows...) {
+		t.AddRowF(2, r...)
 	}
 	return t, nil
 }

@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
 	"specfetch/internal/core"
+	"specfetch/internal/distsweep"
 	"specfetch/internal/obs"
 	"specfetch/internal/synth"
 	"specfetch/internal/texttable"
@@ -173,24 +175,15 @@ func OracleSelectorData(opt Options, interval int64, penalties []int) (*OracleDa
 	if err != nil {
 		return nil, err
 	}
-	var cells []runCell
-	for _, b := range benches {
-		cells = append(cells, oracleCells(opt, b, interval, penalties)...)
-	}
-	full, err := runCellsFull(opt, cells)
+	rows, err := sweep(opt, benches, func(_ int, b *synth.Bench) []runCell {
+		return oracleCells(opt, b, interval, penalties)
+	}, func(_ int, b *synth.Bench, outs []distsweep.JobResult) ([]OracleRow, error) {
+		return oracleRows(b, penalties, outs)
+	})
 	if err != nil {
 		return nil, err
 	}
-	d := &OracleData{Interval: interval, Penalties: penalties}
-	per := len(penalties) * len(core.Policies())
-	for i, b := range benches {
-		rows, err := oracleRows(b, penalties, full[i*per:(i+1)*per])
-		if err != nil {
-			return nil, err
-		}
-		d.Rows = append(d.Rows, rows...)
-	}
-	return d, nil
+	return &OracleData{Interval: interval, Penalties: penalties, Rows: slices.Concat(rows...)}, nil
 }
 
 // resolveOracle applies the study's defaults: a zero interval means
@@ -229,7 +222,7 @@ func oracleCells(opt Options, b *synth.Bench, interval int64, penalties []int) [
 
 // oracleRows reduces one bench's oracle cells, in oracleCells order, to
 // its rows: one per penalty, with the per-window winners.
-func oracleRows(b *synth.Bench, penalties []int, outs []cellOut) ([]OracleRow, error) {
+func oracleRows(b *synth.Bench, penalties []int, outs []distsweep.JobResult) ([]OracleRow, error) {
 	pols := core.Policies()
 	rows := make([]OracleRow, len(penalties))
 	for j, pen := range penalties {
@@ -239,7 +232,7 @@ func oracleRows(b *synth.Bench, penalties []int, outs []cellOut) ([]OracleRow, e
 			Series:  map[core.Policy][]obs.WindowRecord{},
 		}
 		for k, pol := range pols {
-			row.Series[pol] = outs[j*len(pols)+k].windows
+			row.Series[pol] = outs[j*len(pols)+k].WindowSeries
 		}
 		var err error
 		if row.Winners, err = OracleSelect(row.Series, pols); err != nil {

@@ -167,7 +167,7 @@ func TestOracleLayerDisabledNeutral(t *testing.T) {
 			cells = append(cells, newCell(b, baseConfig(pol)))
 		}
 	}
-	plain, err := runCells(opt, cells)
+	plain, err := runCellsFull(opt, cells)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,19 +185,19 @@ func TestOracleLayerDisabledNeutral(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := range cells {
-			if !reflect.DeepEqual(full[i].res, plain[i]) {
+			if !reflect.DeepEqual(full[i].Result, plain[i].Result) {
 				t.Fatalf("%s run changed cell %d's Result", name, i)
 			}
 		}
 		if name == "capturing" {
 			for i := range cells {
-				if len(full[i].windows) == 0 {
+				if len(full[i].WindowSeries) == 0 {
 					t.Fatalf("capturing run returned no windows for cell %d", i)
 				}
 			}
 		} else {
 			for i := range cells {
-				if full[i].windows != nil {
+				if full[i].WindowSeries != nil {
 					t.Fatalf("non-capturing run returned windows for cell %d", i)
 				}
 			}

@@ -6,12 +6,12 @@ import (
 )
 
 // The coordinator half of distributed sweeps. A cell's recipe is already
-// its wire JobSpec, so runCells dispatches whole work-lists in batches
-// without converting anything, and the worker side (JobRunner, used by
-// cmd/sweepworker) pairs each spec with its bench and runs it through the
-// identical cellCache path, so a remote sweep computes cell-for-cell the
-// same results — and therefore renders the same bytes — as an in-process
-// one.
+// its wire JobSpec and its result the wire JobResult, so runCellsFull
+// dispatches whole work-lists in batches without converting either way,
+// and the worker side (JobRunner, used by cmd/sweepworker) pairs each spec
+// with its bench and runs it through the identical cellCache path, so a
+// remote sweep computes cell-for-cell the same results — and therefore
+// renders the same bytes — as an in-process one.
 
 // runCellsRemote dispatches a work-list of validated cells through the
 // coordinator. ok is false (and the caller runs everything in-process)
@@ -20,7 +20,7 @@ import (
 // reasoning for no gain. Results come back keyed by cell index, so the
 // caller's serial canonical-order reduction is untouched: remote bytes are
 // in-process bytes.
-func runCellsRemote(opt Options, cells []runCell) ([]cellOut, bool, error) {
+func runCellsRemote(opt Options, cells []runCell) ([]distsweep.JobResult, bool, error) {
 	specs := make([]distsweep.JobSpec, len(cells))
 	for i, c := range cells {
 		if !c.bench.FromProfile() {
@@ -32,15 +32,7 @@ func runCellsRemote(opt Options, cells []runCell) ([]cellOut, bool, error) {
 	// normal local path (which also reports progress and wraps errors with
 	// the same bench/policy prefix a purely local sweep would use).
 	local := func(offset int, jobs []distsweep.JobSpec) ([]distsweep.JobResult, error) {
-		res, err := runCellsLocal(opt, cells[offset:offset+len(jobs)])
-		if err != nil {
-			return nil, err
-		}
-		out := make([]distsweep.JobResult, len(res))
-		for i, r := range res {
-			out[i] = distsweep.JobResult{Result: r.res, Audit: r.res.AuditFinal(), WindowSeries: r.windows}
-		}
-		return out, nil
+		return runCellsLocal(opt, cells[offset:offset+len(jobs)])
 	}
 	// Remotely-completed cells stream progress as their batches verify;
 	// locally-run cells already report inside simulateCell.
@@ -50,15 +42,8 @@ func runCellsRemote(opt Options, cells []runCell) ([]cellOut, bool, error) {
 			opt.observe(c.bench.Profile().Name, c.spec.Config.Policy, r.Result)
 		}
 	}
-	jrs, err := opt.Dispatch.Run(specs, local, onRemote)
-	if err != nil {
-		return nil, true, err
-	}
-	out := make([]cellOut, len(jrs))
-	for i, r := range jrs {
-		out[i] = cellOut{res: r.Result, windows: r.WindowSeries}
-	}
-	return out, true, nil
+	out, err := opt.Dispatch.Run(specs, local, onRemote)
+	return out, true, err
 }
 
 // JobRunner is the worker-side distsweep.Runner: it takes the bench of the
@@ -96,9 +81,5 @@ func (r *JobRunner) Run(spec distsweep.JobSpec) (distsweep.JobResult, error) {
 	if err != nil {
 		return distsweep.JobResult{}, err
 	}
-	out, err := r.cache.simulate(runCell{b, spec}, Options{Metrics: r.Metrics, Progress: r.Progress})
-	if err != nil {
-		return distsweep.JobResult{}, err
-	}
-	return distsweep.JobResult{Result: out.res, Audit: out.res.AuditFinal(), WindowSeries: out.windows}, nil
+	return r.cache.simulate(runCell{b, spec}, Options{Metrics: r.Metrics, Progress: r.Progress})
 }

@@ -135,7 +135,7 @@ func TestRemoteFallsBackForInProcessState(t *testing.T) {
 		t.Fatal(err)
 	}
 	cells := []runCell{newCell(rb, baseConfig(core.Oracle))}
-	want, err := runCells(Options{Insts: insts, Workers: 1}, cells)
+	want, err := runCellsFull(Options{Insts: insts, Workers: 1}, cells)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,11 +146,11 @@ func TestRemoteFallsBackForInProcessState(t *testing.T) {
 		Retries:    1,
 		EvictAfter: 1,
 	})
-	got, err := runCells(opt, cells)
+	got, err := runCellsFull(opt, cells)
 	if err != nil {
 		t.Fatalf("reordered-bench sweep failed: %v", err)
 	}
-	if !reflect.DeepEqual(got, want) || got[0].Insts != insts {
+	if !reflect.DeepEqual(got, want) || got[0].Result.Insts != insts {
 		t.Errorf("reordered-bench sweep with a fleet = %+v, want the in-process %+v", got, want)
 	}
 	if len(opt.Dispatch.Alive()) != 1 {

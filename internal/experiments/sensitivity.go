@@ -5,6 +5,8 @@ import (
 	"math"
 
 	"specfetch/internal/core"
+	"specfetch/internal/distsweep"
+	"specfetch/internal/synth"
 	"specfetch/internal/texttable"
 )
 
@@ -54,12 +56,11 @@ func SeedSensitivityData(opt Options, seeds int) ([]SeedSensitivityRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	// One flat work-list of bench x seed x policy cells: each dynamic
-	// stream's policy cells run back to back, so the cell cache walks every
-	// stream once.
+	// Each dynamic stream's policy cells run back to back, so the cell
+	// cache walks every stream once.
 	pols := core.Policies()
-	var cells []runCell
-	for _, b := range benches {
+	return sweep(opt, benches, func(_ int, b *synth.Bench) []runCell {
+		var cells []runCell
 		for s := 0; s < seeds; s++ {
 			for _, pol := range pols {
 				c := newCell(b, baseConfig(pol))
@@ -67,24 +68,18 @@ func SeedSensitivityData(opt Options, seeds int) ([]SeedSensitivityRow, error) {
 				cells = append(cells, c)
 			}
 		}
-	}
-	results, err := runCells(opt, cells)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]SeedSensitivityRow, len(benches))
-	for bi, b := range benches {
+		return cells
+	}, func(_ int, b *synth.Bench, outs []distsweep.JobResult) (SeedSensitivityRow, error) {
 		row := SeedSensitivityRow{Bench: b.Profile().Name, Stats: map[core.Policy]SeedStats{}}
-		for pi, pol := range pols {
+		for k, pol := range pols {
 			samples := make([]float64, seeds)
 			for s := range samples {
-				samples[s] = results[(bi*seeds+s)*len(pols)+pi].TotalISPI()
+				samples[s] = outs[s*len(pols)+k].Result.TotalISPI()
 			}
 			row.Stats[pol] = describe(samples)
 		}
-		rows[bi] = row
-	}
-	return rows, nil
+		return row, nil
+	})
 }
 
 // SeedSensitivity renders the analysis as a table (mean ± sd per policy).

@@ -140,14 +140,14 @@ func mapCells[T any](opt Options, n int, fn func(worker, i int) (T, error)) ([]T
 // benchRows evaluates fn once per benchmark on the pool, preserving bench
 // order: the per-bench work that is not a simulation (trace scans, the
 // layout ablation's profiling walks), which walks opt.Insts instructions
-// once Options.check accepts them. Simulations go through runCells, never
+// once Options.check accepts them. Simulations go through sweep, never
 // from inside fn. Each row is wrapped in one host span ("<bench>/row").
 func benchRows[T any](opt Options, benches []*synth.Bench, fn func(b *synth.Bench) (T, error)) ([]T, error) {
 	if err := opt.check(); err != nil {
 		return nil, err
 	}
 	return mapCells(opt, len(benches), func(w, i int) (T, error) {
-		sp := spanStart(opt, benches[i].Profile().Name+"/row", w)
+		sp := opt.Spans.Start(benches[i].Profile().Name+"/row", w)
 		v, err := fn(benches[i])
 		spanEnd(opt, sp)
 		return v, err
@@ -175,39 +175,46 @@ func newCell(b *synth.Bench, cfg core.Config) runCell {
 	}}
 }
 
-// cellOut pairs one cell's Result with its captured window series (nil
-// unless the cell set capture).
-type cellOut struct {
-	res     core.Result
-	windows []obs.WindowRecord
-}
-
-// runCells executes a work-list and returns results keyed by cell index.
-// With a remote fleet configured (Options.Dispatch) and every cell
-// serializable, the list is dispatched across processes; otherwise — and
-// for any batch the fleet cannot complete — it runs on the in-process
-// pool. Either way results land at their cell's index, so the caller's
-// serial reduction renders identical bytes.
-func runCells(opt Options, cells []runCell) ([]core.Result, error) {
-	full, err := runCellsFull(opt, cells)
+// sweep is the one entry point of every simulating builder. It simulates
+// cellsOf(i, benches[i]) for every bench as one bench-major work-list and
+// returns rowOf(i, benches[i], outs) per bench, where outs are that bench's
+// results in cellsOf order. The first rowOf error is returned.
+func sweep[T any](opt Options, benches []*synth.Bench,
+	cellsOf func(i int, b *synth.Bench) []runCell,
+	rowOf func(i int, b *synth.Bench, outs []distsweep.JobResult) (T, error)) ([]T, error) {
+	var cells []runCell
+	ends := make([]int, len(benches))
+	for i, b := range benches {
+		cells = append(cells, cellsOf(i, b)...)
+		ends[i] = len(cells)
+	}
+	outs, err := runCellsFull(opt, cells)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]core.Result, len(full))
-	for i, c := range full {
-		out[i] = c.res
+	rows := make([]T, len(benches))
+	start := 0
+	for i, b := range benches {
+		if rows[i], err = rowOf(i, b, outs[start:ends[i]:ends[i]]); err != nil {
+			return nil, err
+		}
+		start = ends[i]
 	}
-	return out, nil
+	return rows, nil
 }
 
-// runCellsFull is runCells keeping each cell's window series alongside its
-// Result — the executor entry point for the interval-analytics builders.
-// It writes the sweep's engine mode, budget and audit rate into a copy of
-// every cell's spec and validates each spec before any cell runs, so a
-// local or remote cell runs the mode this sweep resolved, never a worker's
-// environment default, and a setting a worker would refuse fails the same
-// way in process.
-func runCellsFull(opt Options, cells []runCell) ([]cellOut, error) {
+// runCellsFull executes a work-list and returns results keyed by cell
+// index. It writes the sweep's engine mode, budget and audit rate into a
+// copy of every cell's spec and validates each spec before any cell runs,
+// so a local or remote cell runs the mode this sweep resolved, never a
+// worker's environment default, and a setting a worker would refuse fails
+// the same way in process. With a remote fleet configured
+// (Options.Dispatch) and every cell serializable, the list is dispatched
+// across processes; otherwise — and for any batch the fleet cannot
+// complete — it runs on the in-process pool. Either way results land at
+// their cell's index, so the caller's serial reduction renders identical
+// bytes.
+func runCellsFull(opt Options, cells []runCell) ([]distsweep.JobResult, error) {
 	mode := opt.stepMode()
 	cells = slices.Clone(cells)
 	for i := range cells {
@@ -233,27 +240,18 @@ func runCellsFull(opt Options, cells []runCell) ([]cellOut, error) {
 // instead of reallocating queue and cache storage. With host tracing
 // enabled (Options.Spans), every cell is wrapped in a span named
 // "<bench>/<policy>" on the worker that ran it.
-func runCellsLocal(opt Options, cells []runCell) ([]cellOut, error) {
+func runCellsLocal(opt Options, cells []runCell) ([]distsweep.JobResult, error) {
 	var cache cellCache
-	return mapCells(opt, len(cells), func(w, i int) (cellOut, error) {
+	return mapCells(opt, len(cells), func(w, i int) (distsweep.JobResult, error) {
 		name, pol := cells[i].bench.Profile().Name, cells[i].spec.Config.Policy
-		var sp obs.SpanHandle
-		if opt.Spans != nil {
-			sp = opt.Spans.Start(name+"/"+pol.String(), w)
-		}
+		sp := opt.Spans.Start(name+"/"+pol.String(), w)
 		out, err := cache.simulate(cells[i], opt)
 		spanEnd(opt, sp)
 		if err != nil {
-			return cellOut{}, fmt.Errorf("%s/%s: %w", name, pol, err)
+			return distsweep.JobResult{}, fmt.Errorf("%s/%s: %w", name, pol, err)
 		}
 		return out, nil
 	})
-}
-
-// spanStart opens a host span when tracing is enabled (nil tracers return
-// an inert handle).
-func spanStart(opt Options, name string, worker int) obs.SpanHandle {
-	return opt.Spans.Start(name, worker)
 }
 
 // spanEnd completes a host span and feeds its latency into the campaign
@@ -271,23 +269,24 @@ func spanEnd(opt Options, sp obs.SpanHandle) {
 	}
 }
 
-// simulateCell runs one validated cell in-process through RunSpec and
-// reports the finished run to sinks, the progress and metrics sinks.
+// simulateCell runs one validated cell in-process through RunSpec, reports
+// the finished run to sinks, the progress and metrics sinks, and returns it
+// as the wire result a sweep worker would send back.
 //
 // cellCache.simulate threads the reuses in: rd, when non-nil, is a replay
 // cursor over the cell's memoized stream; arena, when non-nil, donates
 // storage from earlier cells. Both are behaviour-neutral; nil for either
 // walks the stream or allocates fresh storage.
-func simulateCell(c runCell, sinks Options, rd trace.Reader, arena *core.Arena) (core.Result, []obs.WindowRecord, error) {
+func simulateCell(c runCell, sinks Options, rd trace.Reader, arena *core.Arena) (distsweep.JobResult, error) {
 	if rd == nil {
 		rd = c.bench.NewReader(c.spec.Seed, traceLimit(c.spec.Insts))
 	}
 	res, wins, err := RunSpec(c.spec, c.bench.Image(), rd, arena, nil)
 	if err != nil {
-		return res, nil, err
+		return distsweep.JobResult{}, err
 	}
 	sinks.observe(c.bench.Profile().Name, c.spec.Config.Policy, res)
-	return res, wins, nil
+	return distsweep.JobResult{Result: res, Audit: res.AuditFinal(), WindowSeries: wins}, nil
 }
 
 // RunSpec runs spec over img and rd with a fresh engine, cache and

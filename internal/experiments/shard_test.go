@@ -3,14 +3,18 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"specfetch/internal/core"
+	"specfetch/internal/distsweep"
 	"specfetch/internal/hosttime"
 	"specfetch/internal/obs"
+	"specfetch/internal/synth"
 )
 
 // renderAll builds one table and one figure from each executor shape —
@@ -265,6 +269,68 @@ func TestPoolErrorBeatsLaterPanic(t *testing.T) {
 	}
 }
 
+// TestSweepRowsGetTheirOwnCells: sweep hands each bench's rowOf exactly
+// the results of that bench's cells, in cellsOf order, when the benches
+// list different numbers of cells (one lists none), serially and on a
+// pool; and a rowOf error reaches the caller.
+func TestSweepRowsGetTheirOwnCells(t *testing.T) {
+	opt := Options{Insts: 20_000, Benchmarks: []string{"doduc", "gcc", "groff"}}
+	benches, err := buildAll(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pols := core.Policies()
+	counts := []int{2, 0, 4}
+	cellsOf := func(i int, b *synth.Bench) []runCell {
+		var cells []runCell
+		for k := 0; k < counts[i]; k++ {
+			cells = append(cells, newCell(b, baseConfig(pols[(i+k)%len(pols)])))
+		}
+		return cells
+	}
+	// Each bench's cells run as a work-list of their own are the reference.
+	want := make([][]distsweep.JobResult, len(benches))
+	for i, b := range benches {
+		if want[i], err = runCellsFull(Options{Insts: opt.Insts, Workers: 1}, cellsOf(i, b)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, workers := range []int{1, 4} {
+		o := opt
+		o.Workers = workers
+		got, err := sweep(o, benches, cellsOf, func(i int, b *synth.Bench, outs []distsweep.JobResult) ([]distsweep.JobResult, error) {
+			if b != benches[i] {
+				return nil, fmt.Errorf("rowOf(%d) got bench %s, want %s", i, b.Profile().Name, benches[i].Profile().Name)
+			}
+			return outs, nil
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		for i := range benches {
+			if len(got[i]) != counts[i] {
+				t.Fatalf("workers=%d: bench %d got %d results, want %d", workers, i, len(got[i]), counts[i])
+			}
+			for k := range got[i] {
+				if !reflect.DeepEqual(got[i][k], want[i][k]) {
+					t.Errorf("workers=%d: bench %d result %d is not its own cell's", workers, i, k)
+				}
+			}
+		}
+	}
+
+	boom := errors.New("row failed")
+	_, err = sweep(opt, benches, cellsOf, func(i int, _ *synth.Bench, outs []distsweep.JobResult) (int, error) {
+		if i == 1 {
+			return 0, boom
+		}
+		return len(outs), nil
+	})
+	if !errors.Is(err, boom) {
+		t.Errorf("sweep error = %v, want the rowOf error", err)
+	}
+}
+
 // TestWorkersResolution pins the Options.Workers contract: 0 means
 // GOMAXPROCS, negatives clamp to serial.
 func TestWorkersResolution(t *testing.T) {
@@ -297,7 +363,10 @@ func TestWindowCaptureOverhead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cells := table6Cells(benches)
+	var cells []runCell
+	for i, b := range benches {
+		cells = append(cells, table6Cells(i, b)...)
+	}
 	capture := slices.Clone(cells)
 	for i := range capture {
 		capture[i].spec.Config.SampleInterval = 10_000
@@ -317,7 +386,7 @@ func TestWindowCaptureOverhead(t *testing.T) {
 			}
 			if side == 1 {
 				for i, c := range out {
-					if len(c.windows) == 0 {
+					if len(c.WindowSeries) == 0 {
 						t.Fatalf("capture run: cell %d returned no window series", i)
 					}
 				}

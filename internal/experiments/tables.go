@@ -5,6 +5,7 @@ import (
 
 	"specfetch/internal/classify"
 	"specfetch/internal/core"
+	"specfetch/internal/distsweep"
 	"specfetch/internal/synth"
 	"specfetch/internal/texttable"
 	"specfetch/internal/trace"
@@ -42,7 +43,7 @@ func Table3(opt Options) (*texttable.Table, error) {
 	}
 	t := texttable.New("Table 3: I-cache and branch prediction characteristics (paper values in parentheses)",
 		"Program", "%Miss 8K", "%Miss 32K", "PHT ISPI B1", "PHT ISPI B4", "BTB Misfetch", "BTB Mispredict")
-	var m8, m32, b1, b4, mf, mp []float64
+	var vals [][]float64
 	for _, r := range rows {
 		t.AddRow(r.Name,
 			fmt.Sprintf("%.2f (%.2f)", r.Miss8K, r.Paper.Miss8K),
@@ -51,14 +52,9 @@ func Table3(opt Options) (*texttable.Table, error) {
 			fmt.Sprintf("%.2f (%.2f)", r.PHTISPIB4, r.Paper.PHTISPIB4),
 			fmt.Sprintf("%.2f (%.2f)", r.BTBMisfetchISPI, r.Paper.BTBMisfetchISPI),
 			fmt.Sprintf("%.2f (%.2f)", r.BTBMispredictISPI, r.Paper.BTBMispredictISPI))
-		m8 = append(m8, r.Miss8K)
-		m32 = append(m32, r.Miss32K)
-		b1 = append(b1, r.PHTISPIB1)
-		b4 = append(b4, r.PHTISPIB4)
-		mf = append(mf, r.BTBMisfetchISPI)
-		mp = append(mp, r.BTBMispredictISPI)
+		vals = append(vals, []float64{r.Miss8K, r.Miss32K, r.PHTISPIB1, r.PHTISPIB4, r.BTBMisfetchISPI, r.BTBMispredictISPI})
 	}
-	t.AddRowF(2, "Average", mean(m8), mean(m32), mean(b1), mean(b4), mean(mf), mean(mp))
+	t.AddRowF(2, averageRow(vals)...)
 	return t, nil
 }
 
@@ -69,33 +65,27 @@ type Table4Row struct {
 }
 
 // Table4Data classifies misses for every selected benchmark on the baseline
-// machine (8K, 5-cycle penalty, depth 4, no prefetch): one flat work-list of
-// each bench's Oracle and Optimistic arms, cells 2i and 2i+1 for benches[i],
-// whose recorded miss bitmaps classify.Categorize matches.
+// machine (8K, 5-cycle penalty, depth 4, no prefetch): each bench's Oracle
+// and Optimistic arms, whose recorded miss bitmaps classify.Categorize
+// matches.
 func Table4Data(opt Options) ([]Table4Row, error) {
 	benches, err := buildAll(opt)
 	if err != nil {
 		return nil, err
 	}
-	cells := make([]runCell, 0, 2*len(benches))
-	for _, b := range benches {
-		for _, pol := range []core.Policy{core.Oracle, core.Optimistic} {
-			cells = append(cells, newCell(b, classify.ArmConfig(baseConfig(core.Oracle), pol)))
+	return sweep(opt, benches, func(_ int, b *synth.Bench) []runCell {
+		base := baseConfig(core.Oracle)
+		return []runCell{
+			newCell(b, classify.ArmConfig(base, core.Oracle)),
+			newCell(b, classify.ArmConfig(base, core.Optimistic)),
 		}
-	}
-	results, err := runCells(opt, cells)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]Table4Row, len(benches))
-	for i, b := range benches {
-		cat, err := classify.Categorize(results[2*i], results[2*i+1])
+	}, func(_ int, b *synth.Bench, outs []distsweep.JobResult) (Table4Row, error) {
+		cat, err := classify.Categorize(outs[0].Result, outs[1].Result)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", b.Profile().Name, err)
+			return Table4Row{}, fmt.Errorf("%s: %w", b.Profile().Name, err)
 		}
-		rows[i] = Table4Row{Bench: b.Profile().Name, Categories: cat}
-	}
-	return rows, nil
+		return Table4Row{Bench: b.Profile().Name, Categories: cat}, nil
+	})
 }
 
 // Table4 reproduces the miss-ratio categorization table.
@@ -106,16 +96,13 @@ func Table4(opt Options) (*texttable.Table, error) {
 	}
 	t := texttable.New("Table 4: categorization of miss ratios (BM=both miss, SPo=spec pollute, SPr=spec prefetch, WP=wrong path, TR=traffic ratio)",
 		"Program", "BM", "SPo", "SPr", "WP", "TR")
-	var bm, spo, spr, wp, tr []float64
+	var vals [][]float64
 	for _, r := range rows {
-		t.AddRowF(2, r.Bench, r.BothMiss, r.SpecPollute, r.SpecPrefetch, r.WrongPath, r.TrafficRatio)
-		bm = append(bm, r.BothMiss)
-		spo = append(spo, r.SpecPollute)
-		spr = append(spr, r.SpecPrefetch)
-		wp = append(wp, r.WrongPath)
-		tr = append(tr, r.TrafficRatio)
+		v := []float64{r.BothMiss, r.SpecPollute, r.SpecPrefetch, r.WrongPath, r.TrafficRatio}
+		t.AddRowF(2, numRow(r.Bench, v)...)
+		vals = append(vals, v)
 	}
-	t.AddRowF(2, "Average", mean(bm), mean(spo), mean(spr), mean(wp), mean(tr))
+	t.AddRowF(2, averageRow(vals)...)
 	return t, nil
 }
 
@@ -130,15 +117,15 @@ type Table5Row struct {
 var Table5Depths = []int{1, 2, 4}
 
 // Table5Data sweeps speculation depth on the baseline 8K/5-cycle machine:
-// one flat work-list of bench x depth x policy cells.
+// depth x policy cells per bench.
 func Table5Data(opt Options) ([]Table5Row, error) {
 	benches, err := buildAll(opt)
 	if err != nil {
 		return nil, err
 	}
 	pols := core.Policies()
-	var cells []runCell
-	for _, b := range benches {
+	return sweep(opt, benches, func(_ int, b *synth.Bench) []runCell {
+		var cells []runCell
 		for _, depth := range Table5Depths {
 			for _, pol := range pols {
 				cfg := baseConfig(pol)
@@ -146,25 +133,14 @@ func Table5Data(opt Options) ([]Table5Row, error) {
 				cells = append(cells, newCell(b, cfg))
 			}
 		}
-	}
-	results, err := runCells(opt, cells)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]Table5Row, len(benches))
-	i := 0
-	for bi, b := range benches {
+		return cells
+	}, func(_ int, b *synth.Bench, outs []distsweep.JobResult) (Table5Row, error) {
 		row := Table5Row{Bench: b.Profile().Name, ISPI: map[int]map[core.Policy]float64{}}
-		for _, depth := range Table5Depths {
-			row.ISPI[depth] = map[core.Policy]float64{}
-			for _, pol := range pols {
-				row.ISPI[depth][pol] = results[i].TotalISPI()
-				i++
-			}
+		for k, depth := range Table5Depths {
+			row.ISPI[depth] = policyISPI(pols, outs[k*len(pols):])
 		}
-		rows[bi] = row
-	}
-	return rows, nil
+		return row, nil
+	})
 }
 
 // Table5 reproduces the speculation-depth table (ISPI for 1/2/4 unresolved
@@ -182,25 +158,16 @@ func Table5(opt Options) (*texttable.Table, error) {
 	}
 	t := texttable.New("Table 5: effect of speculation depth (total penalty ISPI; 8K direct mapped, 5-cycle miss penalty)",
 		headers...)
-	sums := make([]float64, len(headers)-1)
+	var vals [][]float64
 	for _, r := range rows {
-		cells := []any{r.Bench}
-		i := 0
+		var v []float64
 		for _, d := range Table5Depths {
-			for _, p := range core.Policies() {
-				v := r.ISPI[d][p]
-				cells = append(cells, v)
-				sums[i] += v
-				i++
-			}
+			v = append(v, policyValues(core.Policies(), r.ISPI[d])...)
 		}
-		t.AddRowF(2, cells...)
+		t.AddRowF(2, numRow(r.Bench, v)...)
+		vals = append(vals, v)
 	}
-	avg := []any{"Average"}
-	for _, s := range sums {
-		avg = append(avg, s/float64(len(rows)))
-	}
-	t.AddRowF(2, avg...)
+	t.AddRowF(2, averageRow(vals)...)
 	return t, nil
 }
 
@@ -210,39 +177,24 @@ type Table6Row struct {
 	ISPI  map[core.Policy]float64
 }
 
-// Table6Data measures the policies on the 32K cache at depth 4: one flat
-// work-list of bench x policy cells.
+// Table6Data measures the policies on the 32K cache at depth 4.
 func Table6Data(opt Options) ([]Table6Row, error) {
 	benches, err := buildAll(opt)
 	if err != nil {
 		return nil, err
 	}
-	pols := core.Policies()
-	results, err := runCells(opt, table6Cells(benches))
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]Table6Row, len(benches))
-	for bi, b := range benches {
-		row := Table6Row{Bench: b.Profile().Name, ISPI: map[core.Policy]float64{}}
-		for pi, pol := range pols {
-			row.ISPI[pol] = results[bi*len(pols)+pi].TotalISPI()
-		}
-		rows[bi] = row
-	}
-	return rows, nil
+	return sweep(opt, benches, table6Cells, func(_ int, b *synth.Bench, outs []distsweep.JobResult) (Table6Row, error) {
+		return Table6Row{Bench: b.Profile().Name, ISPI: policyISPI(core.Policies(), outs)}, nil
+	})
 }
 
-// table6Cells is Table 6's work-list: every policy over each bench on the
-// 32K cache, bench-major.
-func table6Cells(benches []*synth.Bench) []runCell {
+// table6Cells is one bench's Table 6 cells: every policy on the 32K cache.
+func table6Cells(_ int, b *synth.Bench) []runCell {
 	var cells []runCell
-	for _, b := range benches {
-		for _, pol := range core.Policies() {
-			cfg := baseConfig(pol)
-			cfg.ICache = cacheConfig(32 * 1024)
-			cells = append(cells, newCell(b, cfg))
-		}
+	for _, pol := range core.Policies() {
+		cfg := baseConfig(pol)
+		cfg.ICache = cacheConfig(32 * 1024)
+		cells = append(cells, newCell(b, cfg))
 	}
 	return cells
 }
@@ -259,20 +211,13 @@ func Table6(opt Options) (*texttable.Table, error) {
 		headers = append(headers, shortPolicy(p))
 	}
 	t := texttable.New("Table 6: effect of cache size (total penalty ISPI; 32K direct mapped, 5-cycle miss penalty)", headers...)
-	sums := make([]float64, len(core.Policies()))
+	var vals [][]float64
 	for _, r := range rows {
-		cells := []any{r.Bench}
-		for i, p := range core.Policies() {
-			cells = append(cells, r.ISPI[p])
-			sums[i] += r.ISPI[p]
-		}
-		t.AddRowF(2, cells...)
+		v := policyValues(core.Policies(), r.ISPI)
+		t.AddRowF(2, numRow(r.Bench, v)...)
+		vals = append(vals, v)
 	}
-	avg := []any{"Average"}
-	for _, s := range sums {
-		avg = append(avg, s/float64(len(rows)))
-	}
-	t.AddRowF(2, avg...)
+	t.AddRowF(2, averageRow(vals)...)
 	return t, nil
 }
 
@@ -287,40 +232,31 @@ type Table7Row struct {
 // Table7Policies are the policies the paper reports traffic for.
 var Table7Policies = []core.Policy{core.Oracle, core.Resume, core.Pessimistic}
 
-// Table7Data measures prefetch traffic ratios on the baseline machine. The
-// work-list interleaves each benchmark's unprefetched Oracle baseline with
-// its prefetching runs (stride 1+len(Table7Policies)).
+// Table7Data measures prefetch traffic ratios on the baseline machine:
+// each bench's unprefetched Oracle baseline, then its prefetching runs.
 func Table7Data(opt Options) ([]Table7Row, error) {
 	benches, err := buildAll(opt)
 	if err != nil {
 		return nil, err
 	}
-	stride := 1 + len(Table7Policies)
-	var cells []runCell
-	for _, b := range benches {
-		cells = append(cells, newCell(b, baseConfig(core.Oracle)))
+	return sweep(opt, benches, func(_ int, b *synth.Bench) []runCell {
+		cells := []runCell{newCell(b, baseConfig(core.Oracle))}
 		for _, pol := range Table7Policies {
 			cfg := baseConfig(pol)
 			cfg.NextLinePrefetch = true
 			cells = append(cells, newCell(b, cfg))
 		}
-	}
-	results, err := runCells(opt, cells)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]Table7Row, len(benches))
-	for bi, b := range benches {
-		denom := float64(results[bi*stride].Traffic.Total())
+		return cells
+	}, func(_ int, b *synth.Bench, outs []distsweep.JobResult) (Table7Row, error) {
+		denom := float64(outs[0].Result.Traffic.Total())
 		row := Table7Row{Bench: b.Profile().Name, Ratio: map[core.Policy]float64{}}
-		for pi, pol := range Table7Policies {
+		for k, pol := range Table7Policies {
 			if denom > 0 {
-				row.Ratio[pol] = float64(results[bi*stride+1+pi].Traffic.Total()) / denom
+				row.Ratio[pol] = float64(outs[1+k].Result.Traffic.Total()) / denom
 			}
 		}
-		rows[bi] = row
-	}
-	return rows, nil
+		return row, nil
+	})
 }
 
 // Table7 reproduces the prefetch memory-traffic table: line fetches with
@@ -335,21 +271,60 @@ func Table7(opt Options) (*texttable.Table, error) {
 		headers = append(headers, shortPolicy(p))
 	}
 	t := texttable.New("Table 7: memory traffic with next-line prefetching, relative to Oracle without prefetching", headers...)
-	sums := make([]float64, len(Table7Policies))
+	var vals [][]float64
 	for _, r := range rows {
-		cells := []any{r.Bench}
-		for i, p := range Table7Policies {
-			cells = append(cells, r.Ratio[p])
-			sums[i] += r.Ratio[p]
-		}
-		t.AddRowF(2, cells...)
+		v := policyValues(Table7Policies, r.Ratio)
+		t.AddRowF(2, numRow(r.Bench, v)...)
+		vals = append(vals, v)
 	}
-	avg := []any{"Average"}
-	for _, s := range sums {
-		avg = append(avg, s/float64(len(rows)))
-	}
-	t.AddRowF(2, avg...)
+	t.AddRowF(2, averageRow(vals)...)
 	return t, nil
+}
+
+// policyISPI maps each of pols to the total ISPI of its cell; outs starts
+// with one cell per policy, in pols order.
+func policyISPI(pols []core.Policy, outs []distsweep.JobResult) map[core.Policy]float64 {
+	m := make(map[core.Policy]float64, len(pols))
+	for k, pol := range pols {
+		m[pol] = outs[k].Result.TotalISPI()
+	}
+	return m
+}
+
+// policyValues lists m's value for each of pols, in pols order.
+func policyValues(pols []core.Policy, m map[core.Policy]float64) []float64 {
+	v := make([]float64, len(pols))
+	for k, pol := range pols {
+		v[k] = m[pol]
+	}
+	return v
+}
+
+// numRow is a table row: the label, then vals.
+func numRow(label string, vals []float64) []any {
+	row := []any{label}
+	for _, v := range vals {
+		row = append(row, v)
+	}
+	return row
+}
+
+// averageRow is a table's "Average" row, the paper's arithmetic mean: each
+// column of rows summed in row order, then divided once by the row count.
+func averageRow(rows [][]float64) []any {
+	var sums []float64
+	for _, r := range rows {
+		if sums == nil {
+			sums = make([]float64, len(r))
+		}
+		for c, v := range r {
+			sums[c] += v
+		}
+	}
+	for c := range sums {
+		sums[c] /= float64(len(rows))
+	}
+	return numRow("Average", sums)
 }
 
 // shortPolicy abbreviates policy names like the paper's column heads.

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"specfetch/internal/core"
+	"specfetch/internal/distsweep"
 	"specfetch/internal/isa"
 	"specfetch/internal/synth"
 	"specfetch/internal/trace"
@@ -208,11 +209,10 @@ type cellCache struct {
 
 // simulate runs one validated cell through simulateCell on a replay of its
 // stream and a borrowed arena, reporting to sinks.
-func (cc *cellCache) simulate(c runCell, sinks Options) (cellOut, error) {
+func (cc *cellCache) simulate(c runCell, sinks Options) (distsweep.JobResult, error) {
 	s, arena := cc.acquire(traceKey{b: c.bench, seed: c.spec.Seed, insts: c.spec.Insts})
 	defer cc.release(s, arena)
-	res, wins, err := simulateCell(c, sinks, s.reader(), arena)
-	return cellOut{res: res, windows: wins}, err
+	return simulateCell(c, sinks, s.reader(), arena)
 }
 
 // acquire registers a reader of stream k and borrows an arena. The stream
