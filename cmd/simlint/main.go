@@ -8,14 +8,16 @@
 // (cycle and issue-slot quantities never mix or revert to raw integers
 // without an explicit conversion). It is a hard-fail CI gate.
 //
-// Packages are loaded once, under the default build environment: a file
-// gated behind a //go:build constraint is linted only when the default
-// environment builds it (the !race half of a race test pair, not the race
-// half).
+// Patterns and file sets follow the go tool, which the loader asks through
+// one `go list` call: "./..." skips testdata directories and nested
+// modules (lint perfbench from its own directory), and a file is linted
+// exactly when `go build` under the default environment compiles it, by
+// its //go:build line and its _GOOS/_GOARCH file name (the !race half of a
+// race test pair, not the race half).
 //
 // Usage:
 //
-//	simlint ./...                      # whole module (testdata skipped)
+//	simlint ./...                      # whole module (testdata and nested modules skipped)
 //	simlint ./internal/core            # one package
 //	simlint -only determinism ./...    # a subset of analyzers
 //	simlint -list                      # describe the analyzers

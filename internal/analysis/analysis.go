@@ -1,8 +1,9 @@
 // Package analysis is specfetch's in-tree static-analysis framework: a
-// small loader that parses and type-checks the module with nothing but the
-// standard library (go/parser + go/types; stdlib imports are resolved from
-// the toolchain's export data, so it works offline), plus the simulator's
-// project-specific analyzers.
+// small loader that asks `go list` which files make up each package, then
+// parses and type-checks them with nothing but the standard library
+// (go/parser + go/types; stdlib imports are resolved from the toolchain's
+// export data, so it works offline), plus the simulator's project-specific
+// analyzers.
 //
 // The paper's conclusions rest on cycle-exact accounting: the six-component
 // ISPI breakdown only means something if every stall cycle is attributed

@@ -17,7 +17,7 @@ func TestAnalyzerFixtures(t *testing.T) {
 	for _, a := range All() {
 		a := a
 		t.Run(a.Name, func(t *testing.T) {
-			dir := filepath.Join("testdata", "src", a.Name)
+			dir := "./testdata/src/" + a.Name
 			pkgs, err := Load(".", []string{dir})
 			if err != nil {
 				t.Fatalf("loading fixture: %v", err)
@@ -67,7 +67,7 @@ func TestAnalyzerFixtures(t *testing.T) {
 // finding lives in an exttest_test file, so any diagnostic at all means
 // the external unit was parsed, type-checked, and analyzed.
 func TestExternalTestPackageFixture(t *testing.T) {
-	dir := filepath.Join("testdata", "src", "exttest")
+	dir := "./testdata/src/exttest"
 	pkgs, err := Load(".", []string{dir})
 	if err != nil {
 		t.Fatalf("loading fixture: %v", err)
@@ -128,7 +128,7 @@ func TestExternalTestPackageFixture(t *testing.T) {
 // determinism findings, while the identical calls in the parent determinism
 // fixture (no hosttime path segment) are still flagged.
 func TestHosttimeWallClockSanctioned(t *testing.T) {
-	dir := filepath.Join("testdata", "src", "determinism", "hosttime")
+	dir := "./testdata/src/determinism/hosttime"
 	pkgs, err := Load(".", []string{dir})
 	if err != nil {
 		t.Fatalf("loading fixture: %v", err)
@@ -147,7 +147,7 @@ func TestHosttimeWallClockSanctioned(t *testing.T) {
 
 	// The exemption must not leak outside a hosttime path segment: the
 	// plain determinism fixture keeps its wall-clock findings.
-	unsanctioned, err := Load(".", []string{filepath.Join("testdata", "src", "determinism")})
+	unsanctioned, err := Load(".", []string{"./testdata/src/determinism"})
 	if err != nil {
 		t.Fatalf("loading fixture: %v", err)
 	}
@@ -164,7 +164,8 @@ func TestHosttimeWallClockSanctioned(t *testing.T) {
 
 // TestLoadRepo checks the loader stands up the whole module offline: every
 // package parses and type-checks with stdlib imports resolved from export
-// data.
+// data, and "..." stops at the nested perfbench module, as the go tool's
+// does.
 func TestLoadRepo(t *testing.T) {
 	pkgs, err := Load(".", []string{"../../..."})
 	if err != nil {
@@ -176,6 +177,9 @@ func TestLoadRepo(t *testing.T) {
 	for _, p := range pkgs {
 		if len(p.TypeErrors) != 0 {
 			t.Errorf("%s: type errors: %v", p.PkgPath, p.TypeErrors)
+		}
+		if strings.HasPrefix(p.PkgPath, "specfetch/perfbench") {
+			t.Errorf("%s: loaded from the nested perfbench module", p.PkgPath)
 		}
 	}
 }

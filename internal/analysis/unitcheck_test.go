@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"go/types"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -15,7 +14,7 @@ import (
 // fixture; it requires at least one finding, so the clean fixture needs its
 // own test.)
 func TestUnitCheckNegativeFixture(t *testing.T) {
-	dir := filepath.Join("testdata", "src", "unitcheckok")
+	dir := "./testdata/src/unitcheckok"
 	pkgs, err := Load(".", []string{dir})
 	if err != nil {
 		t.Fatalf("loading fixture: %v", err)

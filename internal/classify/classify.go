@@ -41,12 +41,6 @@ type Categories struct {
 	Insts int64
 }
 
-// OracleMissPct returns Oracle's overall miss ratio (BothMiss+SpecPrefetch).
-func (c Categories) OracleMissPct() float64 { return c.BothMiss + c.SpecPrefetch }
-
-// OptimisticRightPathMissPct returns Optimistic's correct-path miss ratio.
-func (c Categories) OptimisticRightPathMissPct() float64 { return c.BothMiss + c.SpecPollute }
-
 // NewPredictor builds a fresh predictor for one classification run; both
 // runs must start from identical predictor state.
 type NewPredictor func() bpred.Predictor

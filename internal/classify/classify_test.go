@@ -55,13 +55,6 @@ func TestCategoriesConsistency(t *testing.T) {
 	if cat.WrongPath == 0 {
 		t.Error("no wrong-path misses classified")
 	}
-	// Miss-ratio composition identities.
-	if cat.OracleMissPct() != cat.BothMiss+cat.SpecPrefetch {
-		t.Error("OracleMissPct identity broken")
-	}
-	if cat.OptimisticRightPathMissPct() != cat.BothMiss+cat.SpecPollute {
-		t.Error("OptimisticRightPathMissPct identity broken")
-	}
 }
 
 // TestSpecPrefetchDominatesPollution: the paper's headline observation —

@@ -34,8 +34,3 @@ func Since(start Instant) time.Duration {
 func (t Instant) Sub(u Instant) time.Duration {
 	return t.t.Sub(u.t)
 }
-
-// IsZero reports whether the instant is unset.
-func (t Instant) IsZero() bool {
-	return t.t.IsZero()
-}

@@ -34,14 +34,3 @@ func TestSubIsAntisymmetric(t *testing.T) {
 		t.Errorf("Sub not antisymmetric: %v vs %v", b.Sub(a), a.Sub(b))
 	}
 }
-
-// TestIsZero distinguishes the unset instant from a real reading.
-func TestIsZero(t *testing.T) {
-	var zero Instant
-	if !zero.IsZero() {
-		t.Error("zero Instant not IsZero")
-	}
-	if Now().IsZero() {
-		t.Error("Now() reported IsZero")
-	}
-}

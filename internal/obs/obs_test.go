@@ -115,20 +115,6 @@ func TestRecorderWraparound(t *testing.T) {
 	}
 }
 
-func TestRecorderDisable(t *testing.T) {
-	r := NewEventRecorder(64)
-	r.Disable(EvFetchCycle, EventType(250)) // out-of-range type is ignored
-	drive(r)
-	for _, ev := range r.Events() {
-		if ev.Type == EvFetchCycle {
-			t.Fatal("disabled fetch_cycle event recorded")
-		}
-	}
-	if got := len(r.Events()); got != driveEvents-1 {
-		t.Errorf("recorded %d events, want %d", got, driveEvents-1)
-	}
-}
-
 func TestRecorderJSONLRoundTrip(t *testing.T) {
 	r := NewEventRecorder(64)
 	drive(r)

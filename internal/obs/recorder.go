@@ -96,9 +96,8 @@ type Event struct {
 // memory stays bounded on arbitrarily long runs. The zero value is not
 // usable; call NewEventRecorder.
 type EventRecorder struct {
-	buf      []Event
-	n        uint64 // total events recorded (monotone)
-	disabled [NumEventTypes]bool
+	buf []Event
+	n   uint64 // total events recorded (monotone)
 }
 
 // DefaultEventCapacity bounds recorder memory at roughly 100 MB-scale runs
@@ -112,16 +111,6 @@ func NewEventRecorder(capacity int) *EventRecorder {
 		capacity = DefaultEventCapacity
 	}
 	return &EventRecorder{buf: make([]Event, capacity)}
-}
-
-// Disable suppresses recording of the given event types (e.g. the per-cycle
-// fetch_cycle flood when only structural events are wanted).
-func (r *EventRecorder) Disable(types ...EventType) {
-	for _, t := range types {
-		if t < NumEventTypes {
-			r.disabled[t] = true
-		}
-	}
 }
 
 // Cap returns the ring capacity.
@@ -172,9 +161,6 @@ func (r *EventRecorder) WriteJSONL(w io.Writer) error {
 }
 
 func (r *EventRecorder) record(ev Event) {
-	if r.disabled[ev.Type] {
-		return
-	}
 	r.buf[r.n%uint64(len(r.buf))] = ev
 	r.n++
 }
