@@ -70,14 +70,16 @@ const (
 const MaxPhasePeriod = 1 << 16
 
 // relStat is a running mean/variance accumulator of position-relative
-// block scores.
+// block scores. Its products are written float64(x*y) so that no
+// architecture fuses them into a multiply-add, which would round the
+// cancelling variance differently.
 type relStat struct {
 	n, sum, sq float64
 }
 
-func (s *relStat) add(v float64) { s.n++; s.sum += v; s.sq += v * v }
+func (s *relStat) add(v float64) { s.n++; s.sum += v; s.sq += float64(v * v) }
 func (s *relStat) mean() float64 { return s.sum / s.n }
-func (s *relStat) varm() float64 { m := s.mean(); return s.sq/s.n - m*m }
+func (s *relStat) varm() float64 { m := s.mean(); return s.sq/s.n - float64(m*m) }
 
 // zsq returns the signed mean gap a-b and its squared z statistic under
 // the two-sample normal approximation. Below two samples a side there is

@@ -290,7 +290,9 @@ func (e *Engine) Run() (Result, error) {
 // mid-step (as opposed to the loop ending at done()).
 func (e *Engine) runStepped() bool {
 	for !e.done() {
-		e.applyUpdates(e.cy)
+		if e.updatesPending(e.cy) {
+			e.applyUpdates(e.cy)
+		}
 		if e.probe == nil {
 			e.stepCycle()
 		} else {
@@ -441,12 +443,6 @@ func (e *Engine) consumeInst() {
 	}
 }
 
-// applyUpdates replays delayed predictor updates whose time has come, in
-// time order, so predictions at cycle `now` see exactly the state a real
-// machine would have. Pops advance the head indexes; a drained queue
-// resets to the front of its backing array, which is therefore reused
-// instead of regrown (the old slice[1:] pop made every future append
-// reallocate).
 // updatesPending reports whether any delayed update is due at `now`. It is
 // small enough to inline, so hot loops use it to skip the applyUpdates call
 // (a pure no-op then: drained queues were already reset by the call that
@@ -472,6 +468,12 @@ func (e *Engine) queueResolve(u resolveUpdate) {
 	e.resolveQ = append(e.resolveQ, u)
 }
 
+// applyUpdates replays delayed predictor updates whose time has come, in
+// time order, so predictions at cycle `now` see exactly the state a real
+// machine would have. Pops advance the head indexes; a drained queue
+// resets to the front of its backing array, which is therefore reused
+// instead of regrown (the old slice[1:] pop made every future append
+// reallocate).
 func (e *Engine) applyUpdates(now Cycles) {
 	for {
 		bOK := e.btbHead < len(e.btbQ) && e.btbQ[e.btbHead].at <= now

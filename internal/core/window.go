@@ -111,7 +111,9 @@ func (e *Engine) windowCyclesRef(phases []wpPhase, st *wpState, windowEnd Cycles
 	for wc := e.cy + 1; wc < windowEnd; wc++ {
 		e.res.Lost.Add(metrics.Branch, width)
 		slots += width
-		e.applyUpdates(wc)
+		if e.updatesPending(wc) {
+			e.applyUpdates(wc)
+		}
 		e.retireConds(wc)
 
 		// Phase transition: the decode-time redirect restarts the wrong-path

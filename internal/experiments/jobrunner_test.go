@@ -237,3 +237,43 @@ func allocated(run func()) uint64 {
 	runtime.ReadMemStats(&after)
 	return after.TotalAlloc - before.TotalAlloc
 }
+
+// TestJobRunnerReusesChunks: a runner fed three streams of one length in
+// turn packs the third into the chunks of the first, which the second's
+// release dropped, and allocates no chunk for it.
+func TestJobRunnerReusesChunks(t *testing.T) {
+	t.Parallel()
+	const insts = 200_000
+	r := NewJobRunner(nil)
+	chunksOf := func(seed uint64) []*memoChunk {
+		t.Helper()
+		spec := jobSpec(t, synth.GCC(), seed, insts, baseConfig(core.Resume))
+		if _, err := r.Run(spec); err != nil {
+			t.Fatal(err)
+		}
+		b, err := benchFor(spec.Profile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := r.cache.streams[traceKey{b: b, seed: seed, insts: insts}]
+		if s == nil || s.stream == nil {
+			t.Fatalf("seed %d: the stream is not retained", seed)
+		}
+		return s.stream.chunks
+	}
+	first := chunksOf(defaultStreamSeed)
+	chunksOf(1001)
+	third := chunksOf(1002)
+	if len(third) != len(first) {
+		t.Fatalf("streams of %d and %d chunks; the test needs equal lengths", len(first), len(third))
+	}
+	spare := map[*memoChunk]bool{}
+	for _, c := range first {
+		spare[c] = true
+	}
+	for i, c := range third {
+		if !spare[c] {
+			t.Errorf("chunk %d of the third stream is new, not one of the first stream's", i)
+		}
+	}
+}

@@ -53,7 +53,9 @@ func runCellsRemote(opt Options, cells []runCell) ([]distsweep.JobResult, bool, 
 // runs cells through. A sweep sends every cell of one stream in a row, so
 // the cache replays each stream to the cells after its first, and between
 // batches it retains one packed stream and one arena per batch that ran
-// concurrently.
+// concurrently. The chunks of the streams it drops stay with it as spares,
+// so once warm it packs each new stream without allocating, up to the
+// size of the largest it has held.
 type JobRunner struct {
 	// Metrics, when non-nil, accumulates the worker's campaign counters
 	// (specfetch_simulations_total etc.).

@@ -30,7 +30,7 @@ func describe(xs []float64) SeedStats {
 	s.Mean /= float64(len(xs))
 	for _, x := range xs {
 		d := x - s.Mean
-		s.StdDev += d * d
+		s.StdDev += float64(d * d) // never a fused multiply-add, on any architecture
 	}
 	if len(xs) > 1 {
 		s.StdDev = math.Sqrt(s.StdDev / float64(len(xs)-1))

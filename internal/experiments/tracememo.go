@@ -21,13 +21,15 @@ import (
 // and the terminal error (io.EOF from the instruction limit, or a walker
 // fault mid-stream) are exactly what a fresh bounded walker yields.
 //
-// The records are stored packed, 8 bytes each instead of trace.Record's 32,
+// The records are stored packed, 4 bytes each instead of trace.Record's 32,
 // in fixed chunks that never move as the stream grows. A packed record drops
 // Start (every record starts at its predecessor's NextPC, so the stream
 // keeps only the first) and holds a taken target as a word offset from the
 // image base. Generation checks that every record unpacks to exactly the
 // walker's; a stream with one that does not is not memoized at all, and its
-// cells walk it lazily.
+// cells walk it lazily. A cellCache keeps the chunks of the streams it drops
+// and packs later streams into them, so a long work-list or a warm sweep
+// worker allocates chunks only for its largest streams.
 
 // traceKey identifies one dynamic stream at one instruction budget. It
 // names the stream by its built bench, not by the profile name: two
@@ -39,52 +41,64 @@ type traceKey struct {
 	insts int64
 }
 
-// Memo chunk geometry: 1<<chunkShift packed records (16 Ki, 128 KiB) each.
+// Memo chunk geometry: 1<<chunkShift packed records (16 Ki, 64 KiB) each.
 const (
 	chunkShift = 14
 	chunkRecs  = 1 << chunkShift
 	chunkMask  = chunkRecs - 1
 )
 
-// packedRec is one memoized record. Start is implied by the position in the
-// stream; target is the taken target's word offset from the image base and
-// zero when the record is not taken.
-type packedRec struct {
-	target uint32
-	n      uint16
-	kind   isa.Kind
-	taken  bool
-}
+// memoChunk is one fixed block of a packed stream.
+type memoChunk [chunkRecs]packedRec
 
-// unpack returns the target of the record that starts at pc (zero when it
-// is not taken) and the start of the next record: the taken target, else
-// the fall-through. The selection compiles to conditional moves; a branch
-// on taken, which is data-dependent, would be mispredicted for every other
-// conditional. Callers build the trace.Record in their return statement:
-// a Record held in a variable is kept in memory, and copying it out after
-// its byte-wide stores stalled replay to 1.4-1.8x the cost of reading
-// unpacked records.
-func (p packedRec) unpack(pc, base isa.Addr) (target, next isa.Addr) {
-	tgt := base + isa.Addr(p.target)*isa.InstBytes
-	next = pc + isa.Addr(p.n)*isa.InstBytes
-	if p.taken {
+// packedRec is one memoized record in one word, low bits first: N-1 in 6
+// bits (the walker caps N at 64), taken in 1, the kind in 3 and the taken
+// target's word offset from the image base in the top 22 (zero when the
+// record is not taken). Start is implied by the position in the stream.
+type packedRec uint32
+
+const (
+	recNMask       = 1<<6 - 1 // bits 0-5: N-1
+	recTakenShift  = 6        // bit 6: taken
+	recKindShift   = 7        // bits 7-9: kind
+	recKindMask    = 1<<3 - 1
+	recTargetShift = 10 // bits 10-31: target word offset
+)
+
+// unpack returns the record's length, kind and direction, its target when
+// it starts at pc (zero when it is not taken) and the start of the next
+// record: the taken target, else the fall-through. The selection compiles
+// to conditional moves; a branch on taken, which is data-dependent, would
+// be mispredicted for every other conditional. Callers build the
+// trace.Record in their return statement: a Record held in a variable is
+// kept in memory, and copying it out after its byte-wide stores stalled
+// replay to 1.4-1.8x the cost of reading unpacked records.
+func (p packedRec) unpack(pc, base isa.Addr) (n int, kind isa.Kind, taken bool, target, next isa.Addr) {
+	n = int(p&recNMask) + 1
+	kind = isa.Kind(p >> recKindShift & recKindMask)
+	taken = p>>recTakenShift&1 != 0
+	tgt := base + isa.Addr(p>>recTargetShift)*isa.InstBytes
+	next = pc + isa.Addr(n)*isa.InstBytes
+	if taken {
 		target, next = tgt, tgt
 	}
-	return target, next
+	return n, kind, taken, target, next
 }
 
 // pack packs rec, expected to start at pc, and reports whether it unpacks
-// to exactly rec: false for a length over 65535, a target outside the
-// 32-bit word range above base or misaligned, a not-taken record carrying a
-// target, or a start other than pc. It also returns where replay will
-// start the next record, which that record's check then holds it to.
+// to exactly rec: false for a length outside 1..64, a kind past 7, a target
+// outside the 2^22 words above base or misaligned, a not-taken record
+// carrying a target, or a start other than pc. Each field is truncated to
+// its width, so the round trip is the only check. It also returns where
+// replay will start the next record, which that record's check then holds
+// it to.
 func pack(rec trace.Record, pc, base isa.Addr) (packedRec, isa.Addr, bool) {
-	p := packedRec{n: uint16(rec.N), kind: rec.BrKind, taken: rec.Taken}
+	p := packedRec(rec.N-1)&recNMask | packedRec(rec.BrKind&recKindMask)<<recKindShift
 	if rec.Taken {
-		p.target = uint32((rec.Target - base) / isa.InstBytes)
+		p |= 1<<recTakenShift | packedRec((rec.Target-base)/isa.InstBytes)<<recTargetShift
 	}
-	target, next := p.unpack(pc, base)
-	got := trace.Record{Start: pc, N: int(p.n), BrKind: p.kind, Taken: p.taken, Target: target}
+	n, kind, taken, target, next := p.unpack(pc, base)
+	got := trace.Record{Start: pc, N: n, BrKind: kind, Taken: taken, Target: target}
 	return p, next, got == rec
 }
 
@@ -92,7 +106,7 @@ func pack(rec trace.Record, pc, base isa.Addr) (packedRec, isa.Addr, bool) {
 // yields, then the error it ends with.
 type packedStream struct {
 	base, start isa.Addr
-	chunks      []*[chunkRecs]packedRec
+	chunks      []*memoChunk
 	n           int
 	err         error
 	// valid reports that every record passed Validate at generation time, so
@@ -103,9 +117,10 @@ type packedStream struct {
 	valid bool
 }
 
-// packStream drains rd into a packed stream over an image based at base. It
-// returns nil at the first record that does not pack exactly.
-func packStream(rd trace.Reader, base isa.Addr) *packedStream {
+// packStream drains rd into a packed stream over an image based at base,
+// taking each chunk from newChunk. It returns nil at the first record that
+// does not pack exactly.
+func packStream(rd trace.Reader, base isa.Addr, newChunk func() *memoChunk) *packedStream {
 	s := &packedStream{base: base, valid: true}
 	var pc isa.Addr
 	for {
@@ -125,7 +140,7 @@ func packStream(rd trace.Reader, base isa.Addr) *packedStream {
 			s.valid = false
 		}
 		if s.n&chunkMask == 0 {
-			s.chunks = append(s.chunks, new([chunkRecs]packedRec))
+			s.chunks = append(s.chunks, newChunk())
 		}
 		s.chunks[s.n>>chunkShift][s.n&chunkMask] = p
 		s.n++
@@ -139,6 +154,7 @@ func packStream(rd trace.Reader, base isa.Addr) *packedStream {
 type sharedTrace struct {
 	once   sync.Once
 	key    traceKey
+	cache  *cellCache // supplies the chunks
 	stream *packedStream
 	// readers counts the cells reading the stream now, under cellCache.mu.
 	readers int
@@ -150,7 +166,7 @@ func (s *sharedTrace) reader() trace.Reader {
 	s.once.Do(func() {
 		b := s.key.b
 		rd := trace.NewLimitReader(b.NewWalker(s.key.seed), traceLimit(s.key.insts))
-		s.stream = packStream(rd, b.Image().Base())
+		s.stream = packStream(rd, b.Image().Base(), s.cache.newChunk)
 	})
 	if s.stream == nil {
 		return nil
@@ -173,10 +189,10 @@ func (r *replayReader) Next() (trace.Record, error) {
 	if r.i >= r.s.n {
 		return trace.Record{}, r.s.err
 	}
-	p, pc := r.s.chunks[r.i>>chunkShift][r.i&chunkMask], r.pc
-	target, next := p.unpack(pc, r.s.base)
+	pc := r.pc
+	n, kind, taken, target, next := r.s.chunks[r.i>>chunkShift][r.i&chunkMask].unpack(pc, r.s.base)
 	r.i, r.pc = r.i+1, next
-	return trace.Record{Start: pc, N: int(p.n), BrKind: p.kind, Taken: p.taken, Target: target}, nil
+	return trace.Record{Start: pc, N: n, BrKind: kind, Taken: taken, Target: target}, nil
 }
 
 // PreValidatedTrace implements trace.PreValidated: true when every replayed
@@ -196,14 +212,20 @@ func traceLimit(insts int64) int64 {
 // lifetime. Work-lists and fleet batches list every cell of one stream
 // (policies x penalties x cache sizes) in a row, so the cache memoizes the
 // stream of every in-flight cell plus last, the most recently released
-// one, and drops any other when its last reader finishes. Each in-flight
-// cell also borrows an engine arena from a free list; it is not a
-// sync.Pool, which would drop them at every GC. Both reuses are
-// behaviour-neutral. The zero value is ready and safe for concurrent cells.
+// one, and drops any other when its last reader finishes. A dropped
+// stream's chunks go onto spare, which packing drains before it allocates,
+// so a work-list's third stream reuses its first stream's chunks. Each
+// in-flight cell also borrows an engine arena from a free list. Neither
+// list is a sync.Pool, which would drop them at every GC, nor shared
+// beyond the cache: a process-wide spare list would keep the largest
+// stream of an earlier campaign live through every later one. Every reuse
+// is behaviour-neutral. The zero value is ready and safe for concurrent
+// cells.
 type cellCache struct {
 	mu      sync.Mutex
 	streams map[traceKey]*sharedTrace
 	last    *sharedTrace
+	spare   []*memoChunk
 	arenas  []*core.Arena
 }
 
@@ -225,7 +247,7 @@ func (cc *cellCache) acquire(k traceKey) (*sharedTrace, *core.Arena) {
 		if cc.streams == nil {
 			cc.streams = map[traceKey]*sharedTrace{}
 		}
-		s = &sharedTrace{key: k}
+		s = &sharedTrace{key: k, cache: cc}
 		cc.streams[k] = s
 	}
 	s.readers++
@@ -239,7 +261,8 @@ func (cc *cellCache) acquire(k traceKey) (*sharedTrace, *core.Arena) {
 
 // release returns what acquire handed out. A stream whose last reader
 // finishes becomes the retained one, dropping the one retained before it
-// unless a cell is reading that again.
+// unless a cell is reading that again; a dropped stream's chunks become
+// spares.
 func (cc *cellCache) release(s *sharedTrace, a *core.Arena) {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
@@ -249,6 +272,22 @@ func (cc *cellCache) release(s *sharedTrace, a *core.Arena) {
 	}
 	if old := cc.last; old != nil && old != s && old.readers == 0 {
 		delete(cc.streams, old.key)
+		if old.stream != nil {
+			cc.spare = append(cc.spare, old.stream.chunks...)
+		}
 	}
 	cc.last = s
+}
+
+// newChunk hands out a spare chunk, or a new one when none is left. Its
+// stale records are overwritten before a cursor reads them.
+func (cc *cellCache) newChunk() *memoChunk {
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	if n := len(cc.spare); n > 0 {
+		c := cc.spare[n-1]
+		cc.spare = cc.spare[:n-1]
+		return c
+	}
+	return new(memoChunk)
 }

@@ -263,7 +263,10 @@ func (g *gen) condSite(inLoop bool) condMeta {
 		return condMeta{pattern: pat, patLen: uint8(n), class: classPattern}
 	default:
 		lo, hi := g.p.HardRange[0], g.p.HardRange[1]
-		return condMeta{takenP: lo + g.rng.Float64()*(hi-lo), class: classHard}
+		// float64(x*y) rounds the product by itself, so no architecture
+		// fuses it into a multiply-add and every image is the same on all
+		// of them. The generator writes each x*y + z so.
+		return condMeta{takenP: lo + float64(g.rng.Float64()*(hi-lo)), class: classHard}
 	}
 }
 
@@ -320,7 +323,7 @@ func (g *gen) genSegment(i int) {
 	case r < g.p.LoopFrac+g.p.CallFrac+g.p.IndirectJumpFrac:
 		g.genSwitch()
 	case r < g.p.LoopFrac+g.p.CallFrac+g.p.IndirectJumpFrac+
-		0.75*(1-g.p.LoopFrac-g.p.CallFrac-g.p.IndirectJumpFrac):
+		float64(0.75*(1-g.p.LoopFrac-g.p.CallFrac-g.p.IndirectJumpFrac)):
 		if g.rng.Bool(0.5) {
 			g.genIfElse()
 		} else {
@@ -463,9 +466,9 @@ func (g *gen) guardExecP() float64 {
 		hiShare = 1
 	}
 	if g.rng.Bool(hiShare) {
-		return hi - 0.05 + 0.1*g.rng.Float64()
+		return hi - 0.05 + float64(0.1*g.rng.Float64())
 	}
-	return lo - 0.08 + 0.16*g.rng.Float64()
+	return lo - 0.08 + float64(0.16*g.rng.Float64())
 }
 
 // genDriver emits the main loop: a guarded sequence of call sites to the
