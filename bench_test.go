@@ -1,126 +1,45 @@
-// Benchmark harness: one testing.B benchmark per table and figure of the
-// paper's evaluation section, plus ablation benches for the design choices
-// DESIGN.md calls out and a raw engine-throughput bench.
+// Benchmark harness: BenchmarkCatalogue times one sub-benchmark per
+// artifact of experiments.Catalogue() (the paper's tables and figures, the
+// latency sweep, the modern study and the ablations), and the engine
+// benches time raw simulation.
 //
 // Run everything with:
 //
 //	go test -bench=. -benchmem
 //
-// Each table/figure bench regenerates its artifact once per iteration and
+// Each artifact bench regenerates its artifact once per iteration and
 // reports the rendered output size; use cmd/paperbench for the full-budget,
 // human-readable renditions.
 package specfetch_test
 
 import (
+	"bytes"
 	"testing"
 
 	"specfetch"
 	"specfetch/internal/experiments"
+	"specfetch/internal/obs"
+	"specfetch/internal/synth"
 )
 
-// benchOpt keeps the per-iteration cost of the table benches moderate while
-// still exercising every benchmark and configuration the paper uses.
-func benchOpt() experiments.Options {
-	return experiments.Options{Insts: 200_000}
-}
-
-func BenchmarkTable2(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tab, err := experiments.Table2(benchOpt())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(int64(len(tab.String())))
-	}
-}
-
-func BenchmarkTable3(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tab, err := experiments.Table3(benchOpt())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(int64(len(tab.String())))
-	}
-}
-
-func BenchmarkTable4(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tab, err := experiments.Table4(benchOpt())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(int64(len(tab.String())))
-	}
-}
-
-func BenchmarkTable5(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tab, err := experiments.Table5(benchOpt())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(int64(len(tab.String())))
-	}
-}
-
-func BenchmarkTable6(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tab, err := experiments.Table6(benchOpt())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(int64(len(tab.String())))
-	}
-}
-
-func BenchmarkTable7(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tab, err := experiments.Table7(benchOpt())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(int64(len(tab.String())))
-	}
-}
-
-func BenchmarkFigure1(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig, err := experiments.Figure1(benchOpt())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(int64(len(fig.String())))
-	}
-}
-
-func BenchmarkFigure2(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig, err := experiments.Figure2(benchOpt())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(int64(len(fig.String())))
-	}
-}
-
-func BenchmarkFigure3(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig, err := experiments.Figure3(benchOpt())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(int64(len(fig.String())))
-	}
-}
-
-func BenchmarkFigure4(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig, err := experiments.Figure4(benchOpt())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(int64(len(fig.String())))
+// BenchmarkCatalogue regenerates each catalogue artifact at a budget that
+// keeps an iteration moderate while still exercising every benchmark and
+// configuration the artifact uses.
+func BenchmarkCatalogue(b *testing.B) {
+	for _, a := range experiments.Catalogue() {
+		b.Run(a.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				r, err := a.Build(experiments.Options{Insts: 200_000})
+				if err != nil {
+					b.Fatal(err)
+				}
+				var out bytes.Buffer
+				if err := r.Render(&out); err != nil {
+					b.Fatal(err)
+				}
+				b.SetBytes(int64(out.Len()))
+			}
+		})
 	}
 }
 
@@ -182,9 +101,9 @@ func BenchmarkEngineRecorderProbe(b *testing.B) {
 	cfg.Policy = specfetch.Resume
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rec := specfetch.NewEventRecorder(1 << 16)
-		win := specfetch.NewWindowSeries()
-		cfg.Probe = specfetch.MultiProbe(rec, win)
+		rec := obs.NewEventRecorder(1 << 16)
+		win := obs.NewWindowSeries()
+		cfg.Probe = obs.Multi(rec, win)
 		cfg.SampleInterval = 10_000
 		res, err := specfetch.RunBenchmark(bench, cfg, insts, 1)
 		if err != nil {
@@ -197,7 +116,7 @@ func BenchmarkEngineRecorderProbe(b *testing.B) {
 // BenchmarkPolicies times each policy on the same workload so relative
 // simulation cost is visible.
 func BenchmarkPolicies(b *testing.B) {
-	bench, err := specfetch.BuildBenchmark(specfetch.Groff())
+	bench, err := specfetch.BuildBenchmark(synth.Groff())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -219,7 +138,7 @@ func BenchmarkPolicies(b *testing.B) {
 
 // BenchmarkTraceGeneration measures the synthetic walker's speed.
 func BenchmarkTraceGeneration(b *testing.B) {
-	bench, err := specfetch.BuildBenchmark(specfetch.Cfront())
+	bench, err := specfetch.BuildBenchmark(synth.Cfront())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -235,151 +154,5 @@ func BenchmarkTraceGeneration(b *testing.B) {
 			insts += int64(rec.N)
 		}
 		b.SetBytes(insts)
-	}
-}
-
-// Ablation benches: one per design-choice study in DESIGN.md §6.
-
-func BenchmarkAblationPrefetch(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tab, err := experiments.AblationPrefetch(benchOpt())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(int64(len(tab.String())))
-	}
-}
-
-func BenchmarkAblationBTBCoupling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tab, err := experiments.AblationBTBCoupling(benchOpt())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(int64(len(tab.String())))
-	}
-}
-
-func BenchmarkAblationAssociativity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tab, err := experiments.AblationAssociativity(benchOpt())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(int64(len(tab.String())))
-	}
-}
-
-func BenchmarkAblationFetchWidth(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tab, err := experiments.AblationFetchWidth(benchOpt())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(int64(len(tab.String())))
-	}
-}
-
-func BenchmarkAblationPipelinedMemory(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tab, err := experiments.AblationPipelinedMemory(benchOpt())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(int64(len(tab.String())))
-	}
-}
-
-func BenchmarkAblationRAS(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tab, err := experiments.AblationRAS(benchOpt())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(int64(len(tab.String())))
-	}
-}
-
-func BenchmarkAblationVictimCache(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tab, err := experiments.AblationVictimCache(benchOpt())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(int64(len(tab.String())))
-	}
-}
-
-func BenchmarkAblationMSHR(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tab, err := experiments.AblationMSHR(benchOpt())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(int64(len(tab.String())))
-	}
-}
-
-func BenchmarkAblationCodeLayout(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tab, err := experiments.AblationCodeLayout(benchOpt())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(int64(len(tab.String())))
-	}
-}
-
-// BenchmarkLatencySweep regenerates the miss-latency sweep with crossover
-// detection — the quantitative form of the paper's summary claim.
-func BenchmarkLatencySweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tab, err := experiments.LatencySweep(experiments.Options{Insts: 100_000}, []int{3, 5, 10, 20})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(int64(len(tab.String())))
-	}
-}
-
-// BenchmarkSeedSensitivity measures the seed-noise analysis.
-func BenchmarkSeedSensitivity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tab, err := experiments.SeedSensitivity(experiments.Options{Insts: 100_000}, 3)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(int64(len(tab.String())))
-	}
-}
-
-func BenchmarkAblationL2(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tab, err := experiments.AblationL2(benchOpt())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(int64(len(tab.String())))
-	}
-}
-
-func BenchmarkAblationContextSwitch(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tab, err := experiments.AblationContextSwitch(benchOpt())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(int64(len(tab.String())))
-	}
-}
-
-// BenchmarkModernStudy measures the datacenter-footprint study.
-func BenchmarkModernStudy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tab, err := experiments.ModernStudy(experiments.Options{Insts: 150_000})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(int64(len(tab.String())))
 	}
 }

@@ -28,9 +28,13 @@ import (
 	"runtime"
 	"runtime/pprof"
 
-	"specfetch"
+	"specfetch/internal/core"
 	"specfetch/internal/distsweep"
 	"specfetch/internal/experiments"
+	"specfetch/internal/metrics"
+	"specfetch/internal/obs"
+	"specfetch/internal/program"
+	"specfetch/internal/synth"
 	"specfetch/internal/trace"
 )
 
@@ -95,18 +99,18 @@ func main() {
 	}
 
 	if *list {
-		for _, p := range specfetch.Profiles() {
+		for _, p := range synth.Profiles() {
 			pf("%-8s %-8s %s\n", p.Name, p.Lang, p.Description)
 		}
 		return
 	}
 
-	pol, err := specfetch.ParsePolicy(*policyStr)
+	pol, err := core.ParsePolicy(*policyStr)
 	fail("", err)
-	mode, err := specfetch.ParseStepMode(*stepMode)
+	mode, err := core.ParseStepMode(*stepMode)
 	fail("", err)
 
-	cfg := specfetch.DefaultConfig()
+	cfg := core.DefaultConfig()
 	cfg.Policy = pol
 	cfg.MissPenalty = *penalty
 	cfg.ICache.SizeBytes = *cacheSz
@@ -117,10 +121,10 @@ func main() {
 	cfg.FlushInterval = *flushIv
 	// An adaptive run takes the chooser flags' values, defaults included;
 	// a static one carries only those given, which the spec then refuses.
-	if pol == specfetch.Adaptive || set["strategy"] {
+	if pol == core.Adaptive || set["strategy"] {
 		cfg.AdaptStrategy = *strategy
 	}
-	if pol == specfetch.Adaptive || set["adapt-interval"] {
+	if pol == core.Adaptive || set["adapt-interval"] {
 		cfg.AdaptInterval = *adaptIv
 	}
 
@@ -142,28 +146,28 @@ func main() {
 	}
 	// The event recorder rides along only when asked for, so the default
 	// run keeps the nil-probe fast path.
-	var rec *specfetch.EventRecorder
-	var extra specfetch.Probe
+	var rec *obs.EventRecorder
+	var extra obs.Probe
 	if *eventsPath != "" || *timelinePath != "" {
 		if *eventCap < 1 {
 			fail("", fmt.Errorf("-event-cap %d: the event ring needs a capacity of at least 1", *eventCap))
 		}
-		rec = specfetch.NewEventRecorder(*eventCap)
+		rec = obs.NewEventRecorder(*eventCap)
 		extra = rec
 	}
 	// A streaming audit violation surfaces as a panic carrying *AuditError;
 	// turn it into a clean diagnostic instead of a stack trace.
 	defer func() {
 		r := recover()
-		if ae, ok := r.(*specfetch.AuditError); ok {
+		if ae, ok := r.(*obs.AuditError); ok {
 			fail("", ae)
 		} else if r != nil {
 			panic(r)
 		}
 	}()
 
-	var res specfetch.Result
-	var wins []specfetch.WindowRecord
+	var res core.Result
+	var wins []obs.WindowRecord
 	benchLabel := ""
 	if *imagePath != "" || *tracePath != "" {
 		if *imagePath == "" || *tracePath == "" {
@@ -172,7 +176,7 @@ func main() {
 		res, wins, err = runFromFiles(spec, *imagePath, *tracePath, extra)
 		benchLabel = fmt.Sprintf("%s + %s", *imagePath, *tracePath)
 	} else {
-		prof, ok := specfetch.ProfileByName(*benchName)
+		prof, ok := synth.ProfileByName(*benchName)
 		if !ok {
 			fail("", fmt.Errorf("unknown benchmark %q (try -list)", *benchName))
 		}
@@ -185,7 +189,7 @@ func main() {
 	pf("benchmark    %s\n", benchLabel)
 	pf("machine      %d-wide, depth %d, %dB I-cache, %d-cycle miss penalty, prefetch=%v\n",
 		cfg.FetchWidth, cfg.MaxUnresolved, cfg.ICache.SizeBytes, cfg.MissPenalty, cfg.NextLinePrefetch)
-	if pol == specfetch.Adaptive {
+	if pol == core.Adaptive {
 		pf("policy       %s (strategy %s, window %d insts, %d switches)\n",
 			pol, *strategy, *adaptIv, res.PolicySwitches)
 	} else {
@@ -193,7 +197,7 @@ func main() {
 	}
 	pf("instructions %d  cycles %d  IPC %.3f\n", res.Insts, res.Cycles, res.IPC())
 	pf("total ISPI   %.4f\n", res.TotalISPI())
-	for _, c := range specfetch.Components() {
+	for _, c := range metrics.Components() {
 		pf("  %-14s %.4f\n", c, res.ISPI(c))
 	}
 	pf("right-path miss ratio  %.3f%% (%d misses / %d refs)\n",
@@ -240,7 +244,7 @@ func fail(what string, err error) {
 	if err == nil {
 		return
 	}
-	if errors.As(err, new(*specfetch.AuditError)) {
+	if errors.As(err, new(*obs.AuditError)) {
 		what = "audit"
 	}
 	if what != "" {
@@ -258,7 +262,7 @@ func pf(format string, args ...any) {
 }
 
 // writeArtifacts dumps the requested observability outputs.
-func writeArtifacts(rec *specfetch.EventRecorder, wins []specfetch.WindowRecord,
+func writeArtifacts(rec *obs.EventRecorder, wins []obs.WindowRecord,
 	eventsPath, timelinePath, seriesPath string) error {
 	writeTo := func(path string, fn func(f *os.File) error) error {
 		f, err := os.Create(path)
@@ -283,7 +287,7 @@ func writeArtifacts(rec *specfetch.EventRecorder, wins []specfetch.WindowRecord,
 	}
 	if timelinePath != "" {
 		if err := writeTo(timelinePath, func(f *os.File) error {
-			return specfetch.CombinedTrace{Events: rec.Events(), Counters: wins}.Write(f)
+			return obs.CombinedTrace{Events: rec.Events(), Counters: wins}.Write(f)
 		}); err != nil {
 			return err
 		}
@@ -294,9 +298,9 @@ func writeArtifacts(rec *specfetch.EventRecorder, wins []specfetch.WindowRecord,
 		asJSON := len(seriesPath) > 5 && seriesPath[len(seriesPath)-5:] == ".json"
 		if err := writeTo(seriesPath, func(f *os.File) error {
 			if asJSON {
-				return specfetch.WriteSeriesJSON(f, wins)
+				return obs.WriteSeriesJSON(f, wins)
 			}
-			return specfetch.WriteSeriesCSV(f, wins)
+			return obs.WriteSeriesCSV(f, wins)
 		}); err != nil {
 			return err
 		}
@@ -307,13 +311,13 @@ func writeArtifacts(rec *specfetch.EventRecorder, wins []specfetch.WindowRecord,
 
 // runBench runs spec over its profile's bench and the stream its seed and
 // budget select: the stream a sweep cell of the same spec replays.
-func runBench(spec distsweep.JobSpec, extra specfetch.Probe) (specfetch.Result, []specfetch.WindowRecord, error) {
+func runBench(spec distsweep.JobSpec, extra obs.Probe) (core.Result, []obs.WindowRecord, error) {
 	if err := spec.Validate(); err != nil {
-		return specfetch.Result{}, nil, err
+		return core.Result{}, nil, err
 	}
-	b, err := specfetch.BuildBenchmark(spec.Profile)
+	b, err := synth.Build(spec.Profile)
 	if err != nil {
-		return specfetch.Result{}, nil, err
+		return core.Result{}, nil, err
 	}
 	limit, _ := trace.BudgetLimit(spec.Insts) // Validate accepted the budget
 	return experiments.RunSpec(spec, b.Image(), b.NewReader(spec.Seed, limit), nil, extra)
@@ -321,24 +325,24 @@ func runBench(spec distsweep.JobSpec, extra specfetch.Probe) (specfetch.Result, 
 
 // runFromFiles replays a trace file against a serialized image. The spec
 // has no profile, and Insts 0 replays the whole file.
-func runFromFiles(spec distsweep.JobSpec, imagePath, tracePath string, extra specfetch.Probe) (specfetch.Result, []specfetch.WindowRecord, error) {
+func runFromFiles(spec distsweep.JobSpec, imagePath, tracePath string, extra obs.Probe) (core.Result, []obs.WindowRecord, error) {
 	imgF, err := os.Open(imagePath)
 	if err != nil {
-		return specfetch.Result{}, nil, err
+		return core.Result{}, nil, err
 	}
 	defer func() { _ = imgF.Close() }() // read side; nothing to lose on close
-	img, err := specfetch.ReadImage(imgF)
+	img, err := program.ReadImage(imgF)
 	if err != nil {
-		return specfetch.Result{}, nil, err
+		return core.Result{}, nil, err
 	}
 	trcF, err := os.Open(tracePath)
 	if err != nil {
-		return specfetch.Result{}, nil, err
+		return core.Result{}, nil, err
 	}
 	defer func() { _ = trcF.Close() }() // read side; nothing to lose on close
-	rd, err := specfetch.OpenTrace(trcF)
+	rd, err := trace.OpenFile(trcF)
 	if err != nil {
-		return specfetch.Result{}, nil, err
+		return core.Result{}, nil, err
 	}
 	return experiments.RunSpec(spec, img, rd, nil, extra)
 }

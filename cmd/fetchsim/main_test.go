@@ -11,9 +11,11 @@ import (
 	"strings"
 	"testing"
 
-	"specfetch"
+	"specfetch/internal/core"
 	"specfetch/internal/distsweep"
 	"specfetch/internal/experiments"
+	"specfetch/internal/program"
+	"specfetch/internal/synth"
 	"specfetch/internal/trace"
 )
 
@@ -97,7 +99,7 @@ func TestSeriesGolden(t *testing.T) {
 // stream on seed 1, fetchsim's default seed.
 func writeGCCTrace(t *testing.T, dir string) {
 	t.Helper()
-	b, err := specfetch.BuildBenchmark(specfetch.GCC())
+	b, err := synth.Build(synth.GCC())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,10 +108,10 @@ func writeGCCTrace(t *testing.T, dir string) {
 		t.Fatal(err)
 	}
 	var img, trc bytes.Buffer
-	if err := specfetch.WriteImage(&img, b.Image()); err != nil {
+	if err := program.WriteImage(&img, b.Image()); err != nil {
 		t.Fatal(err)
 	}
-	w := specfetch.NewBinaryTraceWriter(&trc)
+	w := trace.NewBinaryWriter(&trc)
 	for _, r := range recs {
 		if err := w.Write(r); err != nil {
 			t.Fatal(err)
@@ -220,14 +222,14 @@ func TestRejectsBadSpecs(t *testing.T) {
 // TestBenchPathMatchesJobRunner: fetchsim's -bench path returns, for the
 // same spec, exactly what a sweep worker returns.
 func TestBenchPathMatchesJobRunner(t *testing.T) {
-	static := distsweep.JobSpec{Profile: specfetch.GCC(), Seed: 1, Insts: 50_000, AuditSample: 4}
-	static.Config.Config = specfetch.DefaultConfig()
-	static.Config.Policy = specfetch.Resume
+	static := distsweep.JobSpec{Profile: synth.GCC(), Seed: 1, Insts: 50_000, AuditSample: 4}
+	static.Config.Config = core.DefaultConfig()
+	static.Config.Policy = core.Resume
 	static.Config.RecordMisses = true
 
-	adapt := distsweep.JobSpec{Profile: specfetch.Porky(), Seed: 7, Insts: 50_000, CaptureWindows: true}
-	adapt.Config.Config = specfetch.DefaultConfig()
-	adapt.Config.Policy = specfetch.Adaptive
+	adapt := distsweep.JobSpec{Profile: synth.Porky(), Seed: 7, Insts: 50_000, CaptureWindows: true}
+	adapt.Config.Config = core.DefaultConfig()
+	adapt.Config.Policy = core.Adaptive
 	adapt.Config.AdaptStrategy = "phase:6"
 	adapt.Config.AdaptInterval = 2500
 	adapt.Config.FlushInterval = 15000

@@ -27,6 +27,11 @@ func main() {
 	csv := flag.Bool("csv", false, "emit the crossover table as CSV instead of aligned text")
 	winnersOnly := flag.Bool("winners-only", false, "print only the per-window winner map")
 	flag.Parse()
+	if *csv && *winnersOnly {
+		// -winners-only skips the crossover table, the one thing -csv formats.
+		fmt.Fprintln(os.Stderr, "intervals: -csv is only read without -winners-only")
+		os.Exit(2)
+	}
 
 	var in io.Reader = os.Stdin
 	switch flag.NArg() {
@@ -40,7 +45,7 @@ func main() {
 		defer func() { _ = f.Close() }() // read side; nothing to lose on close
 		in = f
 	default:
-		fmt.Fprintln(os.Stderr, "usage: intervals [-csv] [-winners-only] [file.jsonl]")
+		fmt.Fprintln(os.Stderr, "usage: intervals [-csv | -winners-only] [file.jsonl]")
 		os.Exit(2)
 	}
 

@@ -54,7 +54,8 @@ func series() string {
 	return strings.Join(lines, "")
 }
 
-// TestBadInputsFail: an unknown flag, two input files, a missing file, an
+// TestBadInputsFail: an unknown flag, two input files, -csv beside
+// -winners-only (which prints no table to format), a missing file, an
 // empty input and a series under a policy that is not static each exit
 // non-zero with a message naming the fault, and print no report.
 func TestBadInputsFail(t *testing.T) {
@@ -68,6 +69,7 @@ func TestBadInputsFail(t *testing.T) {
 	}{
 		{series(), []string{"-bogus"}, 2, "flag provided but not defined: -bogus"},
 		{"", []string{missing, missing}, 2, "usage: intervals"},
+		{series(), []string{"-csv", "-winners-only"}, 2, "intervals: -csv is only read without -winners-only"},
 		{"", []string{missing}, 1, "intervals: open " + missing + ": no such file"},
 		{"", nil, 1, "intervals: intervals jsonl: no records"},
 		{adaptive, nil, 1, "intervals: intervals jsonl line 6: "},

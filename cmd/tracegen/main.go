@@ -6,6 +6,9 @@
 //	tracegen -bench gcc -insts 100000 -format text -o -     # text to stdout
 //	tracegen -stats gcc.trc                                  # summarize
 //	tracegen -convert gcc.trc -format text -o gcc.txt        # transcode
+//
+// Each run takes one mode (-bench, -stats or -convert); a second mode, or
+// a flag the chosen mode does not read, is a usage error (exit 2).
 package main
 
 import (
@@ -15,7 +18,8 @@ import (
 	"io"
 	"os"
 
-	"specfetch"
+	"specfetch/internal/program"
+	"specfetch/internal/synth"
 	"specfetch/internal/trace"
 )
 
@@ -32,9 +36,17 @@ func main() {
 		convert   = flag.String("convert", "", "transcode an existing trace file to -format")
 	)
 	flag.Parse()
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	set["bench"], set["stats"], set["convert"] = *benchName != "", *statsPath != "", *convert != ""
+	mode, err := checkFlags(set)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "tracegen: %v\n", err)
+		os.Exit(2)
+	}
 
-	switch {
-	case *statsPath != "":
+	switch mode {
+	case "stats":
 		rd, closeFn := openTrace(*statsPath)
 		defer closeFn()
 		st, err := trace.Scan(rd)
@@ -46,24 +58,24 @@ func main() {
 		pf("unconditional  %d (%d calls, %d returns, %d indirect)\n",
 			st.Unconditional, st.Calls, st.Returns, st.Indirect)
 
-	case *convert != "":
+	case "convert":
 		rd, closeFn := openTrace(*convert)
 		defer closeFn()
 		w, flush := openWriter(*out, *format, *gz)
 		copyTrace(rd, w)
 		fail(flush())
 
-	case *benchName != "":
-		prof, ok := specfetch.ProfileByName(*benchName)
+	case "bench":
+		prof, ok := synth.ProfileByName(*benchName)
 		if !ok {
 			fail(fmt.Errorf("unknown benchmark %q", *benchName))
 		}
-		bench, err := specfetch.BuildBenchmark(prof)
+		bench, err := synth.Build(prof)
 		fail(err)
 		if *imageOut != "" {
 			imgF, err := os.Create(*imageOut)
 			fail(err)
-			fail(specfetch.WriteImage(imgF, bench.Image()))
+			fail(program.WriteImage(imgF, bench.Image()))
 			fail(imgF.Close())
 		}
 		rd := bench.NewReader(*seed, *insts)
@@ -75,6 +87,40 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+}
+
+// checkFlags returns the one mode set names, or "" for none, and rejects
+// a command line that sets a second mode or a flag the chosen mode never
+// reads. set names the flags in effect: those flag.Visit reports, with
+// each mode present only when its value is non-empty.
+func checkFlags(set map[string]bool) (string, error) {
+	mode := ""
+	for _, m := range []string{"stats", "convert", "bench"} {
+		if !set[m] {
+			continue
+		}
+		if mode != "" {
+			return "", fmt.Errorf("-%s selects a second mode beside -%s; give one", m, mode)
+		}
+		mode = m
+	}
+	writes := mode == "bench" || mode == "convert"
+	for _, f := range []struct {
+		name, needs string
+		read        bool
+	}{
+		{"insts", "-bench", mode == "bench"},
+		{"seed", "-bench", mode == "bench"},
+		{"imageout", "-bench", mode == "bench"},
+		{"o", "-bench or -convert", writes},
+		{"format", "-bench or -convert", writes},
+		{"gzip", "-bench or -convert", writes},
+	} {
+		if set[f.name] && !f.read {
+			return "", fmt.Errorf("-%s is only read with %s", f.name, f.needs)
+		}
+	}
+	return mode, nil
 }
 
 func fail(err error) {
@@ -95,7 +141,7 @@ func pf(format string, args ...any) {
 func openTrace(path string) (trace.Reader, func()) {
 	f, err := os.Open(path)
 	fail(err)
-	rd, err := specfetch.OpenTrace(f)
+	rd, err := trace.OpenFile(f)
 	fail(err)
 	// Read side: a close error cannot lose data, so it is deliberately ignored.
 	return rd, func() { _ = f.Close() }

@@ -42,10 +42,16 @@ func tracegen(t *testing.T, args ...string) (stdout, stderr string, code int) {
 }
 
 // TestBadInputsFail: an unknown flag, no mode, a missing trace file, an
-// unknown benchmark and an unknown format each exit non-zero with a
-// message naming the fault, and write nothing to stdout.
+// unknown benchmark, an unknown format, a second mode and a flag the
+// chosen mode does not read each exit non-zero with a message naming the
+// fault, and write nothing to stdout.
 func TestBadInputsFail(t *testing.T) {
-	missing := filepath.Join(t.TempDir(), "missing.trc")
+	dir := t.TempDir()
+	missing := filepath.Join(dir, "missing.trc")
+	trc, img := filepath.Join(dir, "g.trc"), filepath.Join(dir, "img.bin")
+	if _, msg, code := tracegen(t, "-bench", "gcc", "-insts", "1000", "-o", trc); code != 0 {
+		t.Fatalf("generate: exit %d, stderr %q", code, msg)
+	}
 	for _, c := range []struct {
 		args []string
 		code int
@@ -57,12 +63,24 @@ func TestBadInputsFail(t *testing.T) {
 		{[]string{"-convert", missing, "-o", "-"}, 1, "tracegen: open " + missing + ": no such file"},
 		{[]string{"-bench", "bogus"}, 1, `tracegen: unknown benchmark "bogus"`},
 		{[]string{"-bench", "gcc", "-insts", "1000", "-format", "xml"}, 1, `tracegen: unknown format "xml"`},
+		{[]string{"-stats", trc, "-bench", "gcc", "-imageout", img, "-format", "xml"}, 2,
+			"tracegen: -bench selects a second mode beside -stats; give one"},
+		{[]string{"-convert", trc, "-stats", trc}, 2, "tracegen: -convert selects a second mode beside -stats"},
+		{[]string{"-stats", trc, "-format", "text"}, 2, "tracegen: -format is only read with -bench or -convert"},
+		{[]string{"-stats", trc, "-o", "-"}, 2, "tracegen: -o is only read with -bench or -convert"},
+		{[]string{"-convert", trc, "-imageout", img}, 2, "tracegen: -imageout is only read with -bench"},
+		{[]string{"-convert", trc, "-insts", "10"}, 2, "tracegen: -insts is only read with -bench"},
+		{[]string{"-convert", trc, "-seed", "2"}, 2, "tracegen: -seed is only read with -bench"},
+		{[]string{"-stats", trc, "-gzip"}, 2, "tracegen: -gzip is only read with -bench or -convert"},
 	} {
 		out, msg, code := tracegen(t, c.args...)
 		if code != c.code || out != "" || !strings.Contains(msg, c.msg) {
 			t.Errorf("tracegen %v: exit %d, stdout %q, stderr %q; want exit %d, no stdout and %q",
 				c.args, code, out, msg, c.code, c.msg)
 		}
+	}
+	if _, err := os.Stat(img); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("a refused command line wrote %s (stat: %v)", img, err)
 	}
 }
 

@@ -45,7 +45,7 @@ var UnitCheck = &Analyzer{
 }
 
 // unitTypeName reports which unit type t is: "Cycles", "Slots", or "" for
-// anything else. Aliases (core.Cycles, specfetch.Slots) resolve to the same
+// anything else. Aliases (core.Cycles, core.Slots) resolve to the same
 // named type, so they are covered for free.
 func unitTypeName(t types.Type) string {
 	named, ok := t.(*types.Named)

@@ -6,18 +6,14 @@
 // both bitmaps describes the same reference.
 //
 // ArmConfig sets up one run's config and Categorize matches two finished
-// runs, so a sweep runs the arms as ordinary cells; Run does both for one
-// image.
+// runs, so a sweep runs the arms as ordinary cells.
 package classify
 
 import (
 	"fmt"
 	"math/bits"
 
-	"specfetch/internal/bpred"
 	"specfetch/internal/core"
-	"specfetch/internal/program"
-	"specfetch/internal/trace"
 )
 
 // Categories holds Table 4's columns. The four miss classes are per
@@ -39,28 +35,6 @@ type Categories struct {
 	TrafficRatio float64
 	// Insts is the correct-path instruction count both runs retired.
 	Insts int64
-}
-
-// NewPredictor builds a fresh predictor for one classification run; both
-// runs must start from identical predictor state.
-type NewPredictor func() bpred.Predictor
-
-// NewReader builds a fresh reader over the same trace; both runs must see
-// identical records.
-type NewReader func() trace.Reader
-
-// Run classifies misses for the given machine configuration (whose Policy
-// field is ignored; Oracle and Optimistic are used).
-func Run(cfg core.Config, img *program.Image, newReader NewReader, newPred NewPredictor) (Categories, error) {
-	oracle, err := core.Run(ArmConfig(cfg, core.Oracle), img, newReader(), newPred())
-	if err != nil {
-		return Categories{}, fmt.Errorf("classify: oracle run: %w", err)
-	}
-	opt, err := core.Run(ArmConfig(cfg, core.Optimistic), img, newReader(), newPred())
-	if err != nil {
-		return Categories{}, fmt.Errorf("classify: optimistic run: %w", err)
-	}
-	return Categorize(oracle, opt)
 }
 
 // ArmConfig returns cfg set up as the classification run under pol: without

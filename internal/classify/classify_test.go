@@ -1,14 +1,28 @@
 package classify
 
 import (
+	"strings"
 	"testing"
 
 	"specfetch/internal/bpred"
 	"specfetch/internal/core"
 	"specfetch/internal/synth"
-	"specfetch/internal/trace"
 )
 
+// armRun runs one classification arm under pol over b's stream on seed.
+func armRun(t *testing.T, b *synth.Bench, pol core.Policy, seed uint64, insts int64) core.Result {
+	t.Helper()
+	cfg := core.DefaultConfig()
+	cfg.MaxInsts = insts
+	res, err := core.Run(ArmConfig(cfg, pol), b.Image(), b.NewReader(seed, insts*2), bpred.NewDefaultDecoupled())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// classifyBench categorizes the Oracle and Optimistic arms of one bench's
+// stream, as Table 4 does.
 func classifyBench(t *testing.T, name string, insts int64) Categories {
 	t.Helper()
 	p, ok := synth.ProfileByName(name)
@@ -16,11 +30,7 @@ func classifyBench(t *testing.T, name string, insts int64) Categories {
 		t.Fatalf("no profile %s", name)
 	}
 	b := synth.MustBuild(p)
-	cfg := core.DefaultConfig()
-	cfg.MaxInsts = insts
-	cat, err := Run(cfg, b.Image(),
-		func() trace.Reader { return b.NewReader(1, insts*2) },
-		func() bpred.Predictor { return bpred.NewDefaultDecoupled() })
+	cat, err := Categorize(armRun(t, b, core.Oracle, 1, insts), armRun(t, b, core.Optimistic, 1, insts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,19 +91,23 @@ func TestFortranEffectsMinimal(t *testing.T) {
 	}
 }
 
-// TestRunDetectsInstMismatch: classification requires both runs to see the
-// same trace; a reader factory returning different streams must error.
+// TestRunDetectsInstMismatch: classification requires both arm runs to
+// see the same trace; Categorize must refuse arms cut at different
+// instruction counts or run over different streams.
 func TestRunDetectsInstMismatch(t *testing.T) {
 	p, _ := synth.ProfileByName("li")
 	b := synth.MustBuild(p)
-	cfg := core.DefaultConfig()
-	cfg.MaxInsts = 50_000
-	seed := uint64(0)
-	_, err := Run(cfg, b.Image(),
-		func() trace.Reader { seed++; return b.NewReader(seed, 100_000) },
-		func() bpred.Predictor { return bpred.NewDefaultDecoupled() })
-	if err == nil {
-		t.Error("divergent traces not detected")
+	oracle := armRun(t, b, core.Oracle, 1, 50_000)
+	for _, c := range []struct {
+		opt  core.Result
+		want string
+	}{
+		{armRun(t, b, core.Optimistic, 1, 40_000), "instruction counts diverge"},
+		{armRun(t, b, core.Optimistic, 2, 50_000), "reference streams diverge"},
+	} {
+		if _, err := Categorize(oracle, c.opt); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Categorize: %v, want an error saying %q", err, c.want)
+		}
 	}
 }
 

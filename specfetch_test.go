@@ -1,14 +1,101 @@
 package specfetch_test
 
 import (
-	"bytes"
-	"io"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
+	"regexp"
+	"sort"
 	"testing"
 
 	"specfetch"
 )
+
+// TestFacadeExportsShown holds the facade to its rule (DESIGN.md §3):
+// every name specfetch.go exports is used as specfetch.Name by an Example
+// function or in README.md, and every specfetch.Name README.md uses is
+// exported.
+func TestFacadeExportsShown(t *testing.T) {
+	fset := token.NewFileSet()
+	src, err := parser.ParseFile(fset, "specfetch.go", nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := map[string]bool{}
+	for _, d := range src.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil {
+				declared[d.Name.Name] = true
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch spec := spec.(type) {
+				case *ast.TypeSpec:
+					declared[spec.Name.Name] = true
+				case *ast.ValueSpec:
+					for _, id := range spec.Names {
+						declared[id.Name] = true
+					}
+				}
+			}
+		}
+	}
+	var exported []string
+	for name := range declared {
+		if ast.IsExported(name) {
+			exported = append(exported, name)
+		}
+	}
+	sort.Strings(exported)
+
+	example := regexp.MustCompile(`^Example($|_|[A-Z])`)
+	shown := map[string]bool{}
+	tests, err := filepath.Glob("*_test.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range tests {
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || fn.Recv != nil || !example.MatchString(fn.Name.Name) {
+				continue
+			}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok {
+					if id, ok := sel.X.(*ast.Ident); ok && id.Name == "specfetch" {
+						shown[sel.Sel.Name] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range regexp.MustCompile(`specfetch\.([A-Z]\w*)`).FindAllSubmatch(readme, -1) {
+		name := string(m[1])
+		shown[name] = true
+		if !declared[name] {
+			t.Errorf("README.md uses specfetch.%s, which specfetch.go does not declare", name)
+		}
+	}
+	for _, name := range exported {
+		if !shown[name] {
+			t.Errorf("specfetch.go exports %s, which no Example function and no README line uses", name)
+		}
+	}
+}
 
 // TestPublicAPIEndToEnd drives the façade the way the README shows.
 func TestPublicAPIEndToEnd(t *testing.T) {
@@ -32,91 +119,11 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if d := sum - res.TotalISPI(); d > 1e-9 || d < -1e-9 {
 		t.Errorf("component ISPIs sum to %v, total %v", sum, res.TotalISPI())
 	}
-}
-
-func TestPolicyParsing(t *testing.T) {
-	for _, p := range specfetch.Policies() {
-		got, err := specfetch.ParsePolicy(p.String())
-		if err != nil || got != p {
-			t.Errorf("round trip %v: %v, %v", p, got, err)
+	// A budget no run can honour is an error, not a zero-instruction run.
+	for _, insts := range []int64{0, math.MaxInt64} {
+		if _, err := specfetch.RunBenchmark(bench, cfg, insts, 1); err == nil {
+			t.Errorf("RunBenchmark accepted the budget %d", insts)
 		}
-	}
-	if _, err := specfetch.ParsePolicy("nope"); err == nil {
-		t.Error("bad policy accepted")
-	}
-}
-
-// TestAdaptiveFacade drives the Adaptive meta-policy end to end through
-// the façade: a pinned chooser must reproduce the static run bit for bit,
-// and a real strategy must run (and report its switches) deterministically.
-func TestAdaptiveFacade(t *testing.T) {
-	if got, err := specfetch.ParsePolicy("adaptive"); err != nil || got != specfetch.Adaptive {
-		t.Fatalf("ParsePolicy(adaptive) = %v, %v", got, err)
-	}
-	for _, p := range specfetch.Policies() {
-		if p == specfetch.Adaptive {
-			t.Fatal("Policies() lists the Adaptive meta-policy")
-		}
-	}
-	if len(specfetch.ChooserStrategies()) == 0 {
-		t.Fatal("no chooser strategies advertised")
-	}
-	if _, err := specfetch.NewChooser("bogus"); err == nil {
-		t.Fatal("bogus strategy accepted")
-	}
-
-	bench, err := specfetch.BuildBenchmark(specfetch.GCC())
-	if err != nil {
-		t.Fatal(err)
-	}
-	static := specfetch.DefaultConfig()
-	static.Policy = specfetch.Resume
-	want, err := specfetch.RunBenchmark(bench, static, 100_000, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cfg := specfetch.DefaultConfig()
-	cfg.Policy = specfetch.Adaptive
-	cfg.AdaptInterval = 10_000
-	cfg.Chooser, err = specfetch.NewChooser("pinned:resume")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := specfetch.RunBenchmark(bench, cfg, 100_000, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.PolicySwitches != 0 {
-		t.Errorf("pinned chooser switched %d times", got.PolicySwitches)
-	}
-	got.Policy = want.Policy // the echoed policy is the one legitimate difference
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("adaptive pinned to resume differs from static resume:\n%+v\n%+v", got, want)
-	}
-
-	cfg.AdaptInterval = 1_000
-	cfg.Chooser, err = specfetch.NewChooser("phase:3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := specfetch.RunBenchmark(bench, cfg, 100_000, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.PolicySwitches == 0 {
-		t.Error("phase:3 strategy never switched over its opening")
-	}
-	cfg.Chooser, err = specfetch.NewChooser("phase:3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := specfetch.RunBenchmark(bench, cfg, 100_000, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Errorf("adaptive runs with identical choosers differ:\n%+v\n%+v", a, b)
 	}
 }
 
@@ -130,29 +137,6 @@ func TestProfileLookup(t *testing.T) {
 	}
 	if _, ok := specfetch.ProfileByName("zzz"); ok {
 		t.Error("bogus profile found")
-	}
-}
-
-func TestClassifyMissesAPI(t *testing.T) {
-	bench, err := specfetch.BuildBenchmark(specfetch.Li())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cat, err := specfetch.ClassifyMisses(bench, specfetch.DefaultConfig(), 100_000, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cat.Insts < 100_000 || cat.BothMiss < 0 {
-		t.Errorf("categories: %+v", cat)
-	}
-	// A budget no run can honour is an error, not a zero-instruction run.
-	for _, insts := range []int64{0, math.MaxInt64} {
-		if _, err := specfetch.RunBenchmark(bench, specfetch.DefaultConfig(), insts, 1); err == nil {
-			t.Errorf("RunBenchmark accepted the budget %d", insts)
-		}
-		if _, err := specfetch.ClassifyMisses(bench, specfetch.DefaultConfig(), insts, 1); err == nil {
-			t.Errorf("ClassifyMisses accepted the budget %d", insts)
-		}
 	}
 }
 
@@ -182,87 +166,71 @@ func TestCustomProgramAndTrace(t *testing.T) {
 	}
 }
 
-// TestDeterministicResults: identical runs give identical measurements.
+// TestDeterministicResults: identical runs give identical measurements,
+// under every policy.
 func TestDeterministicResults(t *testing.T) {
-	bench, _ := specfetch.BuildBenchmark(specfetch.DBpp())
-	cfg := specfetch.DefaultConfig()
-	cfg.Policy = specfetch.Optimistic
-	a, err := specfetch.RunBenchmark(bench, cfg, 50_000, 9)
+	prof, ok := specfetch.ProfileByName("db++")
+	if !ok {
+		t.Fatal("no db++ profile")
+	}
+	bench, err := specfetch.BuildBenchmark(prof)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := specfetch.RunBenchmark(bench, cfg, 50_000, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Errorf("results differ:\n%+v\n%+v", a, b)
-	}
-}
-
-// TestFacadeIO exercises the file-format helpers exposed at the root:
-// image serialization, trace writers, and the sniffing reader.
-func TestFacadeIO(t *testing.T) {
-	b, err := specfetch.NewImageBuilder(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.AppendPlain(3)
-	b.Append(specfetch.Inst{Kind: specfetch.Jump, Target: 0})
-	img, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var imgBuf bytes.Buffer
-	if err := specfetch.WriteImage(&imgBuf, img); err != nil {
-		t.Fatal(err)
-	}
-	img2, err := specfetch.ReadImage(&imgBuf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if img2.NumInsts() != img.NumInsts() {
-		t.Fatalf("image round trip changed size: %d vs %d", img2.NumInsts(), img.NumInsts())
-	}
-
-	recs := []specfetch.TraceRecord{
-		{Start: 0, N: 4, BrKind: specfetch.Jump, Taken: true, Target: 0},
-		{Start: 0, N: 4, BrKind: specfetch.Jump, Taken: true, Target: 0},
-	}
-	for name, mk := range map[string]func(io.Writer) specfetch.TraceWriter{
-		"binary": func(w io.Writer) specfetch.TraceWriter { return specfetch.NewBinaryTraceWriter(w) },
-		"text":   func(w io.Writer) specfetch.TraceWriter { return specfetch.NewTextTraceWriter(w) },
-	} {
-		var buf bytes.Buffer
-		w := mk(&buf)
-		for _, r := range recs {
-			if err := w.Write(r); err != nil {
-				t.Fatalf("%s write: %v", name, err)
-			}
-		}
-		type flusher interface{ Flush() error }
-		if err := w.(flusher).Flush(); err != nil {
-			t.Fatal(err)
-		}
-		rd, err := specfetch.OpenTrace(&buf)
+	for _, pol := range specfetch.Policies() {
+		cfg := specfetch.DefaultConfig()
+		cfg.Policy = pol
+		a, err := specfetch.RunBenchmark(bench, cfg, 50_000, 9)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := rd.Next()
-		if err != nil || got != recs[0] {
-			t.Fatalf("%s read back: %+v, %v", name, got, err)
+		b, err := specfetch.RunBenchmark(bench, cfg, 50_000, 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(a, b) {
+			t.Errorf("%v: results differ:\n%+v\n%+v", pol, a, b)
 		}
 	}
+}
 
-	// The whole loop drives the engine end to end from the reparsed image.
-	res, err := specfetch.Run(specfetch.DefaultConfig(), img2,
-		specfetch.NewSliceTrace(recs), specfetch.NewPredictor())
+// TestRunWithProbe: under every policy, a run with a window series
+// attached reports the Result of the same run without it, and its series
+// ends on that run's cumulative ISPI.
+func TestRunWithProbe(t *testing.T) {
+	prof, ok := specfetch.ProfileByName("groff")
+	if !ok {
+		t.Fatal("no groff profile")
+	}
+	bench, err := specfetch.BuildBenchmark(prof)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Insts != 8 {
-		t.Errorf("insts = %d", res.Insts)
+	const insts = 50_000
+	for _, pol := range specfetch.Policies() {
+		cfg := specfetch.DefaultConfig()
+		cfg.Policy = pol
+		cfg.MaxInsts = insts
+		base, err := specfetch.Run(cfg, bench.Image(), bench.NewReader(7, insts*2), specfetch.NewPredictor())
+		if err != nil {
+			t.Fatal(err)
+		}
+		win := specfetch.NewWindowSeries()
+		res, err := specfetch.RunWithProbe(cfg, bench.Image(), bench.NewReader(7, insts*2),
+			specfetch.NewPredictor(), win, 5_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res, base) {
+			t.Errorf("%v: probed run diverged from the plain run:\nprobed %+v\n plain %+v", pol, res, base)
+		}
+		pts := specfetch.SeriesPoints(win.Records())
+		if len(pts) == 0 {
+			t.Fatalf("%v: no series points", pol)
+		}
+		if got, want := pts[len(pts)-1].CumISPI, res.TotalISPI(); got != want {
+			t.Errorf("%v: final CumISPI = %.12f, want %.12f", pol, got, want)
+		}
 	}
 }
 
