@@ -27,6 +27,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"sort"
 
 	"specfetch/internal/core"
 	"specfetch/internal/distsweep"
@@ -221,17 +222,33 @@ func main() {
 
 // checkFlags rejects a command line that sets a flag the run never reads.
 // set names the flags in effect: those flag.Visit reports, with the
-// output paths present only when non-empty.
+// output paths present only when non-empty. -list reads only the profile
+// flags; a trace-file replay reads neither -bench nor -seed.
 func checkFlags(set map[string]bool) error {
+	if set["list"] {
+		var names []string
+		for name, on := range set {
+			if on && name != "list" && name != "cpuprofile" && name != "memprofile" {
+				names = append(names, name)
+			}
+		}
+		if len(names) > 0 {
+			sort.Strings(names)
+			return fmt.Errorf("-%s is not read with -list", names[0])
+		}
+	}
+	replay := set["image"] || set["trace"]
 	for _, f := range []struct {
 		name, needs string
 		read        bool
 	}{
-		{"interval", "-series or -timeline", set["series"] || set["timeline"]},
-		{"event-cap", "-events or -timeline", set["events"] || set["timeline"]},
+		{"interval", "with -series or -timeline", set["series"] || set["timeline"]},
+		{"event-cap", "with -events or -timeline", set["events"] || set["timeline"]},
+		{"bench", "without -image and -trace", !replay},
+		{"seed", "without -image and -trace", !replay},
 	} {
 		if set[f.name] && !f.read {
-			return fmt.Errorf("-%s is only read with %s", f.name, f.needs)
+			return fmt.Errorf("-%s is only read %s", f.name, f.needs)
 		}
 	}
 	return nil

@@ -182,8 +182,9 @@ func TestReplayMatchesBench(t *testing.T) {
 
 // TestRejectsBadSpecs: settings a sweep cell's spec refuses, and an event
 // ring below one slot, make fetchsim exit 1 with the error, not run
-// without them; an observability flag without the output that reads it
-// is a usage error (exit 2).
+// without them; an observability flag without the output that reads it,
+// -bench or -seed on a trace-file replay, and a run flag beside -list are
+// usage errors (exit 2).
 func TestRejectsBadSpecs(t *testing.T) {
 	dir := t.TempDir()
 	writeGCCTrace(t, dir)
@@ -205,8 +206,15 @@ func TestRejectsBadSpecs(t *testing.T) {
 		{[]string{"-events", "e.jsonl", "-interval", "5000"}, 2, "-interval is only read with"},
 		{[]string{"-event-cap", "-5"}, 2, "-event-cap is only read with -events or -timeline"},
 		{[]string{"-series", "s.csv", "-event-cap", "64"}, 2, "-event-cap is only read with"},
+		{[]string{"-image", "gcc.img", "-trace", "gcc.trc", "-bench", "li", "-seed", "9"},
+			2, "-bench is only read without -image and -trace"},
+		{[]string{"-image", "gcc.img", "-trace", "gcc.trc", "-seed", "9"},
+			2, "-seed is only read without -image and -trace"},
+		{[]string{"-trace", "gcc.trc", "-bench", "gcc"}, 2, "-bench is only read without"},
+		{[]string{"-list", "-bench", "li", "-policy", "bogus"}, 2, "-bench is not read with -list"},
 	} {
-		args := append([]string{"-bench", "gcc", "-insts", "20000"}, c.args...)
+		// The default -bench is gcc; a row names -bench only to test it.
+		args := append([]string{"-insts", "20000"}, c.args...)
 		out, msg, err := fetchsim(t, dir, args...)
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != c.code {

@@ -16,6 +16,10 @@
 // -audit-sample N attaches the runtime accounting auditor to every cell,
 // checking one pipeline window in N.
 //
+// Every cell runs the skip-ahead engine core. The cycle-by-cycle reference
+// stepper renders the same bytes for every artifact; the experiments tests
+// check that, and fetchsim -stepmode reference runs one cell on it.
+//
 // Long campaigns are observable: per-simulation progress goes to stderr
 // (silence it with -quiet), -metrics-addr serves a Prometheus /metrics
 // endpoint with campaign counters plus net/http/pprof under /debug/pprof/,
@@ -63,7 +67,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"specfetch/internal/core"
 	"specfetch/internal/distsweep"
 	"specfetch/internal/experiments"
 	"specfetch/internal/hosttime"
@@ -93,7 +96,6 @@ func main() {
 		workers  = flag.Int("workers", 0, "simulation cells to run concurrently (0 = GOMAXPROCS, 1 = serial); output is byte-identical at every setting")
 		remoteWk = flag.String("remote-workers", "", "comma-separated sweepworker base URLs (e.g. http://host:8477,http://host:8478); serializable sweeps fan out across these processes, output stays byte-identical")
 		auditSmp = flag.Int("audit-sample", 0, "attach the accounting auditor to every simulation, checking every Nth pipeline window (1 = every window)")
-		stepMode = flag.String("stepmode", "", "engine core for every cell: skipahead (next-event) or reference (cycle-by-cycle); empty defers to SPECFETCH_STEPMODE, then skipahead. Output bytes are identical either way")
 		hostTr   = flag.String("host-trace", "", "write host-side spans (workers x cells, plus remote fleet tracks with -remote-workers) as a Chrome trace JSON to this file")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file at exit")
@@ -182,14 +184,6 @@ func main() {
 	opt := experiments.Options{
 		Insts: *insts, Metrics: reg, Spans: spans,
 		Workers: *workers, AuditSample: *auditSmp,
-	}
-	if *stepMode != "" {
-		mode, err := core.ParseStepMode(*stepMode)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "paperbench: %v\n", err)
-			exit(2)
-		}
-		opt.StepMode = mode
 	}
 	if *bench != "" {
 		opt.Benchmarks = strings.Split(*bench, ",")

@@ -57,7 +57,8 @@ func TestFigureCSV(t *testing.T) {
 }
 
 // TestOneRunSelector: a command line with two run selectors, or none, is
-// a usage error that runs nothing.
+// a usage error that runs nothing. So is -stepmode: every paperbench cell
+// runs the skip-ahead core.
 func TestOneRunSelector(t *testing.T) {
 	for _, args := range [][]string{
 		{"-table", "5", "-figure", "3"},
@@ -65,6 +66,7 @@ func TestOneRunSelector(t *testing.T) {
 		{"-all", "-ablation", "bogus"},
 		{"-oracle", "-sensitivity", "2"},
 		{"-bench", "gcc"},
+		{"-stepmode", "reference", "-table", "6"},
 	} {
 		out, _, err := paperbench(t, append(args, "-insts", "20000", "-quiet")...)
 		var exit *exec.ExitError
@@ -103,7 +105,7 @@ func TestCheckFlags(t *testing.T) {
 		{[]string{"adaptive", "strategy", "interval", "flush-interval"}, ""},
 		{[]string{"table", "flush-interval"}, "flush-interval"},
 		{[]string{"figure", "interval"}, "interval"},
-		{[]string{"table", "host-trace", "stepmode", "workers", "quiet"}, ""},
+		{[]string{"table", "host-trace", "workers", "quiet"}, ""},
 		{[]string{"table", "figure"}, "figure"},
 		{[]string{"sweep", "modern"}, "modern"},
 		{[]string{"all", "ablation"}, "ablation"},

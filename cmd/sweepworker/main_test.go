@@ -173,7 +173,7 @@ func TestCrossProcessKillWorkerMidSweep(t *testing.T) {
 	if got != want {
 		t.Error("sweep bytes changed after a worker was killed mid-sweep")
 	}
-	if len(remote.Dispatch.Alive()) == 2 {
+	if remote.Dispatch.Status().Evictions == 0 {
 		t.Log("note: killed worker was never evicted (sweep may have finished first); bytes still identical")
 	}
 }

@@ -44,17 +44,3 @@ func (r *RAS) Pop() (isa.Addr, bool) {
 	r.size--
 	return r.entries[r.top], true
 }
-
-// Peek returns the prediction without consuming it.
-func (r *RAS) Peek() (isa.Addr, bool) {
-	if r.size == 0 {
-		return 0, false
-	}
-	return r.entries[(r.top-1+len(r.entries))%len(r.entries)], true
-}
-
-// Depth returns the configured capacity.
-func (r *RAS) Depth() int { return len(r.entries) }
-
-// Len returns the live entry count.
-func (r *RAS) Len() int { return r.size }

@@ -46,8 +46,3 @@ func ParseStepMode(s string) (StepMode, error) {
 	}
 	return 0, fmt.Errorf("core: unknown step mode %q", s)
 }
-
-// StepModes lists both modes, skip-ahead first (the default).
-func StepModes() []StepMode {
-	return []StepMode{StepSkipAhead, StepReference}
-}

@@ -131,19 +131,6 @@ func New(opt CoordinatorOptions) *Coordinator {
 	return c
 }
 
-// Alive returns the URLs of workers not yet evicted.
-func (c *Coordinator) Alive() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var out []string
-	for _, w := range c.workers {
-		if !w.evicted {
-			out = append(out, w.url)
-		}
-	}
-	return out
-}
-
 func (c *Coordinator) count(name, help string) {
 	if c.opt.Metrics != nil {
 		c.opt.Metrics.Counter(name, help).Inc()

@@ -146,15 +146,3 @@ func (d *AdaptiveData) CrossoverTable() *texttable.Table {
 // WinnerMap renders the oracle study's per-window winner letters — the
 // phase picture the online chooser is trying to track.
 func (d *AdaptiveData) WinnerMap() string { return d.Oracle.WinnerMap() }
-
-// Wins lists the row indices where the online chooser strictly beat the
-// best static policy — the cells where adaptation paid for itself.
-func (d *AdaptiveData) Wins() []int {
-	var wins []int
-	for i, r := range d.Rows {
-		if _, bestISPI := d.Oracle.Rows[i].BestStatic(); r.ISPI < bestISPI {
-			wins = append(wins, i)
-		}
-	}
-	return wins
-}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"os"
 	"sort"
 	"sync"
 
@@ -66,37 +65,12 @@ type Options struct {
 	// ("does adaptation pay under phased behavior?") it defines. Zero keeps
 	// every cache warm for the whole run, the historical behavior.
 	FlushInterval int64
-	// StepMode selects the engine's time-advance strategy for every cell:
-	// the skip-ahead event core (the zero value) or the cycle-by-cycle
-	// reference stepper. The two produce bit-identical results (see
-	// core/stepmode_diff_test.go); the knob exists so sweeps can be pinned
-	// or cross-checked. When unset, the SPECFETCH_STEPMODE environment
-	// variable ("skipahead"/"reference") applies — the CI matrix uses it to
-	// run the golden suite under both cores without code changes.
+	// StepMode is the engine core runCellsFull writes into every cell's
+	// Config: the skip-ahead event core (the zero value) or the
+	// cycle-by-cycle reference stepper. The two render identical bytes for
+	// every catalogue artifact (TestStepModeRenderIdentity); the reference
+	// core is the oracle the skip-ahead core is checked against.
 	StepMode core.StepMode
-}
-
-// envStepMode resolves SPECFETCH_STEPMODE once; an unparsable value panics
-// (silently ignoring a typo would quietly un-pin a CI matrix leg).
-var envStepMode = sync.OnceValue(func() core.StepMode {
-	v := os.Getenv("SPECFETCH_STEPMODE")
-	if v == "" {
-		return core.StepSkipAhead
-	}
-	m, err := core.ParseStepMode(v)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: bad SPECFETCH_STEPMODE: %v", err))
-	}
-	return m
-})
-
-// stepMode resolves the effective engine mode for this Options; runCellsFull
-// writes it into every cell.
-func (opt Options) stepMode() core.StepMode {
-	if opt.StepMode != core.StepSkipAhead {
-		return opt.StepMode
-	}
-	return envStepMode()
 }
 
 // observe reports one finished simulation to the optional progress and

@@ -206,20 +206,18 @@ func sweep[T any](opt Options, benches []*synth.Bench,
 // runCellsFull executes a work-list and returns results keyed by cell
 // index. It writes the sweep's engine mode, budget and audit rate into a
 // copy of every cell's spec and validates each spec before any cell runs,
-// so a local or remote cell runs the mode this sweep resolved, never a
-// worker's environment default, and a setting a worker would refuse fails
-// the same way in process. With a remote fleet configured
+// so a local or remote cell runs Options.StepMode, and a setting a worker
+// would refuse fails the same way in process. With a remote fleet configured
 // (Options.Dispatch) and every cell serializable, the list is dispatched
 // across processes; otherwise — and for any batch the fleet cannot
 // complete — it runs on the in-process pool. Either way results land at
 // their cell's index, so the caller's serial reduction renders identical
 // bytes.
 func runCellsFull(opt Options, cells []runCell) ([]distsweep.JobResult, error) {
-	mode := opt.stepMode()
 	cells = slices.Clone(cells)
 	for i := range cells {
 		s := &cells[i].spec
-		s.Config.StepMode = mode
+		s.Config.StepMode = opt.StepMode
 		s.Insts = opt.Insts
 		s.AuditSample = opt.AuditSample
 		if err := s.Validate(); err != nil {

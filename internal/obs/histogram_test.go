@@ -3,7 +3,6 @@ package obs
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -21,7 +20,7 @@ func TestHistogramBounds(t *testing.T) {
 	if bounds[0] != 1e-6 {
 		t.Errorf("bounds[0] = %g, want 1e-6", bounds[0])
 	}
-	g := HistogramGrowth()
+	g := math.Pow(10, 1.0/histBucketsPerDecade)
 	for i := 1; i < len(bounds); i++ {
 		if bounds[i] <= bounds[i-1] {
 			t.Fatalf("bounds not strictly increasing at %d: %g <= %g", i, bounds[i], bounds[i-1])
@@ -64,50 +63,6 @@ func TestHistogramBucketing(t *testing.T) {
 		if got := histBucket(c.v); got != c.want {
 			t.Errorf("histBucket(%g) = %d, want %d", c.v, got, c.want)
 		}
-	}
-}
-
-// TestHistogramQuantileErrorBound is the estimator's accuracy contract:
-// against the exact sample quantile of log-uniform data, the bucket-upper-
-// bound estimate never undershoots and overshoots by at most the bucket
-// growth factor.
-func TestHistogramQuantileErrorBound(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	h := &Histogram{}
-	var vals []float64
-	for i := 0; i < 10_000; i++ {
-		// Log-uniform over [1e-5, 1e2] — well inside the finite buckets.
-		v := math.Pow(10, -5+7*rng.Float64())
-		vals = append(vals, v)
-		h.Observe(v)
-	}
-	sort.Float64s(vals)
-	g := HistogramGrowth()
-	for _, q := range []float64{0.01, 0.25, 0.5, 0.9, 0.95, 0.99, 1.0} {
-		rank := int(math.Ceil(q * float64(len(vals))))
-		if rank < 1 {
-			rank = 1
-		}
-		exact := vals[rank-1]
-		est := h.Quantile(q)
-		if est < exact {
-			t.Errorf("q=%g: estimate %g undershoots exact %g", q, est, exact)
-		}
-		if est > exact*g*(1+1e-9) {
-			t.Errorf("q=%g: estimate %g exceeds exact %g by more than the growth factor %g", q, est, exact, g)
-		}
-	}
-}
-
-// TestHistogramQuantileEdges: empty histograms and overflow ranks.
-func TestHistogramQuantileEdges(t *testing.T) {
-	h := &Histogram{}
-	if got := h.Quantile(0.5); got != 0 {
-		t.Errorf("empty histogram quantile = %g, want 0", got)
-	}
-	h.Observe(1e9) // overflow bucket
-	if got := h.Quantile(0.5); !math.IsInf(got, 1) {
-		t.Errorf("overflow-bucket quantile = %g, want +Inf", got)
 	}
 }
 
