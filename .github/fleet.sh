@@ -19,8 +19,10 @@ start_worker() {
 
 # wait_jobs PORT N polls the worker on 127.0.0.1:PORT until its /healthz
 # reports at least N finished jobs (up to 2000 polls 0.01 s apart) and
-# fails if it never does. A worker runs a batch's jobs one at a time, so
-# a worker that has finished its first job is mid-batch.
+# fails if it never does. A worker runs a batch's jobs on its lanes in
+# job order, at most one job per core at once, so a worker that has
+# finished its first job of an 8-job batch is mid-batch on a host with
+# fewer than 8 cores.
 wait_jobs() {
   for _ in $(seq 1 2000); do
     n=$(curl -sf "http://127.0.0.1:$1/healthz" | jq .jobs_done) || n=0

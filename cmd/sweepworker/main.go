@@ -12,11 +12,13 @@
 //	POST /v1/run   run one batch (distsweep wire format, versioned)
 //	GET  /metrics  Prometheus text: worker counters and batch latency
 //
-// Between batches the daemon keeps a memoized bench per profile, the most
-// recently read dynamic stream (packed, 8 bytes per record) and one engine
-// arena per batch that ran concurrently. All of it is a pure cache of
-// deterministic recipes; killing a worker mid-sweep never changes sweep
-// output — the coordinator re-runs its batches elsewhere.
+// A batch's jobs run on min(GOMAXPROCS, jobs) lanes, handed out in job
+// order; results come back in job order, and a failing batch names its
+// lowest failing job. Between batches the daemon keeps a memoized bench per
+// profile, the most recently read dynamic stream (packed, 4 bytes per
+// record) and one engine arena per lane that ran at once. All of it is a
+// pure cache of deterministic recipes; killing a worker mid-sweep never
+// changes sweep output — the coordinator re-runs its batches elsewhere.
 //
 // Usage:
 //

@@ -23,7 +23,7 @@ var Determinism = &Analyzer{
 	Doc: "forbid wall-clock reads, global math/rand, and map-iteration-ordered " +
 		"output in simulator packages (internal/hosttime alone may read the clock)",
 	AppliesTo: inPaths("internal/core", "internal/cache", "internal/synth",
-		"internal/experiments", "internal/obs", "internal/hosttime"),
+		"internal/experiments", "internal/obs", "internal/hosttime", "internal/pool"),
 	Run: runDeterminism,
 }
 

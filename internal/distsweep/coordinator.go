@@ -506,10 +506,17 @@ func (c *Coordinator) recordFleetSpans(url string, br *BatchResult, t0 hosttime.
 	anchor := base + slack
 	spans := make([]obs.HostSpan, 0, len(br.Spans))
 	for _, ws := range br.Spans {
+		// A batch of n jobs runs on at most n lanes; a lane outside that
+		// (only a faulty worker sends one) is drawn on lane 0's track
+		// rather than sizing the trace's track list by it.
+		lane := ws.Lane
+		if lane < 0 || lane >= len(br.Spans) {
+			lane = 0
+		}
 		spans = append(spans, obs.HostSpan{
 			Name:    ws.Name,
 			Section: "batch " + strconv.FormatUint(br.ID, 10),
-			Worker:  0, // daemons run jobs serially: one track per process
+			Worker:  lane, // one track per worker lane
 			Start:   anchor + time.Duration(ws.StartUS)*time.Microsecond,
 			Dur:     time.Duration(ws.DurUS) * time.Microsecond,
 		})

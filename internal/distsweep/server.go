@@ -2,20 +2,23 @@ package distsweep
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
+	"runtime"
 	"sync/atomic"
 
 	"specfetch/internal/hosttime"
 	"specfetch/internal/obs"
+	"specfetch/internal/pool"
 )
 
 // Runner executes one validated job spec and returns the result plus the
 // audit identity the run was verified against. The experiments package
 // supplies the production runner (spec → bench → simulate); tests supply
 // fakes. A Runner must be safe for concurrent use: the HTTP server invokes
-// it from one goroutine per in-flight batch.
+// it from every lane of a batch at once, and from every in-flight batch.
 type Runner func(spec JobSpec) (JobResult, error)
 
 // ServerOptions configures a worker-side batch server.
@@ -33,9 +36,10 @@ type ServerOptions struct {
 }
 
 // Server is the worker half of the protocol: it decodes batches, runs each
-// job through the Runner in job order, and returns job-ordered results.
-// Jobs within one batch run serially; process-level parallelism comes from
-// running more workers (or pointing several coordinators at one worker).
+// job through the Runner, and returns job-ordered results. The jobs of one
+// batch run on min(GOMAXPROCS, jobs) lanes of the shared pool (package
+// pool, the in-process sweep executor's pool), handed out in job order;
+// one worker process therefore uses every core its host gives it.
 type Server struct {
 	opt  ServerOptions
 	mux  *http.ServeMux
@@ -117,37 +121,50 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
+	// pool.Run starts no job after a failure, reports the lowest-indexed
+	// one, and re-raises a lane's panic here on the handler goroutine,
+	// where net/http drops the connection. Each job writes its own result
+	// and span slot, so both come back in job order whatever order the
+	// jobs finish in.
+	n := len(batch.Jobs)
 	epoch := hosttime.Now()
 	out := BatchResult{
 		Version: WireVersion, ID: batch.ID,
 		Pid:     os.Getpid(),
-		Results: make([]JobResult, 0, len(batch.Jobs)),
-		Spans:   make([]WireSpan, 0, len(batch.Jobs)),
+		Results: make([]JobResult, n),
+		Spans:   make([]WireSpan, n),
 	}
-	for i, job := range batch.Jobs {
+	err := pool.Run(runtime.GOMAXPROCS(0), n, func(lane, i int) error {
+		job := batch.Jobs[i]
 		start := hosttime.Now()
 		res, err := s.runJob(job)
 		if err != nil {
-			// A failing simulation is deterministic: every retry would fail
-			// identically, so report it permanent (422) with the job index.
-			s.fail(w, http.StatusUnprocessableEntity, i, "job %d: %v", i, err)
-			return
+			return &jobError{job: i, err: err}
 		}
 		// Per-job timing on this process's monotonic clock, as an offset
 		// from batch-execution start: the coordinator re-anchors these onto
 		// its own axis for the combined fleet trace.
-		out.Spans = append(out.Spans, WireSpan{
+		out.Spans[i] = WireSpan{
 			Job:     i,
+			Lane:    lane,
 			Name:    job.Profile.Name + "/" + job.Config.Policy.String(),
 			StartUS: start.Sub(epoch).Microseconds(),
 			DurUS:   hosttime.Since(start).Microseconds(),
-		})
-		out.Results = append(out.Results, res)
+		}
+		out.Results[i] = res
 		s.jobs.Add(1)
 		if s.opt.Metrics != nil {
 			s.opt.Metrics.Counter("specfetch_worker_jobs_total",
 				"Sweep jobs completed by this worker.").Inc()
 		}
+		return nil
+	})
+	var jerr *jobError
+	if errors.As(err, &jerr) {
+		// A failing simulation is deterministic: every retry would fail
+		// identically, so report it permanent (422) with the job index.
+		s.fail(w, http.StatusUnprocessableEntity, jerr.job, "%v", jerr)
+		return
 	}
 	exec := hosttime.Since(epoch)
 	out.ExecUS = exec.Microseconds()
@@ -164,6 +181,14 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 }
+
+// jobError carries a failed job's index out of the lane pool.
+type jobError struct {
+	job int
+	err error
+}
+
+func (e *jobError) Error() string { return fmt.Sprintf("job %d: %v", e.job, e.err) }
 
 // runJob invokes the Runner, converting a sampled-audit stream-violation
 // panic (*obs.AuditError) into an error so one poisoned job cannot take

@@ -223,9 +223,13 @@ func (r JobResult) SelfConsistent(spec JobSpec) bool {
 // job's duration, both in microseconds. Offsets rather than absolute times
 // cross the wire because the two processes share no clock; the coordinator
 // re-anchors each span onto its own hosttime axis using the dispatch
-// round-trip (see Coordinator.FleetSpans).
+// round-trip (see Coordinator.FleetSpans). Lane is the worker's 0-based
+// pool lane that ran the job, added to wire v1 additively (omitempty, so a
+// one-lane worker sends what it always sent); the coordinator draws one
+// fleet trace track per lane.
 type WireSpan struct {
 	Job     int    `json:"job"`
+	Lane    int    `json:"lane,omitempty"`
 	Name    string `json:"name"`
 	StartUS int64  `json:"start_us"`
 	DurUS   int64  `json:"dur_us"`

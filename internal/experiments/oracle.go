@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -347,12 +348,14 @@ func ReadOracleJSONL(r io.Reader) (*OracleData, error) {
 	d := &OracleData{}
 	rows := map[key]*OracleRow{}
 	var order []key
+	// The scanner starts small and doubles its buffer up to the 64 MiB line
+	// cap, so a file of short lines never pays for the longest possible one.
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<26)
+	sc.Buffer(nil, 1<<26)
 	line := 0
 	for sc.Scan() {
 		line++
-		if len(strings.TrimSpace(sc.Text())) == 0 {
+		if len(bytes.TrimSpace(sc.Bytes())) == 0 {
 			continue
 		}
 		var l intervalLine

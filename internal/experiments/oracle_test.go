@@ -150,6 +150,47 @@ func TestOracleJSONLRoundTrip(t *testing.T) {
 	}
 }
 
+// TestOracleJSONLLongLine: a line far longer than the reader's initial
+// scanner buffer (five series of 8,000 windows, over 1 MiB each) reads back
+// and writes out byte-identically.
+func TestOracleJSONLLongLine(t *testing.T) {
+	const windows, interval = 8_000, 100
+	row := OracleRow{Bench: "gcc", Penalty: 5, Series: map[core.Policy][]obs.WindowRecord{}}
+	for k, pol := range core.Policies() {
+		recs := make([]obs.WindowRecord, windows)
+		for i := range recs {
+			r := &recs[i]
+			r.Index, r.StartInsts, r.EndInsts = i, int64(i)*interval, int64(i+1)*interval
+			if i > 0 {
+				r.StartCycle = recs[i-1].EndCycle
+			}
+			r.EndCycle = r.StartCycle + int64(40+(i*7+k)%13)
+			r.Lost[0], r.Lost[3] = int64((i+k)%17), int64(i%5)
+			r.Accesses, r.Misses = 30, int64((i+2*k)%4)
+		}
+		row.Series[pol] = recs
+	}
+	d := &OracleData{Interval: interval, Penalties: []int{5}, Rows: []OracleRow{row}}
+	var want bytes.Buffer
+	if err := d.WriteJSONL(&want); err != nil {
+		t.Fatal(err)
+	}
+	if first := bytes.IndexByte(want.Bytes(), '\n'); first < 1<<20 {
+		t.Fatalf("first line is %d bytes; the test needs one over 1 MiB", first)
+	}
+	back, err := ReadOracleJSONL(bytes.NewReader(want.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := back.WriteJSONL(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Error("long-line JSONL does not round trip byte-identically")
+	}
+}
+
 // TestOracleLayerDisabledNeutral: a plain sweep's results are bit-identical
 // with the interval layer absent and present-but-disabled, and a
 // window-capturing sweep's Results match a plain sweep's — capture is

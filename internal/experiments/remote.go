@@ -51,11 +51,12 @@ func runCellsRemote(opt Options, cells []runCell) ([]distsweep.JobResult, bool, 
 // shares with the in-process pool, and runs the spec's cell through a
 // cellCache it keeps for its lifetime, the same path the in-process pool
 // runs cells through. A sweep sends every cell of one stream in a row, so
-// the cache replays each stream to the cells after its first, and between
-// batches it retains one packed stream and one arena per batch that ran
-// concurrently. The chunks of the streams it drops stay with it as spares,
-// so once warm it packs each new stream without allocating, up to the
-// size of the largest it has held.
+// the cache replays each stream to the cells after its first (the server's
+// lanes share its one generation), and between batches it retains one
+// packed stream and one arena per Run that ran at once: one per lane of
+// each concurrent batch. The chunks of the streams it drops stay with it
+// as spares, so once warm it packs each new stream without allocating, up
+// to the size of the largest it has held.
 type JobRunner struct {
 	// Metrics, when non-nil, accumulates the worker's campaign counters
 	// (specfetch_simulations_total etc.).
@@ -71,10 +72,10 @@ func NewJobRunner(reg *obs.Registry) *JobRunner {
 	return &JobRunner{Metrics: reg}
 }
 
-// Run implements distsweep.Runner. Safe for concurrent batches: each bench
-// is built once and read-only afterwards, exactly as the in-process pool
-// shares it across workers, and the cache never lends one arena to two
-// Runs at once.
+// Run implements distsweep.Runner. Safe for concurrent use, by the lanes
+// of one batch and by concurrent batches: each bench is built once and
+// read-only afterwards, exactly as the in-process pool shares it across
+// workers, and the cache never lends one arena to two Runs at once.
 func (r *JobRunner) Run(spec distsweep.JobSpec) (distsweep.JobResult, error) {
 	if err := spec.Validate(); err != nil {
 		return distsweep.JobResult{}, err

@@ -4,14 +4,13 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"specfetch/internal/adaptive"
 	"specfetch/internal/bpred"
 	"specfetch/internal/core"
 	"specfetch/internal/distsweep"
 	"specfetch/internal/obs"
+	"specfetch/internal/pool"
 	"specfetch/internal/program"
 	"specfetch/internal/synth"
 	"specfetch/internal/trace"
@@ -37,93 +36,15 @@ func (opt Options) workers() int {
 	return w
 }
 
-// cellFailure records the lowest-indexed cell that errored or panicked.
-type cellFailure struct {
-	idx     int
-	err     error
-	payload any
-	isPanic bool
-}
-
-// pool runs fn(worker, i) for i in [0,n) on up to opt.workers() goroutines;
-// worker is the 0-based index of the goroutine running the cell (always 0 on
-// the serial path), which the host span tracer uses as its timeline track.
-// Cell indexes are dispensed in increasing order; after a cell fails, no new
-// cell is started, already-running cells finish, and the pool drains before
-// reporting. The failure surfaced is the one with the smallest index — and
-// that is deterministic: indexes are handed out in order, so the smallest
-// failing index is always dispatched (and therefore observed) no matter how
-// the scheduler interleaves the workers. A panicking cell (e.g. an
-// *obs.AuditError from a sampled audit) is re-panicked on the caller's
-// goroutine with its original value once the pool has drained.
-func pool(opt Options, n int, fn func(worker, i int) error) error {
-	workers := opt.workers()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(0, i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var (
-		wg   sync.WaitGroup
-		next atomic.Int64
-		stop atomic.Bool
-		mu   sync.Mutex
-		fail *cellFailure
-	)
-	next.Store(-1)
-	record := func(f cellFailure) {
-		mu.Lock()
-		if fail == nil || f.idx < fail.idx {
-			fail = &f
-		}
-		mu.Unlock()
-		stop.Store(true)
-	}
-	runOne := func(w, i int) {
-		defer func() {
-			if r := recover(); r != nil {
-				record(cellFailure{idx: i, payload: r, isPanic: true})
-			}
-		}()
-		if err := fn(w, i); err != nil {
-			record(cellFailure{idx: i, err: err})
-		}
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for !stop.Load() {
-				i := int(next.Add(1))
-				if i >= n {
-					return
-				}
-				runOne(w, i)
-			}
-		}(w)
-	}
-	wg.Wait()
-	if fail == nil {
-		return nil
-	}
-	if fail.isPanic {
-		panic(fail.payload)
-	}
-	return fail.err
-}
-
-// mapCells runs fn over [0,n) on the pool and returns the index-keyed
+// mapCells runs fn over [0,n) on opt.workers() lanes of the shared pool
+// (pool.Run: cells dispatched in index order, the lowest-indexed failure
+// reported, a cell's panic re-raised here) and returns the index-keyed
 // results — the deterministic reduction every builder hangs off. fn's first
-// argument is the pool worker index running the cell.
+// argument is the pool lane running the cell, the host span tracer's
+// timeline track.
 func mapCells[T any](opt Options, n int, fn func(worker, i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
-	err := pool(opt, n, func(w, i int) error {
+	err := pool.Run(opt.workers(), n, func(w, i int) error {
 		v, err := fn(w, i)
 		if err != nil {
 			return err

@@ -113,7 +113,7 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 
 // Histogram returns the histogram registered under name, creating it with
 // the given help text on first use. Buckets are the package-fixed log-spaced
-// layout (HistogramBounds).
+// layout (histogramBounds).
 func (r *Registry) Histogram(name, help string) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -33,9 +33,9 @@ var histBounds = func() [numHistBuckets]float64 {
 	return b
 }()
 
-// HistogramBounds returns a copy of the finite bucket boundaries (the +Inf
+// histogramBounds returns a copy of the finite bucket boundaries (the +Inf
 // overflow bucket is implicit).
-func HistogramBounds() []float64 {
+func histogramBounds() []float64 {
 	out := make([]float64, numHistBuckets)
 	copy(out, histBounds[:])
 	return out

@@ -13,7 +13,7 @@ import (
 // 1µs, grow by a constant factor of 10^(1/5), and land exactly on decades
 // every 5 buckets.
 func TestHistogramBounds(t *testing.T) {
-	bounds := HistogramBounds()
+	bounds := histogramBounds()
 	if len(bounds) != numHistBuckets {
 		t.Fatalf("len(bounds) = %d, want %d", len(bounds), numHistBuckets)
 	}
@@ -43,7 +43,7 @@ func TestHistogramBounds(t *testing.T) {
 // exact boundaries are inclusive, zero and negatives land in the first
 // bucket, and out-of-range and NaN values land in the overflow bucket.
 func TestHistogramBucketing(t *testing.T) {
-	bounds := HistogramBounds()
+	bounds := histogramBounds()
 	cases := []struct {
 		v    float64
 		want int
@@ -182,7 +182,7 @@ func TestHistogramExpositionRoundTrip(t *testing.T) {
 		t.Fatalf("parsed %d bucket lines, want %d", len(p.cum), numHistBuckets+1)
 	}
 	for i, le := range p.bounds {
-		if want := formatBound(HistogramBounds()[i]); le != want {
+		if want := formatBound(histogramBounds()[i]); le != want {
 			t.Errorf("bucket %d le = %q, want %q", i, le, want)
 		}
 	}

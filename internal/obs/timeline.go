@@ -97,7 +97,7 @@ type ProcessSpans struct {
 // simulated-machine event stream (pid 1, one track per modelled resource),
 // per-window counter tracks from an interval series (pid 1, its own track),
 // host-side spans (pid 2, one track per pool worker), and remote fleet
-// processes (pids 3+). Any part may be nil. Machine timestamps — events and
+// processes (pids 3+, one track per worker lane). Any part may be nil. Machine timestamps — events and
 // counters both — are simulated cycles mapped to microseconds; host and
 // fleet timestamps are real microseconds on the coordinator's span-tracer
 // axis. The machine and the host share a file, not a clock.
